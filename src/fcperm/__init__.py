@@ -1,6 +1,6 @@
 """Fully commutative permutations and their tableaux, heaps, and crowding."""
 
-from .permutations import Permutation, SupportStats, all_permutations, make_permutation
+from .permutations import Permutation, SupportStats, all_permutations
 from .patterns import (
     PatternOccurrence,
     avoids,
@@ -16,6 +16,7 @@ from .words import (
     canonical_reduced_word,
     commutation_class,
     commutation_classes,
+    count_reduced_words,
     evaluate_word,
     is_reduced,
     iter_reduced_words,
@@ -28,6 +29,7 @@ from .heaps import (
     boolean_core,
     build_heap,
     canonical_form,
+    count_linear_extensions,
     heap_of,
     labeled_linear_extensions,
 )

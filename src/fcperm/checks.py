@@ -20,7 +20,13 @@ from .crowding import (
     analyze_transition,
     minimal_crowded_subset,
 )
-from .heaps import boolean_core, heap_of, labeled_linear_extensions
+from .heaps import (
+    boolean_core,
+    build_heap,
+    count_linear_extensions,
+    heap_of,
+    labeled_linear_extensions,
+)
 from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations
 from .rsk import (
@@ -40,7 +46,7 @@ from .weak_order import (
     uncrowded_frontier,
     up_covers,
 )
-from .words import all_reduced_words, commutation_class, iter_reduced_words
+from .words import all_reduced_words, canonical_reduced_word, count_reduced_words
 
 
 @dataclass(frozen=True)
@@ -127,24 +133,42 @@ def check_lemma_2_1(n: int) -> CheckResult:
     return _done("lemma-2.1", n, cases)
 
 
+def _peel(image: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """The image of w * s_d."""
+    return image[: d - 1] + (image[d], image[d - 1]) + image[d + 1 :]
+
+
+def _prop_2_2_verdicts(n: int) -> Iterator[tuple[Permutation, bool, bool, bool]]:
+    """(w, fc, braid_free, single) for every w in S_n, listing no words.
+
+    A braid factor a b a is found by peeling descents from the right end of
+    the word, memoized on (image, last two letters peeled) for the sweep.
+    """
+    memo: dict[tuple[tuple[int, ...], int, int], bool] = {}
+
+    def has_braid(image: tuple[int, ...], older: int, newer: int) -> bool:
+        key = (image, older, newer)
+        found = memo.get(key)
+        if found is None:
+            found = any(
+                (d == older and abs(newer - d) == 1) or has_braid(_peel(image, d), newer, d)
+                for d in range(1, n)
+                if image[d - 1] > image[d]
+            )
+            memo[key] = found
+        return found
+
+    for w in all_permutations(n):
+        class_size = count_linear_extensions(build_heap(canonical_reduced_word(w)))
+        single = class_size == count_reduced_words(w)
+        yield w, is_fully_commutative(w), not has_braid(w.image, 0, 0), single
+
+
 def check_prop_2_2(n: int) -> CheckResult:
     """321-avoidance, single commutation class, and no braid factor agree."""
     cases = 0
-    for w in all_permutations(n):
+    for w, fc, braid_free, single in _prop_2_2_verdicts(n):
         cases += 1
-        fc = is_fully_commutative(w)
-        count = 0
-        seed: tuple[int, ...] | None = None
-        braid_free = True
-        for word in iter_reduced_words(w):
-            count += 1
-            if seed is None or word < seed:
-                seed = word
-            for t in range(len(word) - 2):
-                a, b, c = word[t : t + 3]
-                if a == c and abs(a - b) == 1:
-                    braid_free = False
-        single = count == 1 if seed is None else len(commutation_class(seed)) == count
         if not (fc == braid_free == single):
             return _fail(
                 "prop-2.2",
@@ -155,19 +179,44 @@ def check_prop_2_2(n: int) -> CheckResult:
     return _done("prop-2.2", n, cases)
 
 
+def _prop_2_3_verdicts(n: int) -> Iterator[tuple[Permutation, bool, bool, bool]]:
+    """(w, boolean, some word distinct-lettered, every word distinct-lettered)
+    for every w in S_n, listing no words.
+
+    Peels descents memoized on (image, letters used so far as a bitmask) for
+    the sweep, answering at once whether some completion repeats no letter
+    and whether some completion repeats one.
+    """
+    memo: dict[tuple[tuple[int, ...], int], tuple[bool, bool]] = {}
+
+    def letter_use(image: tuple[int, ...], used: int) -> tuple[bool, bool]:
+        key = (image, used)
+        found = memo.get(key)
+        if found is None:
+            some_distinct = some_repeated = False
+            descents = [d for d in range(1, n) if image[d - 1] > image[d]]
+            if not descents:
+                some_distinct = True
+            for d in descents:
+                if used >> d & 1:
+                    some_repeated = True
+                else:
+                    distinct, repeated = letter_use(_peel(image, d), used | 1 << d)
+                    some_distinct |= distinct
+                    some_repeated |= repeated
+            found = memo[key] = (some_distinct, some_repeated)
+        return found
+
+    for w in all_permutations(n):
+        some_distinct, some_repeated = letter_use(w.image, 0)
+        yield w, is_boolean(w), some_distinct, not some_repeated
+
+
 def check_prop_2_3(n: int) -> CheckResult:
     """Boolean, some word distinct-lettered, and all words distinct agree."""
     cases = 0
-    for w in all_permutations(n):
+    for w, boolean, some_distinct, all_distinct in _prop_2_3_verdicts(n):
         cases += 1
-        boolean = is_boolean(w)
-        some_distinct = False
-        all_distinct = True
-        for word in iter_reduced_words(w):
-            if len(set(word)) == len(word):
-                some_distinct = True
-            else:
-                all_distinct = False
         if not (boolean == some_distinct == all_distinct):
             return _fail(
                 "prop-2.3",
@@ -641,8 +690,8 @@ def check_thm_5_10(n: int) -> CheckResult:
 
 CHECKS: dict[str, tuple[int, Callable[[int], CheckResult]]] = {
     "lemma-2.1": (7, check_lemma_2_1),
-    "prop-2.2": (6, check_prop_2_2),
-    "prop-2.3": (6, check_prop_2_3),
+    "prop-2.2": (7, check_prop_2_2),
+    "prop-2.3": (7, check_prop_2_3),
     "lemma-2.5": (7, check_lemma_2_5),
     "prop-2.7": (6, check_prop_2_7),
     "prop-2.9": (7, check_prop_2_9),

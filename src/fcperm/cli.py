@@ -3,7 +3,8 @@
 One binary, subcommands for single-permutation analysis, S_n enumeration
 with filters, the named verification checks, and DOT/JSON emitters.  Exit
 codes: 0 on success or a passing check, 1 when a check finds a
-counterexample, 2 for usage or parse errors.
+counterexample, 2 for usage or parse errors, 3 for an internal error (a
+broken deduction inside the library).
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations
 from .rsk import rsk
 from .weak_order import build_fc_poset, fc_elements, poset_to_dot, uncrowded_frontier
-from .words import all_reduced_words, word_from_text, word_to_text
+from .words import (
+    all_reduced_words,
+    count_reduced_words,
+    require_length_within,
+    word_from_text,
+    word_to_text,
+)
 
 FILTERS = ("all", "fc", "boolean", "uncrowded", "crowded", "minimal-crowded")
 
@@ -174,13 +181,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_dot(args) -> int:
     if args.target == "heap":
-        if args.argument is None:
-            raise ValueError("dot heap needs a permutation argument")
         if args.word is not None:
             heap = build_heap(word_from_text(args.word))
+        elif args.argument is None:
+            raise ValueError("dot heap needs a permutation argument or --word")
         else:
-            w = Permutation.from_text(args.argument)
-            heap = heap_of(w)
+            heap = heap_of(Permutation.from_text(args.argument))
         print(heap.to_dot())
         return 0
     if args.argument is None:
@@ -237,11 +243,13 @@ def _cmd_core(args) -> int:
 
 def _cmd_words(args) -> int:
     w = Permutation.from_text(args.permutation)
-    words = sorted(all_reduced_words(w, bound=args.bound))
     if args.count:
-        print(len(words))
+        # the count's memo spans the weak-order interval below w, so counting
+        # can explode too and keeps the listing's length guard
+        require_length_within(w, args.bound)
+        print(count_reduced_words(w))
         return 0
-    for word in words:
+    for word in sorted(all_reduced_words(w, bound=args.bound)):
         print(word_to_text(word))
     return 0
 
@@ -307,6 +315,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # InvariantViolation and the library's self-checks: a deduction the
+        # library relies on failed, so the input is worth reporting
+        given = " ".join(sys.argv[1:] if argv is None else argv)
+        print(f"internal error: {exc} (input: {given})", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

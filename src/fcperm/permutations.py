@@ -9,7 +9,7 @@ to share permutations across threads or workers without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,3 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 
     for image in _perms(range(1, n + 1)):
         yield Permutation(image)
-
-
-def make_permutation(values: Iterable[int]) -> Permutation:
-    """Build a permutation from any iterable of one-line values."""
-    return Permutation(tuple(values))

@@ -73,8 +73,8 @@ class TestGoldenExamples:
 FULL_SCOPES = [
     ("thm-2.10", 7),
     ("prop-2.9", 7),
-    ("prop-2.2", 6),
-    ("prop-2.3", 6),
+    ("prop-2.2", 7),
+    ("prop-2.3", 7),
     ("thm-3.2", 7),
     ("thm-3.4", 8),
     ("cor-3.5", 7),

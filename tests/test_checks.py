@@ -5,6 +5,9 @@ The full-scope runs happen in the acceptance suite.
 
 import pytest
 
+import fcperm
+import fcperm.checks
+import fcperm.crowding
 from fcperm.checks import CHECKS, run_check
 
 SMALL_SCOPES = {
@@ -68,3 +71,53 @@ def test_summary_mentions_counterexample_on_failure():
 
     failing = CheckResult(check="x", n=3, passed=False, cases=1, counterexample="321")
     assert "FAIL" in failing.summary() and "321" in failing.summary()
+
+
+# Case counts at the default scope, for the checks that sweep the minimal
+# crowded elements: a library fault that loses some of them shows here even
+# when every remaining case still passes.
+DEFAULT_SCOPE_CASES = {
+    "cor-5.5": (8, 6),
+    "cor-5.6": (8, 6),
+    "lemma-5.7": (8, 6),
+    "cor-5.9": (8, 6),
+    "lemma-5.8": (9, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_SCOPE_CASES))
+def test_default_scope_case_count_golden(name):
+    n, cases = DEFAULT_SCOPE_CASES[name]
+    result = run_check(name)
+    assert (result.n, result.cases, result.passed) == (n, cases, True)
+
+
+def test_narrow_witness_mutation_is_caught(monkeypatch):
+    original = fcperm.crowding.find_crowded_witness
+
+    def narrow(values):
+        witness = original(values)
+        return witness if witness is None or witness.x == 1 else None
+
+    for namespace in (fcperm, fcperm.crowding, fcperm.checks):
+        monkeypatch.setattr(namespace, "find_crowded_witness", narrow)
+    for name, (_n, cases) in DEFAULT_SCOPE_CASES.items():
+        result = run_check(name)
+        assert not result.passed or result.cases != cases, result.summary()
+
+
+@pytest.mark.parametrize(
+    "counter, nontrivial",
+    [
+        ("count_reduced_words", lambda w: not w.is_identity()),
+        ("count_linear_extensions", lambda heap: heap.size > 0),
+    ],
+)
+def test_prop_2_2_fails_under_an_off_by_one_counter(monkeypatch, counter, nontrivial):
+    original = getattr(fcperm.checks, counter)
+    monkeypatch.setattr(
+        fcperm.checks, counter, lambda arg: original(arg) + nontrivial(arg)
+    )
+    result = run_check("prop-2.2", 4)
+    assert not result.passed
+    assert result.counterexample

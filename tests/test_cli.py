@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import fcperm.cli
 from fcperm.cli import main
+from fcperm.crowding import InvariantViolation
 
 
 def run(capsys, *argv):
@@ -116,6 +118,13 @@ class TestDot:
         code, out, _ = run(capsys, "dot", "heap", "4321", "--word", "121321")
         assert code == 0 and out.count("[label=") == 6
 
+    def test_heap_from_word_alone(self, capsys):
+        code, out, err = run(capsys, "dot", "heap", "--word", "121")
+        assert code == 0 and not err
+        assert out.count("[label=") == 3 and out.count("->") == 2
+        code, _, err = run(capsys, "dot", "heap")
+        assert code == 2 and "--word" in err
+
     def test_poset(self, capsys):
         code, out, _ = run(capsys, "dot", "poset", "4")
         assert code == 0
@@ -157,5 +166,25 @@ class TestOtherCommands:
     def test_words_bound(self, capsys):
         code, _, err = run(capsys, "words", "654321")
         assert code == 2 and "bound" in err
+        code, _, err = run(capsys, "words", "654321", "--count")
+        assert code == 2 and "bound" in err
         code, out, _ = run(capsys, "words", "654321", "--bound", "15", "--count")
         assert code == 0 and out.strip() == "292864"
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize(
+        "target, argv, error",
+        [
+            ("boolean_core", ["core", "345619278"], RuntimeError("core split failed")),
+            ("classify", ["analyze", "41627385"], InvariantViolation("row 2 lost a value")),
+        ],
+    )
+    def test_exit_three_with_the_input(self, capsys, monkeypatch, target, argv, error):
+        def broken(w):
+            raise error
+
+        monkeypatch.setattr(fcperm.cli, target, broken)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and not out
+        assert err.strip() == f"internal error: {error} (input: {' '.join(argv)})"

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcperm import (
     BoundExceeded,
@@ -7,6 +9,8 @@ from fcperm import (
     boolean_core,
     build_heap,
     canonical_form,
+    commutation_class,
+    count_linear_extensions,
     heap_of,
     is_boolean,
     is_reduced,
@@ -90,6 +94,32 @@ class TestLinearExtensions:
         heap = build_heap(word_from_text("87234561234"))
         with pytest.raises(BoundExceeded):
             labeled_linear_extensions(heap, bound=5)
+
+
+def _reduced_prefix(letters):
+    """The word keeping each letter that lengthens the product so far in S_7."""
+    image = list(range(1, 8))
+    kept = []
+    for i in letters:
+        if image[i - 1] < image[i]:
+            image[i - 1], image[i] = image[i], image[i - 1]
+            kept.append(i)
+    return tuple(kept)
+
+
+class TestCountLinearExtensions:
+    def test_golden(self):
+        heap = build_heap(word_from_text("87234561234"))
+        assert count_linear_extensions(heap) == 1485
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 6), max_size=14))
+    def test_count_matches_listing_and_class(self, letters):
+        word = _reduced_prefix(letters)
+        heap = build_heap(word)
+        count = count_linear_extensions(heap)
+        assert count == len(labeled_linear_extensions(heap))
+        assert count == len(commutation_class(word))
 
 
 class TestBooleanCore:

@@ -8,8 +8,11 @@ from fcperm import (
     all_permutations,
     all_reduced_words,
     canonical_reduced_word,
+    commutation_class,
     commutation_classes,
+    count_reduced_words,
     evaluate_word,
+    is_boolean,
     is_fully_commutative,
     is_reduced,
     iter_reduced_words,
@@ -17,7 +20,9 @@ from fcperm import (
     word_to_text,
 )
 
-from conftest import count_reduced_words
+from fcperm.checks import _prop_2_2_verdicts, _prop_2_3_verdicts
+
+from conftest import count_reduced_words as oracle_count_reduced_words
 
 
 P = Permutation.from_text
@@ -73,11 +78,11 @@ class TestEnumeration:
     def test_long_element_of_s4(self):
         words = all_reduced_words(Permutation((4, 3, 2, 1)))
         assert len(words) == 16
-        assert count_reduced_words(Permutation((4, 3, 2, 1))) == 16
+        assert oracle_count_reduced_words(Permutation((4, 3, 2, 1))) == 16
 
     def test_counts_match_memoized_oracle(self):
         for w in all_permutations(5):
-            assert len(all_reduced_words(w)) == count_reduced_words(w)
+            assert len(all_reduced_words(w)) == oracle_count_reduced_words(w)
 
     def test_every_word_is_reduced_and_evaluates_back(self):
         for w in all_permutations(4):
@@ -97,6 +102,53 @@ class TestEnumeration:
             canonical = canonical_reduced_word(w)
             assert canonical in words
             assert canonical == min(words) if words else canonical == ()
+
+
+class TestCounting:
+    def test_count_matches_enumeration(self):
+        for w in all_permutations(5):
+            assert count_reduced_words(w) == len(all_reduced_words(w))
+
+    def test_count_matches_memoized_oracle(self):
+        for w in all_permutations(6):
+            assert count_reduced_words(w) == oracle_count_reduced_words(w)
+
+
+def _brute_prop_2_2(w):
+    """(fc, braid_free, single) from the full word list and one class."""
+    words = list(iter_reduced_words(w))
+    braid_free = not any(
+        word[t] == word[t + 2] and abs(word[t] - word[t + 1]) == 1
+        for word in words
+        for t in range(len(word) - 2)
+    )
+    single = len(commutation_class(min(words))) == len(words)
+    return is_fully_commutative(w), braid_free, single
+
+
+def _brute_prop_2_3(w):
+    """(boolean, some word distinct-lettered, every word distinct-lettered)."""
+    distinct = [len(set(word)) == len(word) for word in iter_reduced_words(w)]
+    return is_boolean(w), any(distinct), all(distinct)
+
+
+class TestPropositionDeciders:
+    """The memoized deciders behind prop-2.2 and prop-2.3 give the same
+    verdicts, permutation by permutation, as listing every reduced word."""
+
+    def test_prop_2_2_verdicts_match_enumeration(self):
+        seen = set()
+        for w, *verdicts in _prop_2_2_verdicts(5):
+            assert tuple(verdicts) == _brute_prop_2_2(w), w.to_text()
+            seen.add(tuple(verdicts))
+        assert seen == {(True, True, True), (False, False, False)}
+
+    def test_prop_2_3_verdicts_match_enumeration(self):
+        seen = set()
+        for w, *verdicts in _prop_2_3_verdicts(5):
+            assert tuple(verdicts) == _brute_prop_2_3(w), w.to_text()
+            seen.add(tuple(verdicts))
+        assert seen == {(True, True, True), (False, False, False)}
 
 
 class TestCommutationClasses:
