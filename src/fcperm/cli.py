@@ -19,8 +19,14 @@ from .crowding import Classification, MinimalityReport, classify, is_minimal_cro
 from .heaps import boolean_core, build_heap, heap_of
 from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations
-from .rsk import rsk
-from .weak_order import build_fc_poset, fc_elements, poset_to_dot, uncrowded_frontier
+from .rsk import RskResult, rsk
+from .weak_order import (
+    build_fc_poset,
+    fc_elements,
+    poset_to_dot,
+    require_degree_within,
+    uncrowded_frontier,
+)
 from .words import (
     all_reduced_words,
     count_reduced_words,
@@ -29,12 +35,10 @@ from .words import (
     word_to_text,
 )
 
-FILTERS = ("all", "fc", "boolean", "uncrowded", "crowded", "minimal-crowded")
-
-
 @dataclass(frozen=True)
 class AnalysisReport:
     w: Permutation
+    tableaux: RskResult
     fully_commutative: bool
     boolean: bool
     core: Permutation | None
@@ -43,7 +47,7 @@ class AnalysisReport:
     minimality: MinimalityReport | None
 
     def to_json_dict(self) -> dict:
-        result = rsk(self.w)
+        result = self.tableaux
         out: dict = {
             "permutation": self.w.to_text(),
             "n": self.w.n,
@@ -66,7 +70,7 @@ class AnalysisReport:
         return out
 
     def to_text(self) -> str:
-        result = rsk(self.w)
+        result = self.tableaux
         lines = [
             f"permutation:        {self.w.to_text()}",
             f"length:             {self.w.length()}",
@@ -95,11 +99,12 @@ class AnalysisReport:
 
 
 def analyze(w: Permutation) -> AnalysisReport:
-    fc = is_fully_commutative(w)
-    if fc:
+    tableaux = rsk(w)
+    if is_fully_commutative(w):
         decomposition = boolean_core(w)
         return AnalysisReport(
             w=w,
+            tableaux=tableaux,
             fully_commutative=True,
             boolean=is_boolean(w),
             core=decomposition.core,
@@ -109,6 +114,7 @@ def analyze(w: Permutation) -> AnalysisReport:
         )
     return AnalysisReport(
         w=w,
+        tableaux=tableaux,
         fully_commutative=False,
         boolean=False,
         core=None,
@@ -128,30 +134,34 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _matching_permutations(n: int, which: str, bound: int):
-    if which == "all":
-        yield from all_permutations(n)
-        return
-    for w in fc_elements(n, bound=bound):
-        if which == "fc":
-            yield w
-        elif which == "boolean":
-            if is_boolean(w):
-                yield w
-        elif which == "uncrowded":
-            if not classify(w).crowded:
-                yield w
-        elif which == "crowded":
-            if classify(w).crowded:
-                yield w
+def _all_within(n: int, bound: int):
+    require_degree_within(n, bound)
+    return all_permutations(n)
+
+
+def _fc_where(keep):
+    def matches(n: int, bound: int):
+        return (w for w in fc_elements(n, bound=bound) if keep(w))
+
+    return matches
+
+
+# filter -> (n, bound) -> the matching permutations of S_n, lexicographically.
+# Library functions are looked up by name on each call, so that a patched
+# one takes effect; every filter but "all" draws on fc_elements.
+_MATCHES = {
+    "all": _all_within,
+    "fc": lambda n, bound: fc_elements(n, bound=bound),
+    "boolean": _fc_where(lambda w: is_boolean(w)),
+    "uncrowded": _fc_where(lambda w: not classify(w).crowded),
+    "crowded": _fc_where(lambda w: classify(w).crowded),
+    "minimal-crowded": lambda n, bound: uncrowded_frontier(n, bound=bound)[1],
+}
+FILTERS = tuple(_MATCHES)
 
 
 def _cmd_enumerate(args) -> int:
-    n, bound = args.n, args.bound
-    if args.filter == "minimal-crowded":
-        matches = list(uncrowded_frontier(n, bound=bound)[1])
-    else:
-        matches = _matching_permutations(n, args.filter, bound)
+    matches = _MATCHES[args.filter](args.n, args.bound)
     if args.count:
         print(sum(1 for _ in matches))
         return 0

@@ -59,10 +59,16 @@ def find_crowded_witness(values) -> CrowdedWitness | None:
     if len(members) <= 2:
         return None
     lo, hi = members[0], members[-1]
+    # below[i]: how many members are smaller than lo + i
+    below = [0] * (hi - lo + 2)
+    for v in members:
+        below[v - lo + 1] = 1
+    for i in range(1, len(below)):
+        below[i] += below[i - 1]
     for x in range(1, (hi - lo) // 2 + 1):
         for y in range(lo, hi - 2 * x + 1):
-            window = tuple(v for v in members if y <= v <= y + 2 * x)
-            if len(window) > x + 1:
+            if below[y - lo + 2 * x + 1] - below[y - lo] > x + 1:
+                window = tuple(v for v in members if y <= v <= y + 2 * x)
                 return CrowdedWitness(x=x, y=y, window=window)
     return None
 

@@ -54,6 +54,18 @@ class Permutation:
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, image: tuple[int, ...]) -> "Permutation":
+        """Wrap ``image`` without validation.
+
+        Only for images already known to use each of 1..n once: those
+        rearranged from a valid permutation, or built by a generator of
+        permutations.
+        """
+        w = object.__new__(cls)
+        object.__setattr__(w, "image", image)
+        return w
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
 
@@ -129,7 +141,7 @@ class Permutation:
             raise ValueError(f"reflection index {i} out of range 1..{self.n - 1}")
         image = list(self.image)
         image[i - 1], image[i] = image[i], image[i - 1]
-        return Permutation(tuple(image))
+        return Permutation._trusted(tuple(image))
 
     def inverse(self) -> "Permutation":
         """The positional inverse.
@@ -140,13 +152,13 @@ class Permutation:
         inv = [0] * self.n
         for pos, val in enumerate(self.image, start=1):
             inv[val - 1] = pos
-        return Permutation(tuple(inv))
+        return Permutation._trusted(tuple(inv))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Product self * other, acting on positions right-to-left."""
         if self.n != other.n:
             raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-        return Permutation(tuple(self.image[j - 1] for j in other.image))
+        return Permutation._trusted(tuple(self.image[j - 1] for j in other.image))
 
     # -- descents and support ------------------------------------------------
 

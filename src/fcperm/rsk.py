@@ -190,10 +190,30 @@ def partial_p(w: Permutation, i: int) -> Tableau:
 def row2(w: Permutation) -> tuple[int, ...]:
     """Second row of the insertion tableau, sorted ascending.
 
+    Row insertion on plain lists, without a trace.  Only rows 1 and 2 are
+    kept: a value bumped out of row 2 cascades into row 3 or lower and
+    never comes back, so dropping it leaves row 2 exact for any
+    permutation, fully commutative or not.
+
     >>> row2(Permutation.from_text("41627385"))
     (4, 6, 7, 8)
+    >>> row2(Permutation.from_text("4321"))
+    (2,)
     """
-    return rsk(w).p.row(2)
+    first: list[int] = []
+    second: list[int] = []
+    for value in w.image:
+        col = bisect_right(first, value)
+        if col == len(first):
+            first.append(value)
+            continue
+        value, first[col] = first[col], value
+        col = bisect_right(second, value)
+        if col == len(second):
+            second.append(value)
+        else:
+            second[col] = value
+    return tuple(second)
 
 
 def lis_ending_at(w: Permutation, q: int) -> int:

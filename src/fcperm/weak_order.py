@@ -1,10 +1,13 @@
 """Right weak order on S_n and its fully commutative subposet.
 
 Covers go up by one right multiplication at an ascent.  The fully
-commutative permutations are downward closed under covers (sorting an
+commutative permutations are exactly the 321-avoiding ones, and
+``fc_elements`` generates them directly, in lexicographic order, by
+extending prefixes.  They are downward closed under covers (sorting an
 adjacent descent removes an inversion pair and cannot create a decreasing
-triple), so the whole subposet is reachable from the identity; that is how
-``build_fc_poset`` enumerates it without touching the rest of S_n.
+triple), so every lower cover of a fully commutative permutation is again
+one; ``uncrowded_frontier`` relies on this to test covers by swapping
+adjacent entries, without materializing the poset's edges.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .crowding import classify, is_minimal_crowded_direct
-from .patterns import is_fully_commutative
 from .permutations import Permutation
 from .words import BoundExceeded
 
@@ -124,27 +126,58 @@ class FcPoset:
         }
 
 
-def fc_elements(n: int, bound: int = DEFAULT_POSET_BOUND) -> list[Permutation]:
-    """All fully commutative permutations of S_n, sorted lexicographically.
-
-    Found by searching upward from the identity; downward closure of full
-    commutativity guarantees nothing is missed.
-    """
+def require_degree_within(n: int, bound: int) -> None:
+    """Refuse to enumerate S_n, or a subset of it, when n exceeds ``bound``."""
     if n > bound:
         raise BoundExceeded(
             f"degree {n} exceeds bound {bound}; raise the bound to enumerate"
         )
-    identity = Permutation.identity(n)
-    seen = {identity}
-    queue = deque([identity])
-    while queue:
-        current = queue.popleft()
-        for i in current.ascents():
-            upper = current.times(i)
-            if upper not in seen and is_fully_commutative(upper):
-                seen.add(upper)
-                queue.append(upper)
-    return sorted(seen, key=lambda w: w.image)
+
+
+def fc_elements(n: int, bound: int = DEFAULT_POSET_BOUND) -> list[Permutation]:
+    """All fully commutative permutations of S_n, sorted lexicographically.
+
+    A permutation avoids 321 exactly when its entries that are not
+    left-to-right maxima increase.  Built left to right, the next entry is
+    therefore either a new maximum or the smallest value still free: any
+    other value below the maximum would leave that smaller free value to
+    come later, below two larger entries.  Every prefix built this way
+    completes, so nothing is searched, and trying candidates in increasing
+    order yields lexicographic order.
+
+    >>> [w.to_text(compact=True) for w in fc_elements(3)]
+    ['123', '132', '213', '231', '312']
+    """
+    require_degree_within(n, bound)
+    if n < 1:
+        raise ValueError("a permutation needs degree at least 1")
+    out: list[Permutation] = []
+    prefix = [0] * n
+    free = [True] * (n + 2)  # free[n + 1] stops the scan for the least free value
+
+    def extend(k: int, high: int, least: int) -> None:
+        if k == n:
+            out.append(Permutation._trusted(tuple(prefix)))
+            return
+        if least < high:
+            prefix[k] = least
+            free[least] = False
+            following = least + 1
+            while not free[following]:
+                following += 1
+            extend(k + 1, high, following)
+            free[least] = True
+        for v in range(high + 1, n + 1):
+            prefix[k] = v
+            free[v] = False
+            following = least
+            while not free[following]:
+                following += 1
+            extend(k + 1, v, following)
+            free[v] = True
+
+    extend(0, 0, 1)
+    return out
 
 
 def build_fc_poset(n: int, bound: int = DEFAULT_POSET_BOUND) -> FcPoset:
@@ -178,24 +211,29 @@ def uncrowded_frontier(
 ) -> tuple[tuple[Permutation, ...], tuple[Permutation, ...]]:
     """Maximal uncrowded and minimal crowded elements of the subposet.
 
+    Covers are found by swapping adjacent entries of each image: a lower
+    cover sorts a descent and is always fully commutative, while an upper
+    cover missing from the verdicts is not fully commutative and is skipped.
+
     >>> uncrowded_frontier(5)[1]
     ()
     """
-    poset = build_fc_poset(n, bound=bound)
-    crowded = {w: classify(w).crowded for w in poset.elements}
-    maximal_uncrowded = tuple(
-        w
-        for w in poset.elements
-        if not crowded[w]
-        and all(crowded[e.upper] for e in poset.up[w])
-    )
-    minimal_crowded = tuple(
-        w
-        for w in poset.elements
-        if crowded[w]
-        and all(not crowded[e.lower] for e in poset.down[w])
-    )
-    return maximal_uncrowded, minimal_crowded
+    elements = fc_elements(n, bound=bound)
+    crowded = {w.image: classify(w).crowded for w in elements}
+
+    def swapped(image: tuple[int, ...], i: int) -> tuple[int, ...]:
+        return image[: i - 1] + (image[i], image[i - 1]) + image[i + 1 :]
+
+    maximal_uncrowded = []
+    minimal_crowded = []
+    for w in elements:
+        image = w.image
+        if crowded[image]:
+            if not any(crowded[swapped(image, d)] for d in w.descents()):
+                minimal_crowded.append(w)
+        elif all(crowded.get(swapped(image, i), True) for i in w.ascents()):
+            maximal_uncrowded.append(w)
+    return tuple(maximal_uncrowded), tuple(minimal_crowded)
 
 
 def knuth_neighbors(w: Permutation) -> list[Permutation]:

@@ -1,10 +1,15 @@
+import importlib
 import json
+from itertools import permutations
 
 import pytest
 
 import fcperm.cli
-from fcperm.cli import main
+from fcperm import Permutation, rsk
+from fcperm.cli import FILTERS, main
 from fcperm.crowding import InvariantViolation
+
+from conftest import brute_avoids_321, brute_has_pattern, wide_scan_is_uncrowded
 
 
 def run(capsys, *argv):
@@ -51,6 +56,23 @@ class TestAnalyze:
         assert code == 2
         assert "'x'" in err
 
+    @pytest.mark.parametrize("permutation", ["41627385", "4321", "1"])
+    @pytest.mark.parametrize("form", [[], ["--json"]])
+    def test_one_insertion_per_request(self, capsys, monkeypatch, permutation, form):
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return original(w)
+
+        original = fcperm.rsk
+        for name in ["fcperm"] + [f"fcperm.{m}" for m in ("rsk", "cli", "crowding", "heaps", "checks")]:
+            module = importlib.import_module(name)
+            if getattr(module, "rsk", None) is original:
+                monkeypatch.setattr(module, "rsk", counted)
+        code, _, _ = run(capsys, "analyze", permutation, *form)
+        assert code == 0 and calls == [Permutation.from_text(permutation)]
+
 
 class TestEnumerate:
     def test_fc_count(self, capsys):
@@ -76,6 +98,32 @@ class TestEnumerate:
     def test_bound_guard(self, capsys):
         code, _, err = run(capsys, "enumerate", "10", "--filter", "fc")
         assert code == 2 and "bound" in err
+
+    def test_unfiltered_enumeration_keeps_the_bound(self, capsys):
+        message = "error: degree 13 exceeds bound 9; raise the bound to enumerate\n"
+        for argv in (["13", "--count"], ["13", "--filter", "fc", "--count"]):
+            code, out, err = run(capsys, "enumerate", *argv)
+            assert (code, out, err) == (2, "", message)
+        code, out, _ = run(capsys, "enumerate", "4", "--bound", "3", "--count")
+        assert code == 2 and not out
+
+    def test_every_filter_against_brute_force(self, capsys):
+        every = [Permutation(p) for p in permutations(range(1, 7))]
+        fc = [w for w in every if brute_avoids_321(w.image)]
+        crowded = [w for w in fc if not wide_scan_is_uncrowded(rsk(w).p.row(2))]
+        expected = {
+            "all": every,
+            "fc": fc,
+            "boolean": [w for w in fc if not brute_has_pattern(w.image, (3, 4, 1, 2))],
+            "uncrowded": [w for w in fc if w not in crowded],
+            "crowded": crowded,
+            "minimal-crowded": [Permutation.from_text("415263")],
+        }
+        assert tuple(expected) == FILTERS
+        for which, members in expected.items():
+            code, out, _ = run(capsys, "enumerate", "6", "--filter", which, "--compact")
+            assert code == 0
+            assert out.split() == [w.to_text(compact=True) for w in members], which
 
     def test_boolean_count(self, capsys):
         code, out, _ = run(capsys, "enumerate", "4", "--filter", "boolean", "--count")

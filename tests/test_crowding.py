@@ -42,6 +42,20 @@ class TestUncrowdedSets:
             for subset in combinations(universe, size):
                 assert is_uncrowded_set(subset) == wide_scan_is_uncrowded(subset)
 
+    def test_witness_is_the_tightest_leftmost_window(self):
+        # smallest radius x first, then leftmost y, scanning y up from min L
+        for size in range(1, 11):
+            for subset in combinations(range(1, 11), size):
+                violating = [
+                    (x, y)
+                    for x in range(1, 10)
+                    for y in range(subset[0], 11)
+                    if sum(1 for v in subset if y <= v <= y + 2 * x) > x + 1
+                ]
+                witness = find_crowded_witness(subset)
+                found = None if witness is None else (witness.x, witness.y)
+                assert found == min(violating, default=None)
+
     def test_witness_really_violates(self):
         rng = random.Random(11)
         for _ in range(500):

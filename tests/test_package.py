@@ -1,0 +1,20 @@
+import inspect
+
+import fcperm
+
+
+def test_exports_are_classes_and_functions():
+    # CHECKS, the registry of named checks, is the one exported table
+    for name in fcperm.__all__:
+        value = getattr(fcperm, name)
+        assert inspect.isclass(value) or inspect.isfunction(value) or name == "CHECKS", name
+
+
+def test_exports_list_every_public_name_once():
+    public = {
+        name
+        for name, value in vars(fcperm).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert len(fcperm.__all__) == len(set(fcperm.__all__))
+    assert set(fcperm.__all__) == public

@@ -40,6 +40,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Permutation.from_text(bad)
 
+    @pytest.mark.parametrize("bad", ["11", "13", "2,3", "1,2,2", "1,2,4", "10"])
+    def test_text_of_a_non_permutation(self, bad):
+        with pytest.raises(ValueError, match="exactly once"):
+            Permutation.from_text(bad)
+
+    @pytest.mark.parametrize("bad", [[1, 1], [2, 3], (3, 1, 3), range(2, 5)])
+    def test_any_sequence_is_validated(self, bad):
+        with pytest.raises(ValueError, match="exactly once"):
+            Permutation(bad)
+
+    def test_derived_permutations_equal_validated_ones(self):
+        u = Permutation.from_text("31524")
+        for w in all_permutations(5):
+            derived = [w.times(i) for i in range(1, 5)] + [w.inverse(), w.compose(u)]
+            for v in derived:
+                assert v == Permutation(v.image) and hash(v) == hash(Permutation(v.image))
+                assert type(v.image) is tuple and sorted(v.image) == [1, 2, 3, 4, 5]
+
 
 class TestLength:
     def test_goldens(self):

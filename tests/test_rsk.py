@@ -72,6 +72,12 @@ class TestInsertionGoldens:
         assert row2(Permutation.identity(4)) == ()
         assert row2(P("41623785")) == (4, 6, 7)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_row2_matches_the_traced_insertion(self, n):
+        # all of S_n, so cascades into row 3 and below are covered too
+        for w in all_permutations(n):
+            assert row2(w) == rsk(w).p.row(2)
+
 
 class TestClassicalFacts:
     def test_symmetry_inverse_gives_recording(self):

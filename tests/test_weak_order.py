@@ -1,4 +1,5 @@
 import json
+from itertools import permutations
 
 import pytest
 
@@ -20,6 +21,8 @@ from fcperm import (
     uncrowded_frontier,
     up_covers,
 )
+
+from conftest import brute_avoids_321, wide_scan_is_uncrowded
 
 
 P = Permutation.from_text
@@ -161,7 +164,61 @@ class TestFcPoset:
                 assert is_fully_commutative(e.lower)
 
 
+class TestFcElements:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_lexicographic_321_avoiders(self, n):
+        expected = [p for p in permutations(range(1, n + 1)) if brute_avoids_321(p)]
+        assert [w.image for w in fc_elements(n)] == expected
+
+    def test_elements_are_valid_permutations(self):
+        for w in fc_elements(7):
+            assert Permutation(w.image) == w
+            assert hash(Permutation(w.image)) == hash(w)
+
+    def test_catalan_counts_past_the_brute_force_range(self):
+        assert len(fc_elements(10, bound=10)) == 16796
+        assert len(fc_elements(11, bound=11)) == 58786
+
+    def test_bound_guard(self):
+        with pytest.raises(BoundExceeded, match="degree 10 exceeds bound 9"):
+            fc_elements(10)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_degree_below_one(self, n):
+        for enumerate_ in (fc_elements, uncrowded_frontier, build_fc_poset):
+            with pytest.raises(ValueError, match="degree at least 1"):
+                enumerate_(n)
+
+
+def _frontier_from_poset_edges(n):
+    """Both frontiers read off build_fc_poset's cover edges, with verdicts
+    from a wide window scan of the tableau's second row."""
+    poset = build_fc_poset(n)
+    crowded = {
+        w: not wide_scan_is_uncrowded(rsk(w).p.row(2)) for w in poset.elements
+    }
+    maximal_uncrowded = tuple(
+        w
+        for w in poset.elements
+        if not crowded[w] and all(crowded[e.upper] for e in poset.up[w])
+    )
+    minimal_crowded = tuple(
+        w
+        for w in poset.elements
+        if crowded[w] and not any(crowded[e.lower] for e in poset.down[w])
+    )
+    return maximal_uncrowded, minimal_crowded
+
+
 class TestFrontier:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_frontier_from_poset_edges(self, n):
+        assert uncrowded_frontier(n) == _frontier_from_poset_edges(n)
+
+    def test_minimal_crowded_counts(self):
+        counts = [len(uncrowded_frontier(n, bound=10)[1]) for n in range(5, 11)]
+        assert counts == [0, 1, 2, 6, 10, 21]
+
     def test_no_crowded_elements_below_degree_six(self):
         for n in range(1, 6):
             maximal_uncrowded, minimal_crowded = uncrowded_frontier(n)
