@@ -1,10 +1,12 @@
 """Named exhaustive verification checks.
 
 Each check sweeps a whole symmetric group (or its fully commutative part)
-and confirms one structural fact this library relies on, reporting the
-first counterexample if there is one.  The registry keys are the check ids
-accepted by ``fcperm verify``; ``DEFAULT_SCOPES`` records the degree each
-check is normally run at.
+and confirms one structural fact this library relies on.  A check is a
+generator over the degree ``n`` that yields one verdict per case: ``None``
+when the case holds, or the counterexample text when it fails.  ``CHECKS``
+maps each check id accepted by ``fcperm verify`` to the degree the check is
+normally run at and its generator; ``run_check`` picks the degree, counts
+the cases, stops at the first counterexample and builds the ``CheckResult``.
 """
 
 from __future__ import annotations
@@ -14,39 +16,23 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from .crowding import (
-    classify,
-    find_crowded_witness,
-    is_minimal_crowded_direct,
-    analyze_transition,
+    analyze_transition, classify, find_crowded_witness, is_minimal_crowded_direct,
     minimal_crowded_subset,
 )
 from .heaps import (
-    boolean_core,
-    build_heap,
-    count_linear_extensions,
-    heap_of,
-    labeled_linear_extensions,
+    boolean_core, build_heap, count_linear_extensions, heap_of, labeled_linear_extensions,
 )
 from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations
-from .rsk import (
-    bump_pairs,
-    lis_ending_at,
-    max_increasing_subsequences,
-    row2,
-    rsk,
-)
+from .rsk import bump_pairs, lis_ending_at, max_increasing_subsequences, row2, rsk
 from .weak_order import (
-    build_fc_poset,
-    down_covers,
-    fc_elements,
-    knuth_neighbors,
-    principal_ideal,
-    right_weak_leq,
-    uncrowded_frontier,
-    up_covers,
+    build_fc_poset, down_covers, fc_elements, knuth_neighbors, principal_ideal,
+    right_weak_leq, uncrowded_frontier, up_covers,
 )
 from .words import all_reduced_words, canonical_reduced_word, count_reduced_words
+
+# one verdict per case: None when it holds, else the counterexample
+Verdicts = Iterator[str | None]
 
 
 @dataclass(frozen=True)
@@ -63,16 +49,6 @@ class CheckResult:
         if self.counterexample:
             line += f" counterexample: {self.counterexample}"
         return line
-
-
-def _done(check: str, n: int, cases: int) -> CheckResult:
-    return CheckResult(check=check, n=n, passed=True, cases=cases)
-
-
-def _fail(check: str, n: int, cases: int, counterexample: str) -> CheckResult:
-    return CheckResult(
-        check=check, n=n, passed=False, cases=cases, counterexample=counterexample
-    )
 
 
 # -- oracles used only inside checks ---------------------------------------
@@ -110,13 +86,11 @@ def _two_row_standard_tableaux(n: int) -> set[tuple[tuple[int, ...], ...]]:
 # -- the checks --------------------------------------------------------------
 
 
-def check_lemma_2_1(n: int) -> CheckResult:
+def _lemma_2_1(n: int) -> Verdicts:
     """Support membership matches the prefix-max / suffix-min tests."""
-    cases = 0
     for w in all_permutations(n):
         supp = w.support()
         for i in range(1, n):
-            cases += 1
             stats = w.support_stats(i)
             prefix_set = set(w.image[:i]) != set(range(1, i + 1))
             suffix_set = set(w.image[i:]) != set(range(i + 1, n + 1))
@@ -128,9 +102,7 @@ def check_lemma_2_1(n: int) -> CheckResult:
                 stats.suffix_min < i + 1,
                 stats.prefix_max > stats.suffix_min,
             }
-            if len(verdicts) != 1:
-                return _fail("lemma-2.1", n, cases, f"{w.to_text()} at {i}")
-    return _done("lemma-2.1", n, cases)
+            yield None if len(verdicts) == 1 else f"{w.to_text()} at {i}"
 
 
 def _peel(image: tuple[int, ...], d: int) -> tuple[int, ...]:
@@ -164,19 +136,12 @@ def _prop_2_2_verdicts(n: int) -> Iterator[tuple[Permutation, bool, bool, bool]]
         yield w, is_fully_commutative(w), not has_braid(w.image, 0, 0), single
 
 
-def check_prop_2_2(n: int) -> CheckResult:
+def _prop_2_2(n: int) -> Verdicts:
     """321-avoidance, single commutation class, and no braid factor agree."""
-    cases = 0
     for w, fc, braid_free, single in _prop_2_2_verdicts(n):
-        cases += 1
-        if not (fc == braid_free == single):
-            return _fail(
-                "prop-2.2",
-                n,
-                cases,
-                f"{w.to_text()}: fc={fc} braid_free={braid_free} single={single}",
-            )
-    return _done("prop-2.2", n, cases)
+        yield None if fc == braid_free == single else (
+            f"{w.to_text()}: fc={fc} braid_free={braid_free} single={single}"
+        )
 
 
 def _prop_2_3_verdicts(n: int) -> Iterator[tuple[Permutation, bool, bool, bool]]:
@@ -212,113 +177,89 @@ def _prop_2_3_verdicts(n: int) -> Iterator[tuple[Permutation, bool, bool, bool]]
         yield w, is_boolean(w), some_distinct, not some_repeated
 
 
-def check_prop_2_3(n: int) -> CheckResult:
+def _prop_2_3(n: int) -> Verdicts:
     """Boolean, some word distinct-lettered, and all words distinct agree."""
-    cases = 0
     for w, boolean, some_distinct, all_distinct in _prop_2_3_verdicts(n):
-        cases += 1
-        if not (boolean == some_distinct == all_distinct):
-            return _fail(
-                "prop-2.3",
-                n,
-                cases,
-                f"{w.to_text()}: boolean={boolean} some={some_distinct} all={all_distinct}",
-            )
-    return _done("prop-2.3", n, cases)
+        yield None if boolean == some_distinct == all_distinct else (
+            f"{w.to_text()}: boolean={boolean} some={some_distinct} all={all_distinct}"
+        )
 
 
-def check_lemma_2_5(n: int) -> CheckResult:
+def _lemma_2_5(n: int) -> Verdicts:
     """Heap covers always join labels differing by exactly one."""
-    cases = 0
     for w in fc_elements(n):
         if w.is_identity():
             continue
         heap = heap_of(w)
         for x, y in heap.covers:
-            cases += 1
-            if abs(heap.label(x) - heap.label(y)) != 1:
-                return _fail("lemma-2.5", n, cases, f"{w.to_text()} cover {(x, y)}")
-    return _done("lemma-2.5", n, cases)
+            ok = abs(heap.label(x) - heap.label(y)) == 1
+            yield None if ok else f"{w.to_text()} cover {(x, y)}"
 
 
-def check_prop_2_7(n: int) -> CheckResult:
+def _prop_2_7(n: int) -> Verdicts:
     """Labeled linear extensions of the heap are the reduced-word set."""
-    cases = 0
     bound = n * (n - 1) // 2
     for w in fc_elements(n):
         if w.is_identity():
             continue
-        cases += 1
         words = all_reduced_words(w, bound=bound)
         extensions = labeled_linear_extensions(heap_of(w), bound=bound)
-        if words != extensions:
-            return _fail("prop-2.7", n, cases, w.to_text())
-    return _done("prop-2.7", n, cases)
+        yield None if words == extensions else w.to_text()
 
 
-def check_prop_2_9(n: int) -> CheckResult:
+def _prop_2_9(n: int) -> Verdicts:
     """The insertion tableau of the inverse is the recording tableau."""
-    cases = 0
     for w in all_permutations(n):
-        cases += 1
-        if rsk(w.inverse()).p != rsk(w).q:
-            return _fail("prop-2.9", n, cases, w.to_text())
-    return _done("prop-2.9", n, cases)
+        yield None if rsk(w.inverse()).p == rsk(w).q else w.to_text()
 
 
-def check_thm_2_10(n: int) -> CheckResult:
+def _thm_2_10(n: int) -> Verdicts:
     """First row and column lengths match the longest monotone runs."""
-    cases = 0
     for w in all_permutations(n):
-        cases += 1
         p = rsk(w).p
         rows = len(p.rows)
         if len(p.row(1)) != _longest_monotone(w.image, increasing=True):
-            return _fail("thm-2.10", n, cases, f"{w.to_text()} (row)")
-        if rows != _longest_monotone(w.image, increasing=False):
-            return _fail("thm-2.10", n, cases, f"{w.to_text()} (column)")
-        if is_fully_commutative(w) != (rows <= 2):
-            return _fail("thm-2.10", n, cases, f"{w.to_text()} (two-row test)")
-    return _done("thm-2.10", n, cases)
+            yield f"{w.to_text()} (row)"
+        elif rows != _longest_monotone(w.image, increasing=False):
+            yield f"{w.to_text()} (column)"
+        elif is_fully_commutative(w) != (rows <= 2):
+            yield f"{w.to_text()} (two-row test)"
+        else:
+            yield None
 
 
-def check_lemma_2_11(n: int) -> CheckResult:
+def _lemma_2_11(n: int) -> Verdicts:
     """An inserted letter evicts a larger, earlier letter from row 1.
 
     Down-cascade displacements keep b < z but can sit either way around in
     the one-line notation, so the position claim is only about row 1.
     """
-    cases = 0
     for w in all_permutations(n):
         pos = {val: p for p, val in enumerate(w.image, start=1)}
         for step in rsk(w).trace.events:
             if not step.bumps:
                 continue
-            cases += 1
             b, z, row = step.bumps[0]
             if not (row == 1 and b == step.value and b < z and pos[b] > pos[z]):
-                return _fail("lemma-2.11", n, cases, f"{w.to_text()} bump {(b, z)}")
-            if any(bb >= zz for bb, zz, _ in step.bumps):
-                return _fail("lemma-2.11", n, cases, f"{w.to_text()} cascade")
-    return _done("lemma-2.11", n, cases)
+                yield f"{w.to_text()} bump {(b, z)}"
+            elif any(bb >= zz for bb, zz, _ in step.bumps):
+                yield f"{w.to_text()} cascade"
+            else:
+                yield None
 
 
-def check_lemma_2_12(n: int) -> CheckResult:
+def _lemma_2_12(n: int) -> Verdicts:
     """First-insertion column equals the longest increasing run ending there."""
-    cases = 0
     for w in all_permutations(n):
         trace = rsk(w).trace
         for q in range(1, n + 1):
-            cases += 1
-            if trace.first_column[q] != lis_ending_at(w, q):
-                return _fail("lemma-2.12", n, cases, f"{w.to_text()} value {q}")
-    return _done("lemma-2.12", n, cases)
+            ok = trace.first_column[q] == lis_ending_at(w, q)
+            yield None if ok else f"{w.to_text()} value {q}"
 
 
-def check_cor_lis(n: int) -> CheckResult:
+def _cor_lis(n: int) -> Verdicts:
     """A value alone in its first-insertion column lies on every longest
     increasing subsequence."""
-    cases = 0
     for w in all_permutations(n):
         trace = rsk(w).trace
         counts: dict[int, int] = {}
@@ -327,19 +268,15 @@ def check_cor_lis(n: int) -> CheckResult:
         longest = max_increasing_subsequences(w.image)
         for q, col in trace.first_column.items():
             if counts[col] == 1:
-                cases += 1
-                if not all(q in subseq for subseq in longest):
-                    return _fail("cor-lis", n, cases, f"{w.to_text()} value {q}")
-    return _done("cor-lis", n, cases)
+                ok = all(q in subseq for subseq in longest)
+                yield None if ok else f"{w.to_text()} value {q}"
 
 
-def check_lemma_row2(n: int) -> CheckResult:
+def _lemma_row2(n: int) -> Verdicts:
     """Second-row structure of two-row insertion: the bumped values appear
     left to right, bumpers are increasing and disjoint from them, and bumps
     happen in second-row order."""
-    cases = 0
     for w in fc_elements(n):
-        cases += 1
         pairs = bump_pairs(w)
         zs = [z for _, z in pairs]
         bs = [b for b, _ in pairs]
@@ -352,14 +289,11 @@ def check_lemma_row2(n: int) -> CheckResult:
             and bs == sorted(bs)
             and all(pos[a] < pos[b] for a, b in zip(bs, bs[1:]))
         )
-        if not ok:
-            return _fail("lemma-row2", n, cases, w.to_text())
-    return _done("lemma-row2", n, cases)
+        yield None if ok else w.to_text()
 
 
-def check_lemma_3_1(n: int) -> CheckResult:
+def _lemma_3_1(n: int) -> Verdicts:
     """Equal-label heap elements are separated by both adjacent labels."""
-    cases = 0
     for w in fc_elements(n):
         if w.is_identity():
             continue
@@ -368,172 +302,141 @@ def check_lemma_3_1(n: int) -> CheckResult:
             chain = heap.elements_with_label(j)
             for x, y in combinations(chain, 2):
                 lo, hi = (x, y) if heap.less(x, y) else (y, x)
-                cases += 1
                 between = {
                     heap.label(z)
                     for z in range(1, heap.size + 1)
                     if heap.less(lo, z) and heap.less(z, hi)
                 }
-                if not {j - 1, j + 1} <= between:
-                    return _fail(
-                        "lemma-3.1", n, cases, f"{w.to_text()} label {j} pair {(lo, hi)}"
-                    )
-    return _done("lemma-3.1", n, cases)
+                ok = {j - 1, j + 1} <= between
+                yield None if ok else f"{w.to_text()} label {j} pair {(lo, hi)}"
 
 
-def check_thm_3_2(n: int) -> CheckResult:
+def _thm_3_2(n: int) -> Verdicts:
     """The boolean core exists, splits the length, keeps the support, and is
     the unique maximal same-support boolean below."""
-    cases = 0
     for w in fc_elements(n):
-        cases += 1
         dec = boolean_core(w)
-        ok = (
-            is_boolean(dec.core)
-            and dec.core.support() == w.support()
-            and dec.core.length() + dec.remainder.length() == w.length()
-            and dec.core.compose(dec.remainder) == w
-        )
-        if not ok:
-            return _fail("thm-3.2", n, cases, w.to_text())
-        ideal = principal_ideal(w)
-        booleans = {b for b in ideal if is_boolean(b)}
+        booleans = {b for b in principal_ideal(w) if is_boolean(b)}
         same_support = {b for b in booleans if b.support() == w.support()}
         maximal = {
             b
             for b in booleans
             if not any(b != c and right_weak_leq(b, c) for c in booleans)
         }
-        if same_support != {dec.core} or dec.core not in maximal:
-            return _fail("thm-3.2", n, cases, f"{w.to_text()} (uniqueness)")
-    return _done("thm-3.2", n, cases)
+        if not (
+            is_boolean(dec.core)
+            and dec.core.support() == w.support()
+            and dec.core.length() + dec.remainder.length() == w.length()
+            and dec.core.compose(dec.remainder) == w
+        ):
+            yield w.to_text()
+        elif same_support != {dec.core} or dec.core not in maximal:
+            yield f"{w.to_text()} (uniqueness)"
+        else:
+            yield None
 
 
-def check_thm_3_4(n: int) -> CheckResult:
+def _thm_3_4(n: int) -> Verdicts:
     """Second rows only grow along fully commutative covers."""
-    cases = 0
     for v, w, _i in _fc_cover_pairs(n):
-        cases += 1
         pv, pw = rsk(v).p, rsk(w).p
         if not set(pv.row(2)) <= set(pw.row(2)):
-            return _fail("thm-3.4", n, cases, f"{v.to_text()} -> {w.to_text()}")
-        if not set(pv.row(1)) >= set(pw.row(1)):
-            return _fail("thm-3.4", n, cases, f"{v.to_text()} -> {w.to_text()} (row 1)")
-    return _done("thm-3.4", n, cases)
+            yield f"{v.to_text()} -> {w.to_text()}"
+        elif not set(pv.row(1)) >= set(pw.row(1)):
+            yield f"{v.to_text()} -> {w.to_text()} (row 1)"
+        else:
+            yield None
 
 
-def check_cor_3_5(n: int) -> CheckResult:
+def _cor_3_5(n: int) -> Verdicts:
     """The tableau changes along a cover exactly when every longest
     increasing run uses both swapped letters, and then row 2 grows by one."""
-    cases = 0
     for v, w, i in _fc_cover_pairs(n):
-        cases += 1
         changed = rsk(v).p != rsk(w).p
         both = all(
             v(i) in subseq and v(i + 1) in subseq
             for subseq in max_increasing_subsequences(v.image)
         )
         if changed != both:
-            return _fail("cor-3.5", n, cases, f"{v.to_text()} at {i}")
-        if changed and len(row2(w)) != len(row2(v)) + 1:
-            return _fail("cor-3.5", n, cases, f"{v.to_text()} at {i} (row growth)")
-    return _done("cor-3.5", n, cases)
+            yield f"{v.to_text()} at {i}"
+        elif changed and len(row2(w)) != len(row2(v)) + 1:
+            yield f"{v.to_text()} at {i} (row growth)"
+        else:
+            yield None
 
 
-def check_cor_3_7(n: int) -> CheckResult:
+def _cor_3_7(n: int) -> Verdicts:
     """The core's second row sits inside the element's second row."""
-    cases = 0
     for w in fc_elements(n):
-        cases += 1
         core = boolean_core(w).core
-        if not set(row2(core)) <= set(row2(w)):
-            return _fail("cor-3.7", n, cases, w.to_text())
-    return _done("cor-3.7", n, cases)
+        yield None if set(row2(core)) <= set(row2(w)) else w.to_text()
 
 
-def check_thm_4_11(n: int) -> CheckResult:
+def _thm_4_11(n: int) -> Verdicts:
     """Tableau-changing, support-preserving covers always land crowded,
     with every intermediate deduction intact."""
-    cases = 0
     for v, w, i in _fc_cover_pairs(n):
         if i not in v.support() or rsk(v).p == rsk(w).p:
             continue
-        cases += 1
         report = analyze_transition(v, i)  # raises on any broken deduction
-        if not classify(report.w).crowded:
-            return _fail("thm-4.11", n, cases, f"{v.to_text()} at {i}")
-    return _done("thm-4.11", n, cases)
+        yield None if classify(report.w).crowded else f"{v.to_text()} at {i}"
 
 
-def check_cor_4_12(n: int) -> CheckResult:
+def _cor_4_12(n: int) -> Verdicts:
     """Uncrowded means sharing the insertion tableau with the core."""
-    cases = 0
     for w in fc_elements(n):
-        cases += 1
         uncrowded = not classify(w).crowded
         same = rsk(boolean_core(w).core).p == rsk(w).p
-        if uncrowded != same:
-            return _fail("cor-4.12", n, cases, w.to_text())
-    return _done("cor-4.12", n, cases)
+        yield None if uncrowded == same else w.to_text()
 
 
-def check_prop_2_14(n: int) -> CheckResult:
+def _prop_2_14(n: int) -> Verdicts:
     """Boolean insertion tableaux are exactly the uncrowded two-row ones."""
-    boolean_tableaux = {
-        rsk(w).p.rows for w in fc_elements(n) if is_boolean(w)
-    }
+    boolean_tableaux = {rsk(w).p.rows for w in fc_elements(n) if is_boolean(w)}
     uncrowded_tableaux = {
         rows
         for rows in _two_row_standard_tableaux(n)
         if find_crowded_witness(rows[1] if len(rows) > 1 else ()) is None
     }
-    cases = len(uncrowded_tableaux)
-    if boolean_tableaux != uncrowded_tableaux:
-        difference = boolean_tableaux ^ uncrowded_tableaux
-        return _fail("prop-2.14", n, cases, f"symmetric difference {sorted(difference)}")
-    return _done("prop-2.14", n, cases)
+    for rows in sorted(boolean_tableaux | uncrowded_tableaux):
+        boolean, uncrowded = rows in boolean_tableaux, rows in uncrowded_tableaux
+        yield None if boolean == uncrowded else (
+            f"tableau {rows}: boolean={boolean} uncrowded={uncrowded}"
+        )
 
 
-def check_lemma_5_1(n: int) -> CheckResult:
+def _lemma_5_1(n: int) -> Verdicts:
     """Uncrowded elements form an order ideal, crowded ones a filter."""
-    cases = 0
     for v, w, _i in _fc_cover_pairs(n):
-        cases += 1
         if classify(v).crowded and not classify(w).crowded:
-            return _fail("lemma-5.1", n, cases, f"{v.to_text()} -> {w.to_text()}")
-    return _done("lemma-5.1", n, cases)
+            yield f"{v.to_text()} -> {w.to_text()}"
+        else:
+            yield None
 
 
-def check_lemma_5_2(n: int) -> CheckResult:
+def _lemma_5_2(n: int) -> Verdicts:
     """A descent whose right letter does not bump its left letter leaves
     the insertion tableau unchanged."""
-    cases = 0
     for w in fc_elements(n):
         bumped_by = rsk(w).trace.row_bump_map()
         for d in w.descents():
             if bumped_by.get(w(d)) == w(d + 1):
                 continue
-            cases += 1
-            if rsk(w).p != rsk(w.times(d)).p:
-                return _fail("lemma-5.2", n, cases, f"{w.to_text()} at {d}")
-    return _done("lemma-5.2", n, cases)
+            yield None if rsk(w).p == rsk(w.times(d)).p else f"{w.to_text()} at {d}"
 
 
-def check_lemma_5_4(n: int) -> CheckResult:
+def _lemma_5_4(n: int) -> Verdicts:
     """A descent followed by a smaller letter leaves the tableau unchanged."""
-    cases = 0
     for w in fc_elements(n):
         for d in w.descents():
             if d + 2 > n or w(d + 2) >= w(d):
                 continue
-            cases += 1
-            if rsk(w).p != rsk(w.times(d)).p:
-                return _fail("lemma-5.4", n, cases, f"{w.to_text()} at {d}")
-    return _done("lemma-5.4", n, cases)
+            yield None if rsk(w).p == rsk(w.times(d)).p else f"{w.to_text()} at {d}"
 
 
-def check_knuth_classes(n: int) -> CheckResult:
-    """Connected components under Knuth relations are the insertion fibers."""
+def _knuth_classes(n: int) -> Verdicts:
+    """Connected components under Knuth relations are the insertion fibers:
+    each fiber lies in one component, and no two fibers share one."""
     component: dict[Permutation, Permutation] = {}
     for w in all_permutations(n):
         if w in component:
@@ -549,112 +452,92 @@ def check_knuth_classes(n: int) -> CheckResult:
     fibers: dict[tuple, set[Permutation]] = {}
     for w in all_permutations(n):
         fibers.setdefault(rsk(w).p.rows, set()).add(w)
-    cases = len(fibers)
+    claimed: set[Permutation] = set()
     for members in fibers.values():
         roots = {component[w] for w in members}
-        if len(roots) != 1:
-            return _fail("knuth-classes", n, cases, f"fiber of {sorted(members)[0]}")
-    if len({component[w] for w in component}) != cases:
-        return _fail("knuth-classes", n, cases, "component/fiber counts differ")
-    return _done("knuth-classes", n, cases)
+        if len(roots) != 1 or roots & claimed:
+            yield f"fiber of {min(members, key=lambda w: w.image).to_text()}"
+        else:
+            claimed |= roots
+            yield None
 
 
-def check_cor_left_q(n: int) -> CheckResult:
+def _cor_left_q(n: int) -> Verdicts:
     """Along left-order covers of fully commutative elements, the second
     rows of the recording tableaux grow."""
-    cases = 0
     for v in fc_elements(n):
         for i in range(1, n):
             w = (v.inverse().times(i)).inverse()  # left multiplication by s_i
             if w.length() != v.length() + 1 or not is_fully_commutative(w):
                 continue
-            cases += 1
-            if not set(rsk(v).q.row(2)) <= set(rsk(w).q.row(2)):
-                return _fail("cor-left-q", n, cases, f"{v.to_text()} at {i}")
-    return _done("cor-left-q", n, cases)
+            ok = set(rsk(v).q.row(2)) <= set(rsk(w).q.row(2))
+            yield None if ok else f"{v.to_text()} at {i}"
 
 
-def check_downward_closure(n: int) -> CheckResult:
+def _downward_closure(n: int) -> Verdicts:
     """Sorting a descent of a fully commutative element stays fully
     commutative."""
-    cases = 0
     for w in fc_elements(n):
         for edge in down_covers(w):
-            cases += 1
-            if not is_fully_commutative(edge.lower):
-                return _fail("downward-closure", n, cases, f"{w.to_text()} at {edge.index}")
-    return _done("downward-closure", n, cases)
+            ok = is_fully_commutative(edge.lower)
+            yield None if ok else f"{w.to_text()} at {edge.index}"
 
 
 def _minimal_crowded(n: int) -> list[Permutation]:
     return list(uncrowded_frontier(n)[1])
 
 
-def check_cor_5_5(n: int) -> CheckResult:
+def _cor_5_5(n: int) -> Verdicts:
     """In a minimal crowded element, descents and adjacent bumps coincide."""
-    cases = 0
     for w in _minimal_crowded(n):
-        cases += 1
         bumped_by = rsk(w).trace.row_bump_map()
         descents = w.descents()
-        for d in range(1, n):
-            bumps_adjacent = bumped_by.get(w(d)) == w(d + 1)
-            if (d in descents) != bumps_adjacent:
-                return _fail("cor-5.5", n, cases, f"{w.to_text()} at {d}")
         pos = {val: p for p, val in enumerate(w.image, start=1)}
-        for z in row2(w):
-            if bumped_by.get(z) != w(pos[z] + 1):
-                return _fail("cor-5.5", n, cases, f"{w.to_text()} value {z}")
-    return _done("cor-5.5", n, cases)
+        bad_descents = (
+            d for d in range(1, n) if (d in descents) != (bumped_by.get(w(d)) == w(d + 1))
+        )
+        bad_bumps = (z for z in row2(w) if bumped_by.get(z) != w(pos[z] + 1))
+        if (d := next(bad_descents, None)) is not None:
+            yield f"{w.to_text()} at {d}"
+        elif (z := next(bad_bumps, None)) is not None:
+            yield f"{w.to_text()} value {z}"
+        else:
+            yield None
 
 
-def check_cor_5_6(n: int) -> CheckResult:
+def _cor_5_6(n: int) -> Verdicts:
     """A minimal crowded element fixes everything outside its descent span."""
-    cases = 0
     for w in _minimal_crowded(n):
-        cases += 1
         descents = sorted(w.descents())
         d, last = descents[0], descents[-1]
         outside = list(range(1, d)) + list(range(last + 2, n + 1))
-        if any(w(p) != p for p in outside):
-            return _fail("cor-5.6", n, cases, w.to_text())
-    return _done("cor-5.6", n, cases)
+        yield None if all(w(p) == p for p in outside) else w.to_text()
 
 
-def check_lemma_5_7(n: int) -> CheckResult:
+def _lemma_5_7(n: int) -> Verdicts:
     """The interleaved bumped/bumper word is consecutive in the one-line
     notation of a minimal crowded element."""
-    cases = 0
     for w in _minimal_crowded(n):
-        cases += 1
         pairs = bump_pairs(w)
         interleaved = [x for b, z in pairs for x in (z, b)]
         pos = {val: p for p, val in enumerate(w.image, start=1)}
         start = pos[interleaved[0]]
         window = [w(p) for p in range(start, start + len(interleaved))]
-        if window != interleaved:
-            return _fail("lemma-5.7", n, cases, w.to_text())
-    return _done("lemma-5.7", n, cases)
+        yield None if window == interleaved else w.to_text()
 
 
-def check_lemma_5_8(n: int) -> CheckResult:
+def _lemma_5_8(n: int) -> Verdicts:
     """Bumpers eventually overtake earlier bumped values: z_i < b_{i+3}."""
-    cases = 0
     for w in _minimal_crowded(n):
         pairs = bump_pairs(w)
         for i in range(len(pairs) - 3):
-            cases += 1
-            if pairs[i][1] >= pairs[i + 3][0]:
-                return _fail("lemma-5.8", n, cases, f"{w.to_text()} index {i + 1}")
-    return _done("lemma-5.8", n, cases)
+            yield None if pairs[i][1] < pairs[i + 3][0] else f"{w.to_text()} index {i + 1}"
 
 
-def check_cor_5_9(n: int) -> CheckResult:
+def _cor_5_9(n: int) -> Verdicts:
     """A minimal crowded element has exactly one inclusion-minimal crowded
     subset of its second row, and it contains the largest entry."""
-    cases = 0
     for w in _minimal_crowded(n):
-        cases += 1
         second = row2(w)
         crowded_subsets = [
             frozenset(s)
@@ -662,71 +545,75 @@ def check_cor_5_9(n: int) -> CheckResult:
             for s in combinations(second, size)
             if find_crowded_witness(s) is not None
         ]
-        minimal = [
-            s for s in crowded_subsets if not any(t < s for t in crowded_subsets)
-        ]
+        minimal = [s for s in crowded_subsets if not any(t < s for t in crowded_subsets)]
         if len(minimal) != 1 or max(second) not in minimal[0]:
-            return _fail("cor-5.9", n, cases, w.to_text())
-        if frozenset(minimal_crowded_subset(second).elements) != minimal[0]:
-            return _fail("cor-5.9", n, cases, f"{w.to_text()} (extractor mismatch)")
-    return _done("cor-5.9", n, cases)
+            yield w.to_text()
+        elif frozenset(minimal_crowded_subset(second).elements) != minimal[0]:
+            yield f"{w.to_text()} (extractor mismatch)"
+        else:
+            yield None
 
 
-def check_thm_5_10(n: int) -> CheckResult:
+def _thm_5_10(n: int) -> Verdicts:
     """The five-condition test agrees with poset minimality."""
     poset = build_fc_poset(n)
     crowded = {w: classify(w).crowded for w in poset.elements}
-    cases = 0
     for w in poset.elements:
-        cases += 1
-        by_poset = crowded[w] and all(
-            not crowded[e.lower] for e in poset.down[w]
-        )
+        by_poset = crowded[w] and all(not crowded[e.lower] for e in poset.down[w])
         by_conditions = is_minimal_crowded_direct(w).minimal
-        if by_poset != by_conditions:
-            return _fail("thm-5.10", n, cases, w.to_text())
-    return _done("thm-5.10", n, cases)
+        yield None if by_poset == by_conditions else w.to_text()
 
 
-CHECKS: dict[str, tuple[int, Callable[[int], CheckResult]]] = {
-    "lemma-2.1": (7, check_lemma_2_1),
-    "prop-2.2": (7, check_prop_2_2),
-    "prop-2.3": (7, check_prop_2_3),
-    "lemma-2.5": (7, check_lemma_2_5),
-    "prop-2.7": (6, check_prop_2_7),
-    "prop-2.9": (7, check_prop_2_9),
-    "thm-2.10": (7, check_thm_2_10),
-    "lemma-2.11": (6, check_lemma_2_11),
-    "lemma-2.12": (7, check_lemma_2_12),
-    "cor-lis": (6, check_cor_lis),
-    "lemma-row2": (7, check_lemma_row2),
-    "lemma-3.1": (7, check_lemma_3_1),
-    "thm-3.2": (7, check_thm_3_2),
-    "thm-3.4": (8, check_thm_3_4),
-    "cor-3.5": (7, check_cor_3_5),
-    "cor-3.7": (8, check_cor_3_7),
-    "thm-4.11": (7, check_thm_4_11),
-    "cor-4.12": (8, check_cor_4_12),
-    "prop-2.14": (7, check_prop_2_14),
-    "lemma-5.1": (8, check_lemma_5_1),
-    "lemma-5.2": (7, check_lemma_5_2),
-    "lemma-5.4": (7, check_lemma_5_4),
-    "knuth-classes": (6, check_knuth_classes),
-    "cor-left-q": (6, check_cor_left_q),
-    "downward-closure": (8, check_downward_closure),
-    "cor-5.5": (8, check_cor_5_5),
-    "cor-5.6": (8, check_cor_5_6),
-    "lemma-5.7": (8, check_lemma_5_7),
-    "lemma-5.8": (9, check_lemma_5_8),
-    "cor-5.9": (8, check_cor_5_9),
-    "thm-5.10": (8, check_thm_5_10),
+CHECKS: dict[str, tuple[int, Callable[[int], Verdicts]]] = {
+    "lemma-2.1": (7, _lemma_2_1),
+    "prop-2.2": (7, _prop_2_2),
+    "prop-2.3": (7, _prop_2_3),
+    "lemma-2.5": (7, _lemma_2_5),
+    "prop-2.7": (6, _prop_2_7),
+    "prop-2.9": (7, _prop_2_9),
+    "thm-2.10": (7, _thm_2_10),
+    "lemma-2.11": (6, _lemma_2_11),
+    "lemma-2.12": (7, _lemma_2_12),
+    "cor-lis": (6, _cor_lis),
+    "lemma-row2": (7, _lemma_row2),
+    "lemma-3.1": (7, _lemma_3_1),
+    "thm-3.2": (7, _thm_3_2),
+    "thm-3.4": (8, _thm_3_4),
+    "cor-3.5": (7, _cor_3_5),
+    "cor-3.7": (8, _cor_3_7),
+    "thm-4.11": (7, _thm_4_11),
+    "cor-4.12": (8, _cor_4_12),
+    "prop-2.14": (7, _prop_2_14),
+    "lemma-5.1": (8, _lemma_5_1),
+    "lemma-5.2": (7, _lemma_5_2),
+    "lemma-5.4": (7, _lemma_5_4),
+    "knuth-classes": (6, _knuth_classes),
+    "cor-left-q": (6, _cor_left_q),
+    "downward-closure": (8, _downward_closure),
+    "cor-5.5": (8, _cor_5_5),
+    "cor-5.6": (8, _cor_5_6),
+    "lemma-5.7": (8, _lemma_5_7),
+    "lemma-5.8": (9, _lemma_5_8),
+    "cor-5.9": (8, _cor_5_9),
+    "thm-5.10": (8, _thm_5_10),
 }
 
 
 def run_check(name: str, n: int | None = None) -> CheckResult:
-    """Run one registered check, at its default degree unless told otherwise."""
+    """Run one registered check, at its default degree unless told otherwise.
+
+    >>> run_check("thm-4.11").summary()
+    'thm-4.11 @ S_7: pass (4 cases)'
+    """
     if name not in CHECKS:
         known = ", ".join(sorted(CHECKS))
         raise ValueError(f"unknown check {name!r}; known checks: {known}")
-    default_n, fn = CHECKS[name]
-    return fn(n if n is not None else default_n)
+    default_n, sweep = CHECKS[name]
+    n = default_n if n is None else n
+    cases, counterexample = 0, None
+    for verdict in sweep(n):
+        cases += 1
+        if verdict is not None:
+            counterexample = verdict
+            break
+    return CheckResult(name, n, counterexample is None, cases, counterexample)

@@ -70,49 +70,52 @@ class TestGoldenExamples:
 
 # -- 2. exhaustive theorem sweeps at full scope ------------------------------
 
+# (check, degree, cases at that degree)
 FULL_SCOPES = [
-    ("thm-2.10", 7),
-    ("prop-2.9", 7),
-    ("prop-2.2", 7),
-    ("prop-2.3", 7),
-    ("thm-3.2", 7),
-    ("thm-3.4", 8),
-    ("cor-3.5", 7),
-    ("thm-4.11", 7),
-    ("cor-4.12", 8),
-    ("lemma-5.1", 8),
-    ("thm-5.10", 8),
+    ("thm-2.10", 7, 5040),
+    ("prop-2.9", 7, 5040),
+    ("prop-2.2", 7, 5040),
+    ("prop-2.3", 7, 5040),
+    ("thm-3.2", 7, 429),
+    ("thm-3.4", 8, 3003),
+    ("cor-3.5", 7, 792),
+    ("thm-4.11", 7, 4),
+    ("cor-4.12", 8, 1430),
+    ("lemma-5.1", 8, 3003),
+    ("thm-5.10", 8, 1430),
     # supporting sweeps at the scopes the library documents
-    ("lemma-2.1", 7),
-    ("lemma-2.5", 7),
-    ("prop-2.7", 6),
-    ("lemma-2.12", 7),
-    ("cor-lis", 6),
-    ("lemma-row2", 7),
-    ("lemma-3.1", 7),
-    ("cor-3.7", 8),
-    ("prop-2.14", 7),
-    ("lemma-5.2", 7),
-    ("lemma-5.4", 7),
-    ("knuth-classes", 6),
-    ("cor-left-q", 6),
-    ("downward-closure", 8),
-    ("cor-5.5", 8),
-    ("cor-5.6", 8),
-    ("lemma-5.7", 8),
-    ("lemma-5.8", 9),
-    ("cor-5.9", 8),
-    ("lemma-2.11", 6),
+    ("lemma-2.1", 7, 30240),
+    ("lemma-2.5", 7, 2186),
+    ("prop-2.7", 6, 131),
+    ("lemma-2.12", 7, 35280),
+    ("cor-lis", 6, 892),
+    ("lemma-row2", 7, 429),
+    ("lemma-3.1", 7, 392),
+    ("cor-3.7", 8, 1430),
+    ("prop-2.14", 7, 33),
+    ("lemma-5.2", 7, 396),
+    ("lemma-5.4", 7, 330),
+    ("knuth-classes", 6, 76),
+    ("cor-left-q", 6, 210),
+    ("downward-closure", 8, 3003),
+    ("cor-5.5", 8, 6),
+    ("cor-5.6", 8, 6),
+    ("lemma-5.7", 8, 6),
+    ("lemma-5.8", 9, 6),
+    ("cor-5.9", 8, 6),
+    ("lemma-2.11", 6, 2059),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,n", FULL_SCOPES, ids=[f"{name}@S{n}" for name, n in FULL_SCOPES]
+    "name,n,cases", FULL_SCOPES, ids=[f"{name}@S{n}" for name, n, _ in FULL_SCOPES]
 )
-def test_exhaustive_check(name, n):
+def test_exhaustive_check(name, n, cases):
     result = run_check(name, n)
     print(result.summary())
     assert result.passed, result.summary()
+    # the case count is a golden too: a sweep that shrinks must not pass
+    assert result.cases == cases, result.summary()
 
 
 # -- 3. counting checks ------------------------------------------------------

@@ -3,6 +3,8 @@
 The full-scope runs happen in the acceptance suite.
 """
 
+import dataclasses
+
 import pytest
 
 import fcperm
@@ -121,3 +123,38 @@ def test_prop_2_2_fails_under_an_off_by_one_counter(monkeypatch, counter, nontri
     result = run_check("prop-2.2", 4)
     assert not result.passed
     assert result.counterexample
+
+
+def test_thm_5_10_fails_when_minimality_skips_the_fixed_points(monkeypatch):
+    original = fcperm.checks.is_minimal_crowded_direct
+
+    def without_fixed_outside(w):
+        report = original(w)
+        minimal = (
+            report.descent_form
+            and report.descent_values_crowded
+            and report.pattern_consecutive
+            and report.window_patterns
+        )
+        return dataclasses.replace(report, minimal=minimal)
+
+    monkeypatch.setattr(fcperm.checks, "is_minimal_crowded_direct", without_fixed_outside)
+    result = run_check("thm-5.10", 8)
+    assert not result.passed
+    assert result.counterexample
+
+
+@pytest.mark.parametrize("name, n", [("lemma-row2", 7), ("cor-3.5", 7), ("cor-5.9", 8)])
+def test_checks_fail_when_row2_drops_its_largest_entry(monkeypatch, name, n):
+    original = fcperm.checks.row2
+    monkeypatch.setattr(fcperm.checks, "row2", lambda w: original(w)[:-1])
+    result = run_check(name, n)
+    assert not result.passed
+    assert result.counterexample
+
+
+def test_knuth_classes_fails_without_knuth_moves(monkeypatch):
+    monkeypatch.setattr(fcperm.checks, "knuth_neighbors", lambda w: [])
+    result = run_check("knuth-classes", 4)
+    assert not result.passed
+    assert result.counterexample == "fiber of 1,2,4,3"

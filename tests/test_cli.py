@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+import fcperm.checks
 import fcperm.cli
 from fcperm import Permutation, rsk
 from fcperm.cli import FILTERS, main
@@ -222,17 +223,42 @@ class TestOtherCommands:
 
 class TestInternalErrors:
     @pytest.mark.parametrize(
-        "target, argv, error",
+        "namespace, target, argv, error",
         [
-            ("boolean_core", ["core", "345619278"], RuntimeError("core split failed")),
-            ("classify", ["analyze", "41627385"], InvariantViolation("row 2 lost a value")),
+            (
+                fcperm.cli,
+                "boolean_core",
+                ["core", "345619278"],
+                RuntimeError("core split failed"),
+            ),
+            (
+                fcperm.cli,
+                "classify",
+                ["analyze", "41627385"],
+                InvariantViolation("row 2 lost a value"),
+            ),
+            # a broken deduction inside a check is an internal error, not a FAIL
+            (
+                fcperm.checks,
+                "analyze_transition",
+                ["verify", "7", "thm-4.11"],
+                InvariantViolation("bump chain broke"),
+            ),
+        ],
+        # pytest's default ids, minus the namespace that each target implies
+        ids=[
+            "boolean_core-argv0-error0",
+            "classify-argv1-error1",
+            "analyze_transition-argv2-error2",
         ],
     )
-    def test_exit_three_with_the_input(self, capsys, monkeypatch, target, argv, error):
-        def broken(w):
+    def test_exit_three_with_the_input(
+        self, capsys, monkeypatch, namespace, target, argv, error
+    ):
+        def broken(*args):
             raise error
 
-        monkeypatch.setattr(fcperm.cli, target, broken)
+        monkeypatch.setattr(namespace, target, broken)
         code, out, err = run(capsys, *argv)
         assert code == 3 and not out
         assert err.strip() == f"internal error: {error} (input: {' '.join(argv)})"

@@ -11,6 +11,7 @@ MODULE_NAMES = [
     "fcperm.rsk",
     "fcperm.crowding",
     "fcperm.weak_order",
+    "fcperm.checks",
 ]
 
 
