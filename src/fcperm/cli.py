@@ -22,6 +22,7 @@ from .permutations import Permutation, all_permutations
 from .rsk import RskResult, rsk
 from .weak_order import (
     build_fc_poset,
+    fc_crowding,
     fc_elements,
     poset_to_dot,
     require_degree_within,
@@ -146,15 +147,23 @@ def _fc_where(keep):
     return matches
 
 
+def _fc_crowded(wanted: bool):
+    def matches(n: int, bound: int):
+        return (w for w, crowded in fc_crowding(n, bound=bound) if crowded == wanted)
+
+    return matches
+
+
 # filter -> (n, bound) -> the matching permutations of S_n, lexicographically.
 # Library functions are looked up by name on each call, so that a patched
-# one takes effect; every filter but "all" draws on fc_elements.
+# one takes effect; every filter but "all" draws on fc_elements or on its
+# verdict walk fc_crowding.
 _MATCHES = {
     "all": _all_within,
     "fc": lambda n, bound: fc_elements(n, bound=bound),
     "boolean": _fc_where(lambda w: is_boolean(w)),
-    "uncrowded": _fc_where(lambda w: not classify(w).crowded),
-    "crowded": _fc_where(lambda w: classify(w).crowded),
+    "uncrowded": _fc_crowded(False),
+    "crowded": _fc_crowded(True),
     "minimal-crowded": lambda n, bound: uncrowded_frontier(n, bound=bound)[1],
 }
 FILTERS = tuple(_MATCHES)

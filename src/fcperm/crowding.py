@@ -429,6 +429,7 @@ class MinimalityReport:
 
     ``descent_start``/``descent_count`` hold d and k when the descent set is
     {d, d+2, .., d+2k}; the window conditions are only meaningful then.
+    ``row2`` is the second row of w's insertion tableau.
     """
 
     w: Permutation
@@ -440,6 +441,7 @@ class MinimalityReport:
     window_patterns: bool
     descent_start: int | None
     descent_count: int | None
+    row2: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -454,7 +456,7 @@ class MinimalityReport:
             },
             "descent_start": self.descent_start,
             "descent_count": self.descent_count,
-            "row2": list(row2(self.w)),
+            "row2": list(self.row2),
         }
 
 
@@ -479,10 +481,11 @@ def is_minimal_crowded_direct(w: Permutation) -> MinimalityReport:
     d = descents[0] if descent_form else None
     k = len(descents) - 1 if descent_form else None
 
+    second = row2(w)
     if descent_form:
         descent_values = {w(p) for p in descents}
     else:
-        descent_values = set(row2(w))
+        descent_values = set(second)
     descent_values_crowded = find_crowded_witness(descent_values) is not None
 
     if descent_form:
@@ -530,4 +533,5 @@ def is_minimal_crowded_direct(w: Permutation) -> MinimalityReport:
         window_patterns=window_patterns,
         descent_start=d,
         descent_count=k,
+        row2=second,
     )

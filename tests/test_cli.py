@@ -6,7 +6,7 @@ import pytest
 
 import fcperm.checks
 import fcperm.cli
-from fcperm import Permutation, rsk
+from fcperm import Permutation, classify, fc_elements, rsk
 from fcperm.cli import FILTERS, main
 from fcperm.crowding import InvariantViolation
 
@@ -74,6 +74,25 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", permutation, *form)
         assert code == 0 and calls == [Permutation.from_text(permutation)]
 
+    @pytest.mark.parametrize("permutation", ["41627385", "41623785", "4321"])
+    @pytest.mark.parametrize("form", [[], ["--json"]])
+    def test_second_row_at_most_twice_per_request(
+        self, capsys, monkeypatch, permutation, form
+    ):
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return original(w)
+
+        original = fcperm.crowding.row2
+        monkeypatch.setattr(fcperm.crowding, "row2", counted)
+        code, _, _ = run(capsys, "analyze", permutation, *form)
+        # classify and the minimality test, once each; none for non-FC input
+        w = Permutation.from_text(permutation)
+        assert code == 0
+        assert calls == ([w, w] if brute_avoids_321(w.image) else [])
+
 
 class TestEnumerate:
     def test_fc_count(self, capsys):
@@ -125,6 +144,15 @@ class TestEnumerate:
             code, out, _ = run(capsys, "enumerate", "6", "--filter", which, "--compact")
             assert code == 0
             assert out.split() == [w.to_text(compact=True) for w in members], which
+
+    def test_crowded_counts_match_classify(self, capsys):
+        elements = fc_elements(10, bound=10)
+        crowded = sum(classify(w).crowded for w in elements)
+        for which, expected in (("crowded", crowded), ("uncrowded", len(elements) - crowded)):
+            code, out, _ = run(
+                capsys, "enumerate", "10", "--filter", which, "--bound", "10", "--count"
+            )
+            assert (code, out) == (0, f"{expected}\n"), which
 
     def test_boolean_count(self, capsys):
         code, out, _ = run(capsys, "enumerate", "4", "--filter", "boolean", "--count")

@@ -228,6 +228,28 @@ class TestMinimalCrowdedDirect:
         with pytest.raises(ValueError):
             is_minimal_crowded_direct(Permutation((3, 2, 1)))
 
+    def test_report_keeps_the_second_row(self):
+        for w in fc_elements(7):
+            assert is_minimal_crowded_direct(w).row2 == row2(w)
+
+    def test_three_conditions_imply_the_descent_conditions(self):
+        # fixed_outside, pattern_consecutive and window_patterns already force
+        # descent_form and descent_values_crowded on FC S_n, n <= 9, so
+        # thm-5.10 cannot see either of the latter two dropped from `minimal`
+        holding = 0
+        for n in range(1, 10):
+            for w in fc_elements(n):
+                report = is_minimal_crowded_direct(w)
+                if (
+                    report.fixed_outside
+                    and report.pattern_consecutive
+                    and report.window_patterns
+                ):
+                    holding += 1
+                    assert report.descent_form, w
+                    assert report.descent_values_crowded, w
+        assert holding == 19  # 1 + 2 + 6 + 10: the minimal crowded of S_6..S_9
+
     def test_matches_poset_oracle_s7(self):
         from fcperm.weak_order import build_fc_poset
 

@@ -8,7 +8,9 @@ from fcperm import (
     Permutation,
     all_permutations,
     build_fc_poset,
+    classify,
     down_covers,
+    fc_crowding,
     fc_elements,
     is_fully_commutative,
     is_minimal_crowded_direct,
@@ -180,14 +182,24 @@ class TestFcElements:
         assert len(fc_elements(11, bound=11)) == 58786
 
     def test_bound_guard(self):
-        with pytest.raises(BoundExceeded, match="degree 10 exceeds bound 9"):
-            fc_elements(10)
+        for enumerate_ in (fc_elements, fc_crowding):
+            with pytest.raises(BoundExceeded, match="degree 10 exceeds bound 9"):
+                enumerate_(10)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_degree_below_one(self, n):
-        for enumerate_ in (fc_elements, uncrowded_frontier, build_fc_poset):
+        for enumerate_ in (fc_elements, fc_crowding, uncrowded_frontier, build_fc_poset):
             with pytest.raises(ValueError, match="degree at least 1"):
                 enumerate_(n)
+
+
+class TestFcCrowding:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_verdicts_match_classify(self, n):
+        # the walk lists fc_elements in its order, each with classify's verdict
+        pairs = [(w.image, crowded) for w, crowded in fc_crowding(n, bound=10)]
+        expected = [(w.image, classify(w).crowded) for w in fc_elements(n, bound=10)]
+        assert pairs == expected
 
 
 def _frontier_from_poset_edges(n):
@@ -216,8 +228,8 @@ class TestFrontier:
         assert uncrowded_frontier(n) == _frontier_from_poset_edges(n)
 
     def test_minimal_crowded_counts(self):
-        counts = [len(uncrowded_frontier(n, bound=10)[1]) for n in range(5, 11)]
-        assert counts == [0, 1, 2, 6, 10, 21]
+        counts = [len(uncrowded_frontier(n, bound=11)[1]) for n in range(5, 12)]
+        assert counts == [0, 1, 2, 6, 10, 21, 32]
 
     def test_no_crowded_elements_below_degree_six(self):
         for n in range(1, 6):
