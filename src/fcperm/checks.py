@@ -418,20 +418,22 @@ def _lemma_5_2(n: int) -> Verdicts:
     """A descent whose right letter does not bump its left letter leaves
     the insertion tableau unchanged."""
     for w in fc_elements(n):
-        bumped_by = rsk(w).trace.row_bump_map()
+        result = rsk(w)
+        bumped_by = result.trace.row_bump_map()
         for d in w.descents():
             if bumped_by.get(w(d)) == w(d + 1):
                 continue
-            yield None if rsk(w).p == rsk(w.times(d)).p else f"{w.to_text()} at {d}"
+            yield None if result.p == rsk(w.times(d)).p else f"{w.to_text()} at {d}"
 
 
 def _lemma_5_4(n: int) -> Verdicts:
     """A descent followed by a smaller letter leaves the tableau unchanged."""
     for w in fc_elements(n):
+        p = rsk(w).p
         for d in w.descents():
             if d + 2 > n or w(d + 2) >= w(d):
                 continue
-            yield None if rsk(w).p == rsk(w.times(d)).p else f"{w.to_text()} at {d}"
+            yield None if p == rsk(w.times(d)).p else f"{w.to_text()} at {d}"
 
 
 def _knuth_classes(n: int) -> Verdicts:

@@ -67,6 +67,11 @@ class Heap:
 def build_heap(letters: tuple[int, ...] | list[int]) -> Heap:
     """Heap of a reduced word.  Raises ValueError on a non-reduced word.
 
+    Covers follow a local rule: x is covered by y exactly when x < y,
+    |u_x - u_y| <= 1, and no letter strictly between positions x and y is
+    within 1 of both.  Any longer chain from x to y would pass through
+    such a letter.
+
     >>> h = build_heap((2, 1, 3))
     >>> h.covers
     ((1, 2), (1, 3))
@@ -86,18 +91,14 @@ def build_heap(letters: tuple[int, ...] | list[int]) -> Heap:
                 acc.add(x)
                 acc |= below[x - 1]
         below.append(frozenset(acc))
-    covers = []
-    for y in range(1, size + 1):
-        for x in range(1, y):
-            if abs(letters[x - 1] - letters[y - 1]) <= 1:
-                direct = not any(
-                    x in below[z - 1] for z in below[y - 1] if z > x
-                )
-                if direct:
-                    covers.append((x, y))
-                    # covers of a reduced-word heap always join adjacent letters
-                    assert abs(letters[x - 1] - letters[y - 1]) == 1
-    return Heap(labels=letters, covers=tuple(sorted(covers)), below=tuple(below))
+    covers = [
+        (x, y)
+        for x, ux in enumerate(letters, start=1)
+        for y, uy in enumerate(letters[x:], start=x + 1)
+        if abs(ux - uy) <= 1
+        and not any(abs(uz - ux) <= 1 and abs(uz - uy) <= 1 for uz in letters[x : y - 1])
+    ]
+    return Heap(labels=letters, covers=tuple(covers), below=tuple(below))
 
 
 def heap_of(w: Permutation) -> Heap:
@@ -182,25 +183,6 @@ def count_linear_extensions(heap: Heap) -> int:
     return ways
 
 
-def canonical_form(heap: Heap):
-    """A value equal for two heaps exactly when they are isomorphic as
-    labeled posets.
-
-    Elements sharing a label form a chain, so (label, rank within that chain)
-    names every element canonically; the cover set in those names plus the
-    label multiset pins the poset down.
-    """
-    rank: dict[int, tuple[int, int]] = {}
-    for x in range(1, heap.size + 1):
-        j = heap.label(x)
-        r = sum(
-            1 for y in heap.elements_with_label(j) if heap.less(y, x)
-        )
-        rank[x] = (j, r)
-    named_covers = frozenset((rank[x], rank[y]) for x, y in heap.covers)
-    return (tuple(sorted(heap.labels)), named_covers)
-
-
 @dataclass(frozen=True)
 class CoreDecomposition:
     """w split as core * remainder with lengths adding up.
@@ -218,9 +200,11 @@ class CoreDecomposition:
 def boolean_core(w: Permutation) -> CoreDecomposition:
     """Boolean core of a fully commutative permutation.
 
-    Take any reduced word, its heap, and for each supported letter the
-    minimal element carrying that label.  Those minima form an order ideal;
-    reading them first gives a reduced word whose prefix is the core.
+    The core word is the first occurrence of each letter of the canonical
+    reduced word, in order; the remainder word is the other letters, in
+    order.  Same-label elements of a heap form a chain, so the first
+    occurrences are the label minima, which form an order ideal: reading
+    them first gives a reduced word whose prefix is the core.
 
     >>> boolean_core(Permutation.from_text("345619278")).core.to_text(compact=True)
     '314569278'
@@ -228,20 +212,10 @@ def boolean_core(w: Permutation) -> CoreDecomposition:
     if not is_fully_commutative(w):
         raise ValueError(f"{w.to_text()} is not fully commutative")
     n = w.n
-    word = canonical_reduced_word(w)
-    heap = build_heap(word) if word else Heap((), (), ())
-    first_of_label: dict[int, int] = {}
-    for x in range(1, heap.size + 1):
-        j = heap.label(x)
-        if j not in first_of_label:
-            first_of_label[j] = x
-        else:
-            # same-label elements are always comparable, earliest is minimal
-            assert heap.less(first_of_label[j], x)
-    ideal = sorted(first_of_label.values())
-    rest = sorted(set(range(1, heap.size + 1)) - set(ideal))
-    core_word = tuple(heap.label(x) for x in ideal)
-    remainder_word = tuple(heap.label(x) for x in rest)
+    core_word: list[int] = []
+    remainder_word: list[int] = []
+    for j in canonical_reduced_word(w):
+        (remainder_word if j in core_word else core_word).append(j)
     core = evaluate_word(core_word, n)
     remainder = evaluate_word(remainder_word, n)
     if core.compose(remainder) != w:
@@ -251,6 +225,6 @@ def boolean_core(w: Permutation) -> CoreDecomposition:
     return CoreDecomposition(
         core=core,
         remainder=remainder,
-        core_word=core_word,
-        remainder_word=remainder_word,
+        core_word=tuple(core_word),
+        remainder_word=tuple(remainder_word),
     )

@@ -1,4 +1,4 @@
-"""Classical and consecutive permutation pattern containment.
+"""Classical permutation pattern containment, and the 321 and boolean tests.
 
 The searches are plain backtracking over positions; at the sizes this
 library targets (hosts of degree <= 9, patterns of degree <= 6) nothing
@@ -23,15 +23,6 @@ class PatternOccurrence:
 
     def values_in(self, host: Permutation) -> tuple[int, ...]:
         return tuple(host(i) for i in self.positions)
-
-
-def _matches(pattern: tuple[int, ...], values: tuple[int, ...]) -> bool:
-    m = len(pattern)
-    return all(
-        (pattern[a] < pattern[b]) == (values[a] < values[b])
-        for a in range(m)
-        for b in range(a + 1, m)
-    )
 
 
 def iter_occurrences(w: Permutation, p: Permutation) -> Iterator[PatternOccurrence]:
@@ -89,28 +80,6 @@ def avoids(w: Permutation, p: Permutation) -> bool:
     return contains_pattern(w, p) is None
 
 
-def consecutive_occurrences(w: Permutation, p: Permutation) -> list[PatternOccurrence]:
-    """Windows of w order-isomorphic to p, by increasing start position.
-
-    >>> [occ.positions[0] for occ in consecutive_occurrences(
-    ...     Permutation.from_text("41627385"), Permutation.from_text("415263"))]
-    [1, 3]
-    """
-    host = w.image
-    pat = p.image
-    n, m = len(host), len(pat)
-    if m > n:
-        raise ValueError(f"pattern degree {m} exceeds host degree {n}")
-    out = []
-    for start in range(n - m + 1):
-        window = host[start : start + m]
-        if _matches(pat, window):
-            out.append(
-                PatternOccurrence(tuple(range(start + 1, start + m + 1)), p)
-            )
-    return out
-
-
 def is_fully_commutative(w: Permutation) -> bool:
     """True when w avoids 321.
 
@@ -138,15 +107,19 @@ def is_fully_commutative(w: Permutation) -> bool:
     return True
 
 
-_PATTERN_3412 = Permutation((3, 4, 1, 2))
-
-
 def is_boolean(w: Permutation) -> bool:
     """True when w avoids both 321 and 3412.
+
+    Boolean permutations are exactly those whose reduced words repeat no
+    letter (Tenner, *Pattern avoidance and the Bruhat order*, 2007).  A
+    reduced word uses every support letter at least once, so that means
+    the length equals the size of the support.
 
     >>> is_boolean(Permutation.from_text("314569278"))
     True
     >>> is_boolean(Permutation.from_text("51342"))
     False
+    >>> is_boolean(Permutation.from_text("3412"))
+    False
     """
-    return is_fully_commutative(w) and avoids(w, _PATTERN_3412)
+    return w.length() == len(w.support())

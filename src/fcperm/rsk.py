@@ -179,14 +179,6 @@ def rsk(w: Permutation) -> RskResult:
     )
 
 
-def partial_p(w: Permutation, i: int) -> Tableau:
-    """Insertion tableau of the first i letters of w."""
-    if not 0 <= i <= w.n:
-        raise ValueError(f"prefix length {i} out of range 0..{w.n}")
-    rows, _, _, _ = _insert_all(w.image[:i])
-    return Tableau(tuple(tuple(r) for r in rows))
-
-
 def row2(w: Permutation) -> tuple[int, ...]:
     """Second row of the insertion tableau, sorted ascending.
 

@@ -50,7 +50,7 @@ def down_covers(w: Permutation) -> list[CoverEdge]:
     return [CoverEdge(w.times(d), w, d) for d in sorted(w.descents())]
 
 
-def inversion_pairs(w: Permutation) -> frozenset[tuple[int, int]]:
+def _inversion_pairs(w: Permutation) -> frozenset[tuple[int, int]]:
     """Value pairs (a, b), a < b, appearing out of order in w."""
     image = w.image
     n = len(image)
@@ -70,18 +70,7 @@ def right_weak_leq(v: Permutation, w: Permutation) -> bool:
     """
     if v.n != w.n:
         raise ValueError(f"degree mismatch: {v.n} vs {w.n}")
-    return inversion_pairs(v) <= inversion_pairs(w)
-
-
-def left_weak_leq(v: Permutation, w: Permutation) -> bool:
-    """Left weak order, via inverses.
-
-    >>> left_weak_leq(Permutation.identity(5), Permutation((5, 1, 3, 4, 2)))
-    True
-    """
-    if v.n != w.n:
-        raise ValueError(f"degree mismatch: {v.n} vs {w.n}")
-    return right_weak_leq(v.inverse(), w.inverse())
+    return _inversion_pairs(v) <= _inversion_pairs(w)
 
 
 def principal_ideal(

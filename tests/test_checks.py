@@ -153,6 +153,20 @@ def test_checks_fail_when_row2_drops_its_largest_entry(monkeypatch, name, n):
     assert result.counterexample
 
 
+@pytest.mark.parametrize(
+    "name, counterexample",
+    [
+        ("prop-2.3", "3,4,1,2: boolean=True some=False all=False"),
+        ("thm-3.2", "3,4,1,2 (uniqueness)"),
+    ],
+)
+def test_checks_fail_when_boolean_means_fully_commutative(monkeypatch, name, counterexample):
+    monkeypatch.setattr(fcperm.checks, "is_boolean", fcperm.checks.is_fully_commutative)
+    result = run_check(name, 4)
+    assert not result.passed
+    assert result.counterexample == counterexample
+
+
 def test_knuth_classes_fails_without_knuth_moves(monkeypatch):
     monkeypatch.setattr(fcperm.checks, "knuth_neighbors", lambda w: [])
     result = run_check("knuth-classes", 4)

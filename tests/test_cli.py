@@ -159,6 +159,17 @@ class TestEnumerate:
         # of the 14 fully commutative elements of S_4 only 3412 is not boolean
         assert code == 0 and out.strip() == "13"
 
+    def test_boolean_counts_are_odd_index_fibonacci(self, capsys):
+        # Tenner: S_n has F_{2n-1} boolean elements (F_1 = F_2 = 1)
+        fibonacci = [1, 1]
+        while len(fibonacci) < 21:
+            fibonacci.append(fibonacci[-1] + fibonacci[-2])
+        for n in range(1, 12):
+            code, out, _ = run(
+                capsys, "enumerate", str(n), "--filter", "boolean", "--bound", "11", "--count"
+            )
+            assert (code, out) == (0, f"{fibonacci[2 * n - 2]}\n"), n
+
 
 class TestVerify:
     def test_pass(self, capsys):

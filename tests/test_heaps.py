@@ -8,7 +8,7 @@ from fcperm import (
     all_reduced_words,
     boolean_core,
     build_heap,
-    canonical_form,
+    canonical_reduced_word,
     commutation_class,
     count_linear_extensions,
     heap_of,
@@ -21,6 +21,18 @@ from fcperm.weak_order import fc_elements
 
 
 P = Permutation.from_text
+
+
+def _transitive_reduction(heap):
+    """Covers straight from the order: x < y with nothing strictly between."""
+    return tuple(
+        sorted(
+            (x, y)
+            for y in range(1, heap.size + 1)
+            for x in heap.below[y - 1]
+            if not any(x in heap.below[z - 1] for z in heap.below[y - 1])
+        )
+    )
 
 
 class TestBuildHeap:
@@ -47,6 +59,18 @@ class TestBuildHeap:
         with pytest.raises(ValueError):
             build_heap((1, 2, 1, 2))  # braid-equivalent to a shorter word
 
+    def test_local_covers_are_the_transitive_reduction(self):
+        for n in range(1, 8):
+            for w in fc_elements(n):
+                heap = build_heap(canonical_reduced_word(w))
+                assert heap.covers == _transitive_reduction(heap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 6), max_size=14))
+    def test_local_covers_on_arbitrary_reduced_words(self, letters):
+        heap = build_heap(_reduced_prefix(letters))
+        assert heap.covers == _transitive_reduction(heap)
+
     def test_identity_order_is_linear_extension(self):
         heap = build_heap(word_from_text("321546735"))
         for x in range(1, heap.size + 1):
@@ -55,19 +79,18 @@ class TestBuildHeap:
 
 class TestHeapIndependence:
     def test_all_words_of_fc_element_give_isomorphic_heaps(self):
+        # isomorphic labeled heaps have the same labeled linear extensions
         for w in fc_elements(5):
             if w.is_identity():
                 continue
-            forms = {
-                canonical_form(build_heap(word))
-                for word in all_reduced_words(w)
-            }
-            assert len(forms) == 1
+            words = all_reduced_words(w)
+            for word in words:
+                assert labeled_linear_extensions(build_heap(word)) == words
 
     def test_braid_words_give_different_heaps(self):
         one = build_heap((1, 2, 1))
         other = build_heap((2, 1, 2))
-        assert canonical_form(one) != canonical_form(other)
+        assert labeled_linear_extensions(one) != labeled_linear_extensions(other)
 
     def test_heap_of_requires_fully_commutative(self):
         with pytest.raises(ValueError):
@@ -153,6 +176,25 @@ class TestBooleanCore:
             )
             assert decomposition.core.support() == w.support()
             assert is_boolean(decomposition.core)
+
+    def test_words_are_the_heap_label_minima(self):
+        # the definition the core rests on: for each label, the minimal heap
+        # element carrying it; those minima, read in position order, spell
+        # the core word, and the other elements spell the remainder word
+        for n in range(1, 9):
+            for w in fc_elements(n):
+                heap = build_heap(canonical_reduced_word(w))
+                minima = [
+                    x
+                    for x in range(1, heap.size + 1)
+                    if not any(
+                        heap.less(y, x) for y in heap.elements_with_label(heap.label(x))
+                    )
+                ]
+                rest = [x for x in range(1, heap.size + 1) if x not in minima]
+                decomposition = boolean_core(w)
+                assert decomposition.core_word == tuple(heap.label(x) for x in minima)
+                assert decomposition.remainder_word == tuple(heap.label(x) for x in rest)
 
     def test_core_word_realizes_the_core(self):
         from fcperm import evaluate_word

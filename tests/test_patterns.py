@@ -4,7 +4,6 @@ from fcperm import (
     Permutation,
     all_permutations,
     avoids,
-    consecutive_occurrences,
     contains_pattern,
     is_boolean,
     is_fully_commutative,
@@ -70,29 +69,6 @@ class TestAvoids:
                         assert avoids(w, q), (w, p, q)
 
 
-class TestConsecutive:
-    def test_golden_windows(self):
-        occs = consecutive_occurrences(P("41627385"), P("415263"))
-        assert [occ.positions[0] for occ in occs] == [1, 3]
-        w = P("41627385")
-        assert occs[0].values_in(w) == (4, 1, 6, 2, 7, 3)
-        assert occs[1].values_in(w) == (6, 2, 7, 3, 8, 5)
-
-    def test_identity_has_none(self):
-        assert consecutive_occurrences(Permutation.identity(6), P("415263")) == []
-
-    def test_agrees_with_full_search_on_intervals(self):
-        p = P("415263")
-        for w in all_permutations(7):
-            windows = {occ.positions for occ in consecutive_occurrences(w, p)}
-            via_full = {
-                occ.positions
-                for occ in iter_occurrences(w, p)
-                if occ.positions[-1] - occ.positions[0] == p.n - 1
-            }
-            assert windows == via_full
-
-
 class TestFullyCommutativeAndBoolean:
     def test_goldens(self):
         assert is_fully_commutative(P("345619278"))
@@ -112,3 +88,11 @@ class TestFullyCommutativeAndBoolean:
             assert is_fully_commutative(w) == brute_avoids_321(w.image)
             if w.n >= 3:
                 assert is_fully_commutative(w) == avoids(w, pattern)
+
+    def test_boolean_matches_brute_321_and_3412(self):
+        for n in range(1, 8):
+            for w in all_permutations(n):
+                expected = brute_avoids_321(w.image) and not brute_has_pattern(
+                    w.image, (3, 4, 1, 2)
+                )
+                assert is_boolean(w) == expected, w

@@ -8,7 +8,6 @@ from fcperm import (
     is_fully_commutative,
     lis_ending_at,
     max_increasing_subsequences,
-    partial_p,
     row2,
     rsk,
 )
@@ -58,14 +57,6 @@ class TestInsertionGoldens:
             result = rsk(w)
             assert result.p.shape == result.q.shape
             assert result.p.is_standard(5) and result.q.is_standard(5)
-
-    def test_partial_prefixes(self):
-        w = P("41627385")
-        assert partial_p(w, 0) == Tableau(())
-        assert partial_p(w, 8) == rsk(w).p
-        assert partial_p(P("41623785"), 5) == Tableau(((1, 2, 3), (4, 6)))
-        with pytest.raises(ValueError):
-            partial_p(w, 9)
 
     def test_row2_goldens(self):
         assert row2(P("41627385")) == (4, 6, 7, 8)
