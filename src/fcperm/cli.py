@@ -21,12 +21,14 @@ from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations
 from .rsk import RskResult, rsk
 from .weak_order import (
+    DEFAULT_MINIMAL_CROWDED_BOUND,
+    DEFAULT_POSET_BOUND,
     build_fc_poset,
     fc_crowding,
     fc_elements,
+    minimal_crowded,
     poset_to_dot,
     require_degree_within,
-    uncrowded_frontier,
 )
 from .words import (
     all_reduced_words,
@@ -156,21 +158,28 @@ def _fc_crowded(wanted: bool):
 
 # filter -> (n, bound) -> the matching permutations of S_n, lexicographically.
 # Library functions are looked up by name on each call, so that a patched
-# one takes effect; every filter but "all" draws on fc_elements or on its
-# verdict walk fc_crowding.
+# one takes effect; "fc", "boolean", "uncrowded" and "crowded" draw on
+# fc_elements or on its verdict walk fc_crowding, while "minimal-crowded"
+# builds its elements without visiting the rest of S_n.
 _MATCHES = {
     "all": _all_within,
     "fc": lambda n, bound: fc_elements(n, bound=bound),
     "boolean": _fc_where(lambda w: is_boolean(w)),
     "uncrowded": _fc_crowded(False),
     "crowded": _fc_crowded(True),
-    "minimal-crowded": lambda n, bound: uncrowded_frontier(n, bound=bound)[1],
+    "minimal-crowded": lambda n, bound: minimal_crowded(n, bound=bound),
 }
 FILTERS = tuple(_MATCHES)
+# --bound when not given: the degree up to which the filter's output stays
+# small and fast (S_24 has 5,998 minimal crowded elements)
+_DEFAULT_BOUNDS = {"minimal-crowded": DEFAULT_MINIMAL_CROWDED_BOUND}
 
 
 def _cmd_enumerate(args) -> int:
-    matches = _MATCHES[args.filter](args.n, args.bound)
+    bound = args.bound
+    if bound is None:
+        bound = _DEFAULT_BOUNDS.get(args.filter, DEFAULT_POSET_BOUND)
+    matches = _MATCHES[args.filter](args.n, bound)
     if args.count:
         print(sum(1 for _ in matches))
         return 0
@@ -290,7 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", choices=FILTERS, default="all")
     p.add_argument("--count", action="store_true")
     p.add_argument("--compact", action="store_true")
-    p.add_argument("--bound", type=int, default=9)
+    p.add_argument(
+        "--bound",
+        type=int,
+        help=f"largest degree to enumerate (default {DEFAULT_MINIMAL_CROWDED_BOUND}"
+        f" for minimal-crowded, {DEFAULT_POSET_BOUND} otherwise)",
+    )
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run one named exhaustive check")

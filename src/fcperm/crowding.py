@@ -50,6 +50,11 @@ def find_crowded_witness(values) -> CrowdedWitness | None:
     [min L, max L - 2x] loses nothing: any violating window shrinks to one
     anchored there.
 
+    The scan runs only for crowded sets.  With members m_0 < m_1 < ..., the
+    members m_i..m_j fit in a window of radius j - i - 1 exactly when
+    m_j - 2j <= (m_i - 2i) - 2, so one pass keeping the largest m_i - 2i
+    seen so far decides crowdedness first.
+
     >>> find_crowded_witness({3, 5, 6}) is None
     True
     >>> find_crowded_witness({4, 5, 6})
@@ -57,6 +62,15 @@ def find_crowded_witness(values) -> CrowdedWitness | None:
     """
     members = sorted(set(values))
     if len(members) <= 2:
+        return None
+    reach = members[0]  # the largest m_i - 2i so far
+    for j in range(1, len(members)):
+        shifted = members[j] - 2 * j
+        if shifted <= reach - 2:
+            break
+        if shifted > reach:
+            reach = shifted
+    else:
         return None
     lo, hi = members[0], members[-1]
     # below[i]: how many members are smaller than lo + i

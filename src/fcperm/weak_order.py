@@ -9,7 +9,9 @@ They are downward closed under covers (sorting an adjacent descent removes
 an inversion pair and cannot create a decreasing triple), so every lower
 cover of a fully commutative permutation is again one;
 ``uncrowded_frontier`` relies on this to test covers by swapping adjacent
-entries, without materializing the poset's edges.
+entries, without materializing the poset's edges.  ``minimal_crowded``
+builds the frontier's minimal crowded half block by block instead, from the
+paper's characterization, with no walk at all.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Mapping
 
 from .crowding import classify, is_minimal_crowded_direct, is_uncrowded_set
@@ -25,6 +28,7 @@ from .words import BoundExceeded
 
 DEFAULT_POSET_BOUND = 9
 DEFAULT_IDEAL_LENGTH_BOUND = 24
+DEFAULT_MINIMAL_CROWDED_BOUND = 24
 
 
 @dataclass(frozen=True)
@@ -288,6 +292,74 @@ def uncrowded_frontier(
         elif all(crowded.get(swapped(image, i), True) for i in w.ascents()):
             maximal_uncrowded.append(w)
     return tuple(maximal_uncrowded), tuple(minimal_crowded)
+
+
+def _primitive_block(letters: tuple[str, ...]) -> tuple[int, ...]:
+    """The block of span 2k+2 named by a word of k-1 letters A and B.
+
+    Merges the odd-position values o_1 < .. < o_{k+1} with the even-position
+    values e_1 < .. < e_{k+1}, taking e_i before o_j exactly when
+    i <= j+1, or i = j+2 and letter j is A.
+    """
+    k = len(letters) + 1
+    odd: list[int] = []
+    even: list[int] = []
+    i = j = 1
+    for value in range(1, 2 * k + 3):
+        if i <= k + 1 and (
+            j > k + 1 or i <= j + 1 or (i == j + 2 and letters[j - 1] == "A")
+        ):
+            even.append(value)
+            i += 1
+        else:
+            odd.append(value)
+            j += 1
+    return tuple(v for pair in zip(odd, even) for v in pair)
+
+
+def minimal_crowded(
+    n: int, bound: int = DEFAULT_MINIMAL_CROWDED_BOUND
+) -> tuple[Permutation, ...]:
+    """The minimal crowded elements of S_n, built directly, sorted lexicographically.
+
+    By Thm 5.10 (the five conditions) and Cor 5.6 (a minimal crowded element
+    is fixed outside its descent span), each one is a single block of span
+    2k+2, k >= 2, placed among fixed points.  For each such k with
+    2k+2 <= n and each word L in {A, B}^(k-1) holding at least one A, there
+    is one block:
+
+    - it interleaves o_1 < .. < o_{k+1}, at its odd positions, with
+      e_1 < .. < e_{k+1}, at its even positions;
+    - e_i < o_j exactly when i <= j+1, or when i = j+2 and L_j = A;
+    - so its six-letter window at positions 2j-1..2j+4 is the pattern
+      415263 where L_j = A and 315264 where L_j = B.
+
+    Each block is shifted to every offset d = 0..n-2k-2, with the points
+    outside it fixed, so S_n has sum over k of (2^(k-1) - 1)(n - 2k - 1)
+    minimal crowded elements.  No poset is built and no fully commutative
+    element is visited, so this stays an independent computation of what
+    ``uncrowded_frontier(n)[1]`` finds by a walk.
+
+    >>> [w.to_text(compact=True) for w in minimal_crowded(8)]
+    ['12637485', '15263748', '31627485', '41526378', '41527386', '41627385']
+    """
+    require_degree_within(n, bound)
+    if n < 1:
+        raise ValueError("a permutation needs degree at least 1")
+    images = []
+    for k in range(2, n // 2):
+        span = 2 * k + 2
+        for letters in product("AB", repeat=k - 1):
+            if "A" not in letters:
+                continue
+            block = _primitive_block(letters)
+            for d in range(n - span + 1):
+                images.append(
+                    tuple(range(1, d + 1))
+                    + tuple(d + v for v in block)
+                    + tuple(range(d + span + 1, n + 1))
+                )
+    return tuple(Permutation._trusted(image) for image in sorted(images))
 
 
 def knuth_neighbors(w: Permutation) -> list[Permutation]:

@@ -118,3 +118,14 @@ def wide_scan_is_uncrowded(values) -> bool:
             if sum(1 for v in members if y <= v <= y + 2 * x) > x + 1:
                 return False
     return True
+
+
+def minimal_crowded_count(n: int) -> int:
+    """How many minimal crowded elements S_n has, by the block count: each
+    span 2k+2 <= n, k >= 2, carries 2^(k-1) - 1 blocks, each placed at
+    n - 2k - 1 offsets."""
+    return sum(
+        (2 ** (k - 1) - 1) * (n - 2 * k - 1)
+        for k in range(2, n)
+        if 2 * k + 2 <= n
+    )

@@ -110,6 +110,15 @@ class TestEnumerate:
         assert code == 0
         assert "41627385" in out.splitlines()
 
+    def test_minimal_crowded_has_its_own_default_bound(self, capsys):
+        code, out, err = run(capsys, "enumerate", "20", "--filter", "minimal-crowded", "--count")
+        assert (code, out, err) == (0, "1434\n", "")
+        message = "error: degree 25 exceeds bound 24; raise the bound to enumerate\n"
+        code, out, err = run(capsys, "enumerate", "25", "--filter", "minimal-crowded")
+        assert (code, out, err) == (2, "", message)
+        code, out, err = run(capsys, "enumerate", "10", "--filter", "crowded", "--count")
+        assert (code, out) == (2, "") and "degree 10 exceeds bound 9" in err
+
     def test_all_streams_lexicographically(self, capsys):
         code, out, _ = run(capsys, "enumerate", "3", "--compact")
         assert code == 0

@@ -28,6 +28,25 @@ from conftest import wide_scan_is_uncrowded
 P = Permutation.from_text
 
 
+def _scan_for_witness(values):
+    """(x, y, window) from the prefix-count window scan alone, with no pass
+    deciding crowdedness first; None for an uncrowded set."""
+    members = sorted(set(values))
+    if len(members) <= 2:
+        return None
+    lo, hi = members[0], members[-1]
+    below = [0] * (hi - lo + 2)
+    for v in members:
+        below[v - lo + 1] = 1
+    for i in range(1, len(below)):
+        below[i] += below[i - 1]
+    for x in range(1, (hi - lo) // 2 + 1):
+        for y in range(lo, hi - 2 * x + 1):
+            if below[y - lo + 2 * x + 1] - below[y - lo] > x + 1:
+                return x, y, tuple(v for v in members if y <= v <= y + 2 * x)
+    return None
+
+
 class TestUncrowdedSets:
     def test_goldens(self):
         assert is_uncrowded_set({3, 5, 6})
@@ -55,6 +74,14 @@ class TestUncrowdedSets:
                 witness = find_crowded_witness(subset)
                 found = None if witness is None else (witness.x, witness.y)
                 assert found == min(violating, default=None)
+
+    def test_witness_matches_the_window_scan_on_all_subsets_of_twelve(self):
+        # the witness is unchanged by the linear pass that decides first
+        for size in range(13):
+            for subset in combinations(range(1, 13), size):
+                witness = find_crowded_witness(subset)
+                found = None if witness is None else (witness.x, witness.y, witness.window)
+                assert found == _scan_for_witness(subset), subset
 
     def test_witness_really_violates(self):
         rng = random.Random(11)

@@ -15,6 +15,7 @@ from fcperm import (
     is_fully_commutative,
     is_minimal_crowded_direct,
     knuth_neighbors,
+    minimal_crowded,
     poset_to_dot,
     principal_ideal,
     right_weak_leq,
@@ -23,7 +24,7 @@ from fcperm import (
     up_covers,
 )
 
-from conftest import brute_avoids_321, wide_scan_is_uncrowded
+from conftest import brute_avoids_321, minimal_crowded_count, wide_scan_is_uncrowded
 
 
 P = Permutation.from_text
@@ -159,10 +160,20 @@ class TestFcElements:
         for enumerate_ in (fc_elements, fc_crowding):
             with pytest.raises(BoundExceeded, match="degree 10 exceeds bound 9"):
                 enumerate_(10)
+        with pytest.raises(BoundExceeded, match="degree 25 exceeds bound 24"):
+            minimal_crowded(25)
+        with pytest.raises(BoundExceeded, match="degree 10 exceeds bound 9"):
+            minimal_crowded(10, bound=9)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_degree_below_one(self, n):
-        for enumerate_ in (fc_elements, fc_crowding, uncrowded_frontier, build_fc_poset):
+        for enumerate_ in (
+            fc_elements,
+            fc_crowding,
+            uncrowded_frontier,
+            build_fc_poset,
+            minimal_crowded,
+        ):
             with pytest.raises(ValueError, match="degree at least 1"):
                 enumerate_(n)
 
@@ -225,6 +236,22 @@ class TestFrontier:
                 if is_minimal_crowded_direct(w).minimal
             }
             assert set(minimal_crowded) == direct
+
+
+class TestMinimalCrowded:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_the_frontier(self, n):
+        assert minimal_crowded(n, bound=12) == uncrowded_frontier(n, bound=12)[1]
+
+    def test_every_element_passes_the_direct_test(self):
+        for n in range(1, 17):
+            for w in minimal_crowded(n):
+                assert is_minimal_crowded_direct(w).minimal, w
+
+    def test_counts_follow_the_block_count(self):
+        counts = {n: len(minimal_crowded(n, bound=30)) for n in range(1, 31)}
+        assert counts == {n: minimal_crowded_count(n) for n in range(1, 31)}
+        assert (counts[13], counts[20], counts[30]) == (84, 1434, 48925)
 
 
 class TestKnuth:
