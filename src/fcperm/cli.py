@@ -31,6 +31,7 @@ from .weak_order import (
     require_degree_within,
 )
 from .words import (
+    DEFAULT_WORD_BOUND,
     all_reduced_words,
     count_reduced_words,
     require_length_within,
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("argument", nargs="?")
     p.add_argument("--word", help="explicit reduced word for the heap")
     p.add_argument("--json", action="store_true", help="edge list instead of DOT (poset)")
-    p.add_argument("--bound", type=int, default=9)
+    p.add_argument("--bound", type=int, default=DEFAULT_POSET_BOUND)
     p.set_defaults(fn=_cmd_dot)
 
     p = sub.add_parser("rsk", help="insertion and recording tableaux")
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("words", help="all reduced words")
     p.add_argument("permutation")
     p.add_argument("--count", action="store_true")
-    p.add_argument("--bound", type=int, default=12)
+    p.add_argument("--bound", type=int, default=DEFAULT_WORD_BOUND)
     p.set_defaults(fn=_cmd_words)
 
     return parser

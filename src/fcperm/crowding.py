@@ -45,15 +45,11 @@ class CrowdedWitness:
 def find_crowded_witness(values) -> CrowdedWitness | None:
     """A violating window for a crowded set, or None for an uncrowded one.
 
-    Windows are scanned by radius x, then by left endpoint y, so the
-    reported witness is the tightest leftmost one.  Restricting y to
-    [min L, max L - 2x] loses nothing: any violating window shrinks to one
-    anchored there.
-
-    The scan runs only for crowded sets.  With members m_0 < m_1 < ..., the
-    members m_i..m_j fit in a window of radius j - i - 1 exactly when
-    m_j - 2j <= (m_i - 2i) - 2, so one pass keeping the largest m_i - 2i
-    seen so far decides crowdedness first.
+    With members m_0 < m_1 < ..., a window of radius x is overfull exactly
+    when it holds x+2 consecutive members m_i..m_{i+x+1}, which fit in it
+    when m_{i+x+1} - m_i <= 2x.  One scan tries x upward, then i upward, so
+    the reported witness is the tightest leftmost one: at the first hit the
+    window starts at y = max(m_0, m_{i+x+1} - 2x).
 
     >>> find_crowded_witness({3, 5, 6}) is None
     True
@@ -61,27 +57,11 @@ def find_crowded_witness(values) -> CrowdedWitness | None:
     CrowdedWitness(x=1, y=4, window=(4, 5, 6))
     """
     members = sorted(set(values))
-    if len(members) <= 2:
-        return None
-    reach = members[0]  # the largest m_i - 2i so far
-    for j in range(1, len(members)):
-        shifted = members[j] - 2 * j
-        if shifted <= reach - 2:
-            break
-        if shifted > reach:
-            reach = shifted
-    else:
-        return None
-    lo, hi = members[0], members[-1]
-    # below[i]: how many members are smaller than lo + i
-    below = [0] * (hi - lo + 2)
-    for v in members:
-        below[v - lo + 1] = 1
-    for i in range(1, len(below)):
-        below[i] += below[i - 1]
-    for x in range(1, (hi - lo) // 2 + 1):
-        for y in range(lo, hi - 2 * x + 1):
-            if below[y - lo + 2 * x + 1] - below[y - lo] > x + 1:
+    for x in range(1, len(members) - 1):
+        for i in range(len(members) - x - 1):
+            last = members[i + x + 1]
+            if last - members[i] <= 2 * x:
+                y = max(members[0], last - 2 * x)
                 window = tuple(v for v in members if y <= v <= y + 2 * x)
                 return CrowdedWitness(x=x, y=y, window=window)
     return None
@@ -121,9 +101,11 @@ class MinimalCrowdedSet:
 def minimal_crowded_subset(values) -> MinimalCrowdedSet:
     """An inclusion-wise minimal crowded subset of a crowded set.
 
-    The candidates are exactly the sets ``minimal_crowded_window(x, y)``;
-    among the inclusion-minimal ones contained in the input, the one with
-    largest y (then smallest x) is returned.
+    The candidates are exactly the sets ``minimal_crowded_window(x, y)``.
+    They are pairwise incomparable: each has exactly two adjacent pairs,
+    (y, y+1) and (y+2x-1, y+2x), and those fix x and y.  So the first one
+    contained in the input, scanning y down from max L - 2 and then x up
+    from 1, is the one with largest y, then smallest x.
 
     >>> minimal_crowded_subset({4, 6, 7, 8}).elements
     (6, 7, 8)
@@ -132,20 +114,18 @@ def minimal_crowded_subset(values) -> MinimalCrowdedSet:
     if is_uncrowded_set(members):
         raise ValueError(f"{sorted(members)} is uncrowded")
     lo, hi = min(members), max(members)
-    candidates = []
-    for x in range(1, (hi - lo) // 2 + 1):
-        for y in range(lo, hi - 2 * x + 1):
-            window = minimal_crowded_window(x, y)
-            if members.issuperset(window):
-                candidates.append((x, y, frozenset(window)))
-    _demand(bool(candidates), f"crowded set {sorted(members)} holds no standard window")
-    minimal = [
-        (x, y, s)
-        for x, y, s in candidates
-        if not any(t < s for _, _, t in candidates)
-    ]
-    x, y, s = max(minimal, key=lambda item: (item[1], -item[0]))
-    return MinimalCrowdedSet(x=x, y=y, elements=tuple(sorted(s)))
+    found = next(
+        (
+            (x, y)
+            for y in range(hi - 2, lo - 1, -1)
+            for x in range(1, (hi - y) // 2 + 1)
+            if members.issuperset(minimal_crowded_window(x, y))
+        ),
+        None,
+    )
+    _demand(found is not None, f"crowded set {sorted(members)} holds no standard window")
+    x, y = found
+    return MinimalCrowdedSet(x=x, y=y, elements=minimal_crowded_window(x, y))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .patterns import is_fully_commutative
 from .permutations import Permutation
@@ -93,14 +93,11 @@ class InsertionStep:
     """What happened when one letter entered the tableau.
 
     ``bumps`` lists the cascade as (incoming, displaced, row) triples; it is
-    empty when the letter was appended to row 1.  ``settled_row`` and
-    ``settled_col`` locate the cell the cascade created.
+    empty when the letter was appended to row 1.
     """
 
     value: int
     bumps: tuple[tuple[int, int, int], ...]
-    settled_row: int
-    settled_col: int
 
 
 @dataclass(frozen=True)
@@ -108,13 +105,13 @@ class BumpTrace:
     events: tuple[InsertionStep, ...]
     first_column: Mapping[int, int]
 
-    def row_bump_map(self, row: int = 1) -> dict[int, int]:
-        """displaced value -> the value that pushed it out of ``row``."""
+    def row_bump_map(self) -> dict[int, int]:
+        """displaced value -> the value that pushed it out of row 1."""
         out = {}
         for step in self.events:
-            for b, z, r in step.bumps:
-                if r == row:
-                    out[z] = b
+            if step.bumps:
+                b, z, _ = step.bumps[0]  # every cascade starts in row 1
+                out[z] = b
         return out
 
 
@@ -125,12 +122,19 @@ class RskResult:
     trace: BumpTrace
 
 
-def _insert_all(values: Sequence[int]):
+def rsk(w: Permutation) -> RskResult:
+    """Insertion tableau, recording tableau, and the full trace.
+
+    >>> rsk(Permutation.from_text("315264")).p.to_text()
+    '1,2,4/3,5,6'
+    >>> rsk(Permutation.from_text("41627385")).p.to_text()
+    '1,2,3,5/4,6,7,8'
+    """
     rows: list[list[int]] = []
     qrows: list[list[int]] = []
     events = []
     first_column: dict[int, int] = {}
-    for step_index, value in enumerate(values, start=1):
+    for step_index, value in enumerate(w.image, start=1):
         incoming = value
         bumps = []
         r = 0
@@ -144,34 +148,14 @@ def _insert_all(values: Sequence[int]):
                 first_column[value] = col + 1
             if col == len(row):
                 row.append(incoming)
-                settled = (r + 1, col + 1)
+                qrows[r].append(step_index)
                 break
             displaced = row[col]
             row[col] = incoming
             bumps.append((incoming, displaced, r + 1))
             incoming = displaced
             r += 1
-        qrows[settled[0] - 1].append(step_index)
-        events.append(
-            InsertionStep(
-                value=value,
-                bumps=tuple(bumps),
-                settled_row=settled[0],
-                settled_col=settled[1],
-            )
-        )
-    return rows, qrows, events, first_column
-
-
-def rsk(w: Permutation) -> RskResult:
-    """Insertion tableau, recording tableau, and the full trace.
-
-    >>> rsk(Permutation.from_text("315264")).p.to_text()
-    '1,2,4/3,5,6'
-    >>> rsk(Permutation.from_text("41627385")).p.to_text()
-    '1,2,3,5/4,6,7,8'
-    """
-    rows, qrows, events, first_column = _insert_all(w.image)
+        events.append(InsertionStep(value=value, bumps=tuple(bumps)))
     return RskResult(
         p=Tableau(tuple(tuple(r) for r in rows)),
         q=Tableau(tuple(tuple(r) for r in qrows)),

@@ -24,7 +24,7 @@ from typing import Iterator, Mapping
 
 from .crowding import classify, is_minimal_crowded_direct, is_uncrowded_set
 from .permutations import Permutation
-from .words import BoundExceeded
+from .words import BoundExceeded, require_length_within
 
 DEFAULT_POSET_BOUND = 9
 DEFAULT_IDEAL_LENGTH_BOUND = 24
@@ -85,11 +85,7 @@ def principal_ideal(
     >>> len(principal_ideal(Permutation((4, 3, 2, 1))))
     24
     """
-    length = w.length()
-    if length > bound:
-        raise BoundExceeded(
-            f"length {length} exceeds bound {bound}; raise the bound to enumerate"
-        )
+    require_length_within(w, bound)
     seen = {w}
     queue = deque([w])
     while queue:
@@ -123,11 +119,14 @@ class FcPoset:
 
 
 def require_degree_within(n: int, bound: int) -> None:
-    """Refuse to enumerate S_n, or a subset of it, when n exceeds ``bound``."""
+    """Refuse to enumerate S_n, or a subset of it, when n exceeds ``bound``
+    (``BoundExceeded``) or when n < 1 (``ValueError``)."""
     if n > bound:
         raise BoundExceeded(
             f"degree {n} exceeds bound {bound}; raise the bound to enumerate"
         )
+    if n < 1:
+        raise ValueError("a permutation needs degree at least 1")
 
 
 def fc_elements(n: int, bound: int = DEFAULT_POSET_BOUND) -> list[Permutation]:
@@ -145,8 +144,6 @@ def fc_elements(n: int, bound: int = DEFAULT_POSET_BOUND) -> list[Permutation]:
     ['123', '132', '213', '231', '312']
     """
     require_degree_within(n, bound)
-    if n < 1:
-        raise ValueError("a permutation needs degree at least 1")
     out: list[Permutation] = []
     prefix = [0] * n
     free = [True] * (n + 2)  # free[n + 1] stops the scan for the least free value
@@ -194,8 +191,6 @@ def fc_crowding(
     ['415263', '415623', '451263']
     """
     require_degree_within(n, bound)
-    if n < 1:
-        raise ValueError("a permutation needs degree at least 1")
     prefix = [0] * n
     free = [True] * (n + 2)  # free[n + 1] stops the scan for the least free value
     first: list[int] = []  # row 1 of the prefix's insertion tableau
@@ -344,8 +339,6 @@ def minimal_crowded(
     ['12637485', '15263748', '31627485', '41526378', '41527386', '41627385']
     """
     require_degree_within(n, bound)
-    if n < 1:
-        raise ValueError("a permutation needs degree at least 1")
     images = []
     for k in range(2, n // 2):
         span = 2 * k + 2

@@ -46,8 +46,22 @@ def is_reduced(letters: Sequence[int], n: int) -> bool:
     True
     >>> is_reduced((1, 1), 3)
     False
+
+    A position the word never touches is never crossed, so no inversion
+    involves it.  The touched positions are relabeled 1..k in order and
+    the inversions counted in S_k, so the cost depends on the word alone,
+    not on n.
+
+    >>> is_reduced((40720, 5), 40721)
+    True
     """
-    return evaluate_word(letters, n).length() == len(letters)
+    for i in letters:
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"letter {i} out of range 1..{n - 1}")
+    touched = sorted({p for i in letters for p in (i, i + 1)})
+    rank = {p: k for k, p in enumerate(touched, start=1)}
+    relabeled = [rank[i] for i in letters]
+    return not letters or evaluate_word(relabeled, len(touched)).length() == len(letters)
 
 
 def canonical_reduced_word(w: Permutation) -> tuple[int, ...]:

@@ -222,6 +222,12 @@ class TestDot:
         code, _, err = run(capsys, "dot", "heap")
         assert code == 2 and "--word" in err
 
+    def test_heap_from_far_apart_letters(self, capsys):
+        # the reduced-word test costs nothing for the degree, 40721 here
+        code, out, err = run(capsys, "dot", "heap", "--word", "40720,5")
+        assert code == 0 and not err
+        assert out.count("[label=") == 2 and "->" not in out
+
     def test_poset(self, capsys):
         code, out, _ = run(capsys, "dot", "poset", "4")
         assert code == 0

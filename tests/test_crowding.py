@@ -47,6 +47,27 @@ def _scan_for_witness(values):
     return None
 
 
+def _candidates_and_filter_subset(values):
+    """(x, y, elements) by listing every standard window inside the set's
+    span, keeping the inclusion-minimal ones, and taking the largest y,
+    then the smallest x."""
+    members = frozenset(values)
+    lo, hi = min(members), max(members)
+    candidates = []
+    for x in range(1, (hi - lo) // 2 + 1):
+        for y in range(lo, hi - 2 * x + 1):
+            window = minimal_crowded_window(x, y)
+            if members.issuperset(window):
+                candidates.append((x, y, frozenset(window)))
+    minimal = [
+        (x, y, s)
+        for x, y, s in candidates
+        if not any(t < s for _, _, t in candidates)
+    ]
+    x, y, s = max(minimal, key=lambda item: (item[1], -item[0]))
+    return x, y, tuple(sorted(s))
+
+
 class TestUncrowdedSets:
     def test_goldens(self):
         assert is_uncrowded_set({3, 5, 6})
@@ -76,7 +97,7 @@ class TestUncrowdedSets:
                 assert found == min(violating, default=None)
 
     def test_witness_matches_the_window_scan_on_all_subsets_of_twelve(self):
-        # the witness is unchanged by the linear pass that decides first
+        # the one scan over consecutive members finds the window scan's witness
         for size in range(13):
             for subset in combinations(range(1, 13), size):
                 witness = find_crowded_witness(subset)
@@ -122,6 +143,29 @@ class TestMinimalCrowdedSubset:
                 assert set(result.elements) <= set(subset)
                 assert not is_uncrowded_set(result.elements)
                 assert result.elements == minimal_crowded_window(result.x, result.y)
+
+    def test_matches_the_candidates_and_filter_on_all_subsets_of_twelve(self):
+        crowded = 0
+        for size in range(3, 13):
+            for subset in combinations(range(1, 13), size):
+                if is_uncrowded_set(subset):
+                    continue
+                crowded += 1
+                result = minimal_crowded_subset(subset)
+                found = (result.x, result.y, result.elements)
+                assert found == _candidates_and_filter_subset(subset), subset
+        assert crowded == 2665  # of the 4,096 subsets
+
+    def test_standard_windows_are_pairwise_incomparable(self):
+        # so no candidate is ever dropped as non-minimal
+        windows = [
+            frozenset(minimal_crowded_window(x, y))
+            for x in range(1, 7)
+            for y in range(1, 15 - 2 * x)
+        ]
+        assert max(max(s) for s in windows) == 14
+        for s in windows:
+            assert not any(t < s for t in windows)
 
     def test_random_crowded_sets(self):
         rng = random.Random(3)

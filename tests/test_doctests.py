@@ -1,18 +1,13 @@
 import doctest
 import importlib
+import pkgutil
 
 import pytest
 
-MODULE_NAMES = [
-    "fcperm.permutations",
-    "fcperm.patterns",
-    "fcperm.words",
-    "fcperm.heaps",
-    "fcperm.rsk",
-    "fcperm.crowding",
-    "fcperm.weak_order",
-    "fcperm.checks",
-]
+import fcperm
+
+# every module of the package, so that a new one cannot go unswept
+MODULE_NAMES = sorted(f"fcperm.{info.name}" for info in pkgutil.iter_modules(fcperm.__path__))
 
 
 @pytest.mark.parametrize("name", MODULE_NAMES)

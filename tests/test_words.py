@@ -1,4 +1,5 @@
 import random
+from itertools import product as words_of_length
 
 import pytest
 
@@ -65,6 +66,21 @@ class TestIsReduced:
             )
             assert is_reduced(letters, 6) == (inversions == len(letters))
             assert evaluate_word(letters, 6) == product
+
+    def test_matches_the_count_over_all_of_s6_on_short_words(self):
+        # the touched positions alone decide, exactly as counting every
+        # inversion of the product in S_6 does
+        for length in range(7):
+            for letters in words_of_length(range(1, 6), repeat=length):
+                full = evaluate_word(letters, 6).length() == length
+                assert is_reduced(letters, 6) == full, letters
+
+    def test_far_apart_letters_in_a_huge_degree(self):
+        assert is_reduced((40720, 5), 40721)
+        assert not is_reduced((40720, 40720), 40721)
+        assert is_reduced((), 1)
+        with pytest.raises(ValueError, match="out of range"):
+            is_reduced((40721, 5), 40721)
 
 
 class TestEnumeration:
