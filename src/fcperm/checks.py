@@ -24,7 +24,9 @@ from .heaps import (
 )
 from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations
-from .rsk import bump_pairs, lis_ending_at, max_increasing_subsequences, row2, rsk
+from .rsk import (
+    Tableau, bump_pairs, lis_ending_at, max_increasing_subsequences, row2, rsk,
+)
 from .weak_order import (
     build_fc_poset, down_covers, fc_elements, knuth_neighbors, principal_ideal,
     right_weak_leq, uncrowded_frontier, up_covers,
@@ -70,6 +72,21 @@ def _fc_cover_pairs(n: int) -> Iterator[tuple[Permutation, Permutation, int]]:
         for edge in up_covers(v):
             if is_fully_commutative(edge.upper):
                 yield v, edge.upper, edge.index
+
+
+def _insertion_tableaux() -> Callable[[Permutation], Tableau]:
+    """P of each element, built once per sweep over fully commutative
+    covers (at most Catalan(n) entries); rsk is looked up by name on each
+    miss, so a patched one takes effect."""
+    memo: dict[Permutation, Tableau] = {}
+
+    def p_of(w: Permutation) -> Tableau:
+        p = memo.get(w)
+        if p is None:
+            p = memo[w] = rsk(w).p
+        return p
+
+    return p_of
 
 
 def _two_row_standard_tableaux(n: int) -> set[tuple[tuple[int, ...], ...]]:
@@ -338,8 +355,9 @@ def _thm_3_2(n: int) -> Verdicts:
 
 def _thm_3_4(n: int) -> Verdicts:
     """Second rows only grow along fully commutative covers."""
+    p_of = _insertion_tableaux()
     for v, w, _i in _fc_cover_pairs(n):
-        pv, pw = rsk(v).p, rsk(w).p
+        pv, pw = p_of(v), p_of(w)
         if not set(pv.row(2)) <= set(pw.row(2)):
             yield f"{v.to_text()} -> {w.to_text()}"
         elif not set(pv.row(1)) >= set(pw.row(1)):
@@ -351,8 +369,9 @@ def _thm_3_4(n: int) -> Verdicts:
 def _cor_3_5(n: int) -> Verdicts:
     """The tableau changes along a cover exactly when every longest
     increasing run uses both swapped letters, and then row 2 grows by one."""
+    p_of = _insertion_tableaux()
     for v, w, i in _fc_cover_pairs(n):
-        changed = rsk(v).p != rsk(w).p
+        changed = p_of(v) != p_of(w)
         both = all(
             v(i) in subseq and v(i + 1) in subseq
             for subseq in max_increasing_subsequences(v.image)

@@ -12,6 +12,7 @@ witness data for one cover step and checks every step of that control.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .heaps import boolean_core
 from .patterns import is_fully_commutative, iter_occurrences
@@ -491,9 +492,13 @@ def is_minimal_crowded_direct(w: Permutation) -> MinimalityReport:
         fixed_outside = False
 
     if w.n >= _PATTERN_415263.n:
-        occurrences = list(iter_occurrences(w, _PATTERN_415263))
-        pattern_consecutive = bool(occurrences) and all(
-            occ.positions[-1] - occ.positions[0] == 5 for occ in occurrences
+        # stop at the first spread-out occurrence: a large input has
+        # on the order of n^6 of them
+        occurrences = iter_occurrences(w, _PATTERN_415263)
+        first = next(occurrences, None)
+        pattern_consecutive = first is not None and all(
+            occ.positions[-1] - occ.positions[0] == 5
+            for occ in chain((first,), occurrences)
         )
     else:
         pattern_consecutive = False

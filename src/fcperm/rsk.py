@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from operator import lt
+from typing import Iterable, Mapping, NamedTuple
 
 from .patterns import is_fully_commutative
 from .permutations import Permutation
@@ -32,19 +33,21 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
+        upper: tuple[int, ...] = ()
         for r, row in enumerate(rows):
             if not row:
                 raise ValueError("empty tableau row")
-            if any(a >= b for a, b in zip(row, row[1:])):
+            if not all(map(lt, row, row[1:])):
                 raise ValueError(f"row {r + 1} is not strictly increasing: {row}")
             if r > 0:
-                upper = rows[r - 1]
                 if len(row) > len(upper):
                     raise ValueError("row lengths must weakly decrease")
-                if any(upper[c] >= row[c] for c in range(len(row))):
+                # map stops at the shorter row, which is this one
+                if not all(map(lt, upper, row)):
                     raise ValueError("columns must strictly increase downward")
+            upper = row
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -88,9 +91,9 @@ class Tableau:
         return {"rows": [list(row) for row in self.rows]}
 
 
-@dataclass(frozen=True)
-class InsertionStep:
-    """What happened when one letter entered the tableau.
+class InsertionStep(NamedTuple):
+    """What happened when one letter entered the tableau: a named tuple
+    ``(value, bumps)``.
 
     ``bumps`` lists the cascade as (incoming, displaced, row) triples; it is
     empty when the letter was appended to row 1.
@@ -155,10 +158,10 @@ def rsk(w: Permutation) -> RskResult:
             bumps.append((incoming, displaced, r + 1))
             incoming = displaced
             r += 1
-        events.append(InsertionStep(value=value, bumps=tuple(bumps)))
+        events.append(InsertionStep(value, tuple(bumps)))
     return RskResult(
-        p=Tableau(tuple(tuple(r) for r in rows)),
-        q=Tableau(tuple(tuple(r) for r in qrows)),
+        p=Tableau(tuple(map(tuple, rows))),
+        q=Tableau(tuple(map(tuple, qrows))),
         trace=BumpTrace(events=tuple(events), first_column=first_column),
     )
 

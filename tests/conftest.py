@@ -59,6 +59,43 @@ def brute_lis_ending_at(host: tuple[int, ...], q: int) -> int:
     return best
 
 
+def list_row_insertion(host: tuple[int, ...]):
+    """Row insertion by linear scans over plain lists.
+
+    Returns the rows of P and Q as tuples, each step as (value, bumps) with
+    bumps as (incoming, displaced, row) triples, and the first-row column
+    (1-based) where each value landed.
+    """
+    p: list[list[int]] = []
+    q: list[list[int]] = []
+    steps = []
+    first_column = {}
+    for index, value in enumerate(host, start=1):
+        incoming, bumps, r = value, [], 0
+        while True:
+            if r == len(p):
+                p.append([])
+                q.append([])
+            larger = [c for c, entry in enumerate(p[r]) if entry > incoming]
+            if r == 0:
+                first_column[value] = (larger[0] if larger else len(p[r])) + 1
+            if not larger:
+                p[r].append(incoming)
+                q[r].append(index)
+                break
+            c = larger[0]
+            bumps.append((incoming, p[r][c], r + 1))
+            p[r][c], incoming = incoming, p[r][c]
+            r += 1
+        steps.append((value, tuple(bumps)))
+    return (
+        tuple(tuple(row) for row in p),
+        tuple(tuple(row) for row in q),
+        steps,
+        first_column,
+    )
+
+
 def bfs_reduced_word(w: Permutation) -> tuple[int, ...]:
     """A reduced word found by breadth-first search from the identity.
 

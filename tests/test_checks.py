@@ -172,3 +172,16 @@ def test_knuth_classes_fails_without_knuth_moves(monkeypatch):
     result = run_check("knuth-classes", 4)
     assert not result.passed
     assert result.counterexample == "fiber of 1,2,4,3"
+
+
+@pytest.mark.parametrize("name", ["thm-3.4", "cor-3.5"])
+def test_cover_checks_fail_when_rsk_returns_the_recording_tableau(monkeypatch, name):
+    original = fcperm.checks.rsk
+
+    def recording_as_insertion(w):
+        return dataclasses.replace(original(w), p=original(w).q)
+
+    monkeypatch.setattr(fcperm.checks, "rsk", recording_as_insertion)
+    result = run_check(name, 6)
+    assert not result.passed
+    assert result.counterexample

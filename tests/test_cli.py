@@ -1,8 +1,12 @@
 import importlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fcperm.checks
 import fcperm.cli
@@ -316,3 +320,35 @@ class TestInternalErrors:
         code, out, err = run(capsys, *argv)
         assert code == 3 and not out
         assert err.strip() == f"internal error: {error} (input: {' '.join(argv)})"
+
+
+_IMAGES = st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1)))
+_PERMUTATION_TEXT = st.one_of(
+    _IMAGES.map(lambda image: "".join(map(str, image))),
+    _IMAGES.map(lambda image: ",".join(map(str, image))),
+    # malformed: repeats, gaps, zero, stray separators, signs, non-ASCII digits
+    st.sampled_from(
+        ["", " ", "0", "11", "1,1", "13", "1,,2", ",", "2,", "-1", "+1", "x",
+         "4,x,2", "1 2", "10", "\u00b2", "\u0661", "\u0662\u0661", "--json"]
+    ),
+    st.text(alphabet="0123456789, -x\u00b2", max_size=10),
+)
+_COMMANDS = st.sampled_from(
+    [("rsk",), ("rsk", "--json"), ("analyze",), ("analyze", "--json"), ("core",),
+     ("core", "--json"), ("words",), ("words", "--count"), ("dot", "heap")]
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_COMMANDS, _PERMUTATION_TEXT)
+    def test_exit_code_is_zero_or_two(self, command, text):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main([*command, text])
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 2), (command, text, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert (code == 0) == (err.getvalue() == "")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 
@@ -19,13 +20,31 @@ from fcperm import (
     rsk,
     uncrowded_iff_core,
 )
+import fcperm.crowding
 from fcperm.weak_order import fc_elements, up_covers
-from fcperm.patterns import is_fully_commutative
+from fcperm.patterns import is_fully_commutative, iter_occurrences
 
 from conftest import wide_scan_is_uncrowded
 
 
 P = Permutation.from_text
+
+
+def _listed_pattern_consecutive(w):
+    """415263 occurs, and only consecutively, decided by listing every
+    occurrence first."""
+    if w.n < 6:
+        return False
+    occurrences = list(iter_occurrences(w, P("415263")))
+    return bool(occurrences) and all(
+        occ.positions[-1] - occ.positions[0] == 5 for occ in occurrences
+    )
+
+
+def _interleaving(h):
+    """(h+1, 1, h+2, 2, ..., 2h, h): fully commutative, with 415263
+    occurring both consecutively and spread out."""
+    return Permutation(tuple(v for i in range(1, h + 1) for v in (h + i, i)))
 
 
 def _scan_for_witness(values):
@@ -298,6 +317,36 @@ class TestMinimalCrowdedDirect:
     def test_rejects_non_fully_commutative(self):
         with pytest.raises(ValueError):
             is_minimal_crowded_direct(Permutation((3, 2, 1)))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_same_report_as_listing_every_occurrence(self, n):
+        for w in fc_elements(n):
+            report = is_minimal_crowded_direct(w)
+            listed = _listed_pattern_consecutive(w)
+            minimal = (
+                report.descent_form
+                and report.descent_values_crowded
+                and report.fixed_outside
+                and listed
+                and report.window_patterns
+            )
+            expected = dataclasses.replace(
+                report, pattern_consecutive=listed, minimal=minimal
+            )
+            assert report == expected, w.to_text()
+
+    def test_stops_at_the_first_spread_out_occurrence(self, monkeypatch):
+        seen = []
+
+        def recorded(w, p):
+            for occurrence in iter_occurrences(w, p):
+                seen.append(occurrence.positions)
+                yield occurrence
+
+        monkeypatch.setattr(fcperm.crowding, "iter_occurrences", recorded)
+        report = is_minimal_crowded_direct(_interleaving(20))
+        assert not report.pattern_consecutive
+        assert seen == [(1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 8)]
 
     def test_report_keeps_the_second_row(self):
         for w in fc_elements(7):

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcperm import (
     Permutation,
@@ -12,10 +16,22 @@ from fcperm import (
     rsk,
 )
 
-from conftest import brute_lis_ending_at
+from conftest import brute_lis_ending_at, list_row_insertion
 
 
 P = Permutation.from_text
+
+
+def _is_tableau(rows) -> bool:
+    """Rows and columns strictly increasing, read as sorted sets; row
+    lengths weakly decreasing, so every column is a run of adjacent rows."""
+    lengths = [len(row) for row in rows]
+    if 0 in lengths or lengths != sorted(lengths, reverse=True):
+        return False
+    columns = [
+        [row[c] for row in rows if c < len(row)] for c in range(max(lengths, default=0))
+    ]
+    return all(list(line) == sorted(set(line)) for line in [*rows, *columns])
 
 
 class TestTableau:
@@ -28,6 +44,30 @@ class TestTableau:
             Tableau(((3, 4), (1, 2)))
         with pytest.raises(ValueError):
             Tableau(((1, 2), ()))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((1, 2), ()), "empty tableau row"),
+            (((1, 3), (2, 2)), "row 2 is not strictly increasing: (2, 2)"),
+            (((1, 2), (3, 4, 5)), "row lengths must weakly decrease"),
+            (((1, 2), (1, 3)), "columns must strictly increase downward"),
+        ],
+    )
+    def test_each_rejection_names_its_rule(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Tableau(rows)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.lists(st.integers(0, 5), max_size=4), max_size=4))
+    def test_accepts_exactly_the_valid_row_lists(self, rows):
+        try:
+            tableau = Tableau(rows)
+        except ValueError:
+            assert not _is_tableau(rows)
+        else:
+            assert _is_tableau(rows)
+            assert tableau.rows == tuple(tuple(row) for row in rows)
 
     def test_text_round_trip(self):
         t = Tableau(((1, 2, 3, 5), (4, 6, 7, 8)))
@@ -68,6 +108,26 @@ class TestInsertionGoldens:
         # all of S_n, so cascades into row 3 and below are covered too
         for w in all_permutations(n):
             assert row2(w) == rsk(w).p.row(2)
+
+
+class TestAgainstListInsertion:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_tableaux_and_trace_match(self, n):
+        for w in all_permutations(n):
+            result = rsk(w)
+            p, q, steps, first_column = list_row_insertion(w.image)
+            assert result.p.rows == p
+            assert result.q.rows == q
+            assert [(s.value, s.bumps) for s in result.trace.events] == steps
+            assert dict(result.trace.first_column) == first_column
+
+    def test_steps_are_immutable(self):
+        step = rsk(P("41627385")).trace.events[1]
+        assert (step.value, step.bumps) == (1, ((1, 4, 1),))
+        with pytest.raises(AttributeError):
+            step.value = 2
+        with pytest.raises(AttributeError):
+            step.bumps = ()
 
 
 class TestClassicalFacts:
