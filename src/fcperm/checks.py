@@ -24,12 +24,10 @@ from .heaps import (
 )
 from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations
-from .rsk import (
-    Tableau, bump_pairs, lis_ending_at, max_increasing_subsequences, row2, rsk,
-)
+from .rsk import Tableau, bump_pairs, row2, rsk
 from .weak_order import (
-    build_fc_poset, down_covers, fc_elements, knuth_neighbors, principal_ideal,
-    right_weak_leq, uncrowded_frontier, up_covers,
+    DEFAULT_POSET_BOUND, fc_covers, fc_elements, knuth_neighbors, principal_ideal,
+    require_degree_within, right_weak_leq, uncrowded_frontier,
 )
 from .words import all_reduced_words, canonical_reduced_word, count_reduced_words
 
@@ -56,27 +54,51 @@ class CheckResult:
 # -- oracles used only inside checks ---------------------------------------
 
 
-def _longest_monotone(values, increasing: bool) -> int:
-    seq = list(values)
-    n = len(seq)
-    best = [1] * n
-    for k in range(n):
+def _lis_ending(seq: tuple[int, ...]) -> list[int]:
+    """The length of a longest increasing subsequence of ``seq`` ending at
+    each position, by direct dynamic programming, independent of insertion.
+
+    >>> _lis_ending((4, 1, 6, 2, 3, 7, 8, 5))
+    [1, 1, 2, 2, 3, 4, 5, 4]
+    """
+    best: list[int] = []
+    for v in seq:
+        length = 0
+        for b, u in zip(best, seq):
+            if u < v and b > length:
+                length = b
+        best.append(length + 1)
+    return best
+
+
+def _longest_increasing(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every longest increasing subsequence of ``seq``, as value tuples,
+    traced back through ``_lis_ending``.
+
+    >>> sorted(_longest_increasing((2, 1, 3)))
+    [(1, 3), (2, 3)]
+    """
+    best = _lis_ending(seq)
+    out: list[tuple[int, ...]] = []
+
+    def extend(k: int, tail: tuple[int, ...]) -> None:
+        tail = (seq[k],) + tail
+        if best[k] == 1:
+            out.append(tail)
         for t in range(k):
-            if (seq[t] < seq[k]) == increasing and seq[t] != seq[k]:
-                best[k] = max(best[k], best[t] + 1)
-    return max(best, default=0)
+            if seq[t] < seq[k] and best[t] == best[k] - 1:
+                extend(t, tail)
 
-
-def _fc_cover_pairs(n: int) -> Iterator[tuple[Permutation, Permutation, int]]:
-    for v in fc_elements(n):
-        for edge in up_covers(v):
-            if is_fully_commutative(edge.upper):
-                yield v, edge.upper, edge.index
+    target = max(best, default=0)
+    for k in range(len(seq)):
+        if best[k] == target:
+            extend(k, ())
+    return out
 
 
 def _insertion_tableaux() -> Callable[[Permutation], Tableau]:
     """P of each element, built once per sweep over fully commutative
-    covers (at most Catalan(n) entries); rsk is looked up by name on each
+    elements (at most Catalan(n) entries); rsk is looked up by name on each
     miss, so a patched one takes effect."""
     memo: dict[Permutation, Tableau] = {}
 
@@ -235,9 +257,9 @@ def _thm_2_10(n: int) -> Verdicts:
     for w in all_permutations(n):
         p = rsk(w).p
         rows = len(p.rows)
-        if len(p.row(1)) != _longest_monotone(w.image, increasing=True):
+        if len(p.row(1)) != max(_lis_ending(w.image)):
             yield f"{w.to_text()} (row)"
-        elif rows != _longest_monotone(w.image, increasing=False):
+        elif rows != max(_lis_ending(w.image[::-1])):
             yield f"{w.to_text()} (column)"
         elif is_fully_commutative(w) != (rows <= 2):
             yield f"{w.to_text()} (two-row test)"
@@ -268,9 +290,10 @@ def _lemma_2_11(n: int) -> Verdicts:
 def _lemma_2_12(n: int) -> Verdicts:
     """First-insertion column equals the longest increasing run ending there."""
     for w in all_permutations(n):
-        trace = rsk(w).trace
+        first_column = rsk(w).trace.first_column
+        lis_ending = dict(zip(w.image, _lis_ending(w.image)))
         for q in range(1, n + 1):
-            ok = trace.first_column[q] == lis_ending_at(w, q)
+            ok = first_column[q] == lis_ending[q]
             yield None if ok else f"{w.to_text()} value {q}"
 
 
@@ -282,7 +305,7 @@ def _cor_lis(n: int) -> Verdicts:
         counts: dict[int, int] = {}
         for q, col in trace.first_column.items():
             counts[col] = counts.get(col, 0) + 1
-        longest = max_increasing_subsequences(w.image)
+        longest = _longest_increasing(w.image)
         for q, col in trace.first_column.items():
             if counts[col] == 1:
                 ok = all(q in subseq for subseq in longest)
@@ -356,7 +379,7 @@ def _thm_3_2(n: int) -> Verdicts:
 def _thm_3_4(n: int) -> Verdicts:
     """Second rows only grow along fully commutative covers."""
     p_of = _insertion_tableaux()
-    for v, w, _i in _fc_cover_pairs(n):
+    for v, w, _i in fc_covers(n):
         pv, pw = p_of(v), p_of(w)
         if not set(pv.row(2)) <= set(pw.row(2)):
             yield f"{v.to_text()} -> {w.to_text()}"
@@ -370,11 +393,10 @@ def _cor_3_5(n: int) -> Verdicts:
     """The tableau changes along a cover exactly when every longest
     increasing run uses both swapped letters, and then row 2 grows by one."""
     p_of = _insertion_tableaux()
-    for v, w, i in _fc_cover_pairs(n):
+    for v, w, i in fc_covers(n):
         changed = p_of(v) != p_of(w)
         both = all(
-            v(i) in subseq and v(i + 1) in subseq
-            for subseq in max_increasing_subsequences(v.image)
+            v(i) in subseq and v(i + 1) in subseq for subseq in _longest_increasing(v.image)
         )
         if changed != both:
             yield f"{v.to_text()} at {i}"
@@ -394,7 +416,7 @@ def _cor_3_7(n: int) -> Verdicts:
 def _thm_4_11(n: int) -> Verdicts:
     """Tableau-changing, support-preserving covers always land crowded,
     with every intermediate deduction intact."""
-    for v, w, i in _fc_cover_pairs(n):
+    for v, w, i in fc_covers(n):
         if i not in v.support() or rsk(v).p == rsk(w).p:
             continue
         report = analyze_transition(v, i)  # raises on any broken deduction
@@ -403,9 +425,10 @@ def _thm_4_11(n: int) -> Verdicts:
 
 def _cor_4_12(n: int) -> Verdicts:
     """Uncrowded means sharing the insertion tableau with the core."""
+    p_of = _insertion_tableaux()  # boolean cores are fully commutative too
     for w in fc_elements(n):
         uncrowded = not classify(w).crowded
-        same = rsk(boolean_core(w).core).p == rsk(w).p
+        same = p_of(boolean_core(w).core) == p_of(w)
         yield None if uncrowded == same else w.to_text()
 
 
@@ -426,7 +449,7 @@ def _prop_2_14(n: int) -> Verdicts:
 
 def _lemma_5_1(n: int) -> Verdicts:
     """Uncrowded elements form an order ideal, crowded ones a filter."""
-    for v, w, _i in _fc_cover_pairs(n):
+    for v, w, _i in fc_covers(n):
         if classify(v).crowded and not classify(w).crowded:
             yield f"{v.to_text()} -> {w.to_text()}"
         else:
@@ -447,12 +470,12 @@ def _lemma_5_2(n: int) -> Verdicts:
 
 def _lemma_5_4(n: int) -> Verdicts:
     """A descent followed by a smaller letter leaves the tableau unchanged."""
+    p_of = _insertion_tableaux()  # lower covers are fully commutative too
     for w in fc_elements(n):
-        p = rsk(w).p
         for d in w.descents():
             if d + 2 > n or w(d + 2) >= w(d):
                 continue
-            yield None if p == rsk(w.times(d)).p else f"{w.to_text()} at {d}"
+            yield None if p_of(w) == p_of(w.times(d)) else f"{w.to_text()} at {d}"
 
 
 def _knuth_classes(n: int) -> Verdicts:
@@ -499,9 +522,8 @@ def _downward_closure(n: int) -> Verdicts:
     """Sorting a descent of a fully commutative element stays fully
     commutative."""
     for w in fc_elements(n):
-        for edge in down_covers(w):
-            ok = is_fully_commutative(edge.lower)
-            yield None if ok else f"{w.to_text()} at {edge.index}"
+        for d in sorted(w.descents()):
+            yield None if is_fully_commutative(w.times(d)) else f"{w.to_text()} at {d}"
 
 
 def _minimal_crowded(n: int) -> list[Permutation]:
@@ -577,10 +599,10 @@ def _cor_5_9(n: int) -> Verdicts:
 
 def _thm_5_10(n: int) -> Verdicts:
     """The five-condition test agrees with poset minimality."""
-    poset = build_fc_poset(n)
-    crowded = {w: classify(w).crowded for w in poset.elements}
-    for w in poset.elements:
-        by_poset = crowded[w] and all(not crowded[e.lower] for e in poset.down[w])
+    crowded = {w: classify(w).crowded for w in fc_elements(n)}
+    for w, verdict in crowded.items():
+        # every lower cover sorts a descent and is fully commutative
+        by_poset = verdict and not any(crowded[w.times(d)] for d in w.descents())
         by_conditions = is_minimal_crowded_direct(w).minimal
         yield None if by_poset == by_conditions else w.to_text()
 
@@ -631,6 +653,7 @@ def run_check(name: str, n: int | None = None) -> CheckResult:
         raise ValueError(f"unknown check {name!r}; known checks: {known}")
     default_n, sweep = CHECKS[name]
     n = default_n if n is None else n
+    require_degree_within(n, DEFAULT_POSET_BOUND)
     cases, counterexample = 0, None
     for verdict in sweep(n):
         cases += 1

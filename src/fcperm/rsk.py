@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import lt
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .patterns import is_fully_commutative
 from .permutations import Permutation
@@ -195,26 +195,6 @@ def row2(w: Permutation) -> tuple[int, ...]:
     return tuple(second)
 
 
-def lis_ending_at(w: Permutation, q: int) -> int:
-    """Length of a longest increasing subsequence of w ending with q.
-
-    Computed by direct dynamic programming, independently of insertion; it
-    always agrees with the first-insertion column of q.
-
-    >>> lis_ending_at(Permutation.from_text("41623785"), 8)
-    5
-    """
-    if not 1 <= q <= w.n:
-        raise ValueError(f"value {q} out of range 1..{w.n}")
-    image = w.image
-    best = [0] * w.n
-    for k, v in enumerate(image):
-        best[k] = 1 + max((best[t] for t in range(k) if image[t] < v), default=0)
-        if v == q:
-            return best[k]
-    raise AssertionError("unreachable: q is a value of w")
-
-
 def bump_pairs(w: Permutation) -> list[tuple[int, int]]:
     """The (bumper, bumped) pairs of a fully commutative permutation, in
     bump order.
@@ -233,30 +213,3 @@ def bump_pairs(w: Permutation) -> list[tuple[int, int]]:
             pairs.append((b, z))
     return pairs
 
-
-def max_increasing_subsequences(values: Iterable[int]) -> list[tuple[int, ...]]:
-    """Every maximum-length increasing subsequence, as value tuples."""
-    seq = tuple(values)
-    n = len(seq)
-    best = [1] * n
-    for k in range(n):
-        for t in range(k):
-            if seq[t] < seq[k]:
-                best[k] = max(best[k], best[t] + 1)
-    target = max(best, default=0)
-    out: list[tuple[int, ...]] = []
-
-    def extend(k: int, acc: list[int]) -> None:
-        acc.append(seq[k])
-        if best[k] == 1:
-            out.append(tuple(reversed(acc)))
-        else:
-            for t in range(k):
-                if seq[t] < seq[k] and best[t] == best[k] - 1:
-                    extend(t, acc)
-        acc.pop()
-
-    for k in range(n):
-        if best[k] == target:
-            extend(k, [])
-    return sorted(out)

@@ -5,13 +5,16 @@ commutative permutations are exactly the 321-avoiding ones, and
 ``fc_elements`` generates them directly, in lexicographic order, by
 extending prefixes; ``fc_crowding`` walks the same prefixes carrying the
 two-row insertion along, so each element comes with its crowded verdict.
-They are downward closed under covers (sorting an adjacent descent removes
-an inversion pair and cannot create a decreasing triple), so every lower
-cover of a fully commutative permutation is again one;
-``uncrowded_frontier`` relies on this to test covers by swapping adjacent
-entries, without materializing the poset's edges.  ``minimal_crowded``
-builds the frontier's minimal crowded half block by block instead, from the
-paper's characterization, with no walk at all.
+``fc_covers`` generates the subposet's covers by a local rule at each
+ascent, with no membership set and no 321 test, and ``build_fc_poset`` is
+the elements plus those covers.  The elements are downward closed under
+covers (sorting an adjacent descent removes an inversion pair and cannot
+create a decreasing triple), so every lower cover of a fully commutative
+permutation is again one; ``uncrowded_frontier`` relies on this to test
+covers by swapping adjacent entries, without materializing the poset's
+edges.  ``minimal_crowded`` builds the frontier's minimal crowded half
+block by block instead, from the paper's characterization, with no walk at
+all.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator, NamedTuple
 
 from .crowding import classify, is_minimal_crowded_direct, is_uncrowded_set
 from .permutations import Permutation
@@ -31,27 +34,12 @@ DEFAULT_IDEAL_LENGTH_BOUND = 24
 DEFAULT_MINIMAL_CROWDED_BOUND = 24
 
 
-@dataclass(frozen=True)
-class CoverEdge:
+class CoverEdge(NamedTuple):
     """upper = lower * s_index, with the length going up by one."""
 
     lower: Permutation
     upper: Permutation
     index: int
-
-
-def up_covers(w: Permutation) -> list[CoverEdge]:
-    """One edge per ascent.
-
-    >>> [e.index for e in up_covers(Permutation.identity(4))]
-    [1, 2, 3]
-    """
-    return [CoverEdge(w, w.times(i), i) for i in sorted(w.ascents())]
-
-
-def down_covers(w: Permutation) -> list[CoverEdge]:
-    """One edge per descent; the lower end is w with the descent sorted."""
-    return [CoverEdge(w.times(d), w, d) for d in sorted(w.descents())]
 
 
 def _inversion_pairs(w: Permutation) -> frozenset[tuple[int, int]]:
@@ -105,8 +93,6 @@ class FcPoset:
     n: int
     elements: tuple[Permutation, ...]
     edges: tuple[CoverEdge, ...]
-    up: Mapping[Permutation, tuple[CoverEdge, ...]]
-    down: Mapping[Permutation, tuple[CoverEdge, ...]]
 
     def to_json_dict(self) -> dict:
         return {
@@ -233,30 +219,36 @@ def fc_crowding(
     return extend(0, 0, 1)
 
 
+def fc_covers(n: int, bound: int = DEFAULT_POSET_BOUND) -> Iterator[CoverEdge]:
+    """Every cover of the fully commutative subposet of S_n: lower ends in
+    ``fc_elements`` order, then the index ascending.
+
+    Swapping the ascent v(i) < v(i+1) of a 321-avoider v creates a 321 only
+    through the swapped pair, now a descent v(i+1) v(i): with an entry left
+    of position i above v(i+1), or an entry right of i+1 below v(i).  So
+    the cover is fully commutative exactly when neither exists.
+
+    >>> [(v.to_text(compact=True), w.to_text(compact=True), i) for v, w, i in fc_covers(3)]
+    [('123', '213', 1), ('123', '132', 2), ('132', '312', 1), ('213', '231', 2)]
+    """
+    for v in fc_elements(n, bound=bound):
+        image = v.image
+        high = 0  # the largest entry left of position i
+        for i in range(1, n):
+            left, right = image[i - 1], image[i]
+            if left < right and high < right and left < min(image[i + 1 :], default=n + 1):
+                yield CoverEdge(v, v.times(i), i)
+            high = max(high, left)
+
+
 def build_fc_poset(n: int, bound: int = DEFAULT_POSET_BOUND) -> FcPoset:
     """Materialize the fully commutative subposet with all cover edges.
 
     >>> build_fc_poset(3).elements
     (Permutation('123'), Permutation('132'), Permutation('213'), Permutation('231'), Permutation('312'))
     """
-    elements = fc_elements(n, bound=bound)
-    members = set(elements)
-    edges = []
-    up: dict[Permutation, list[CoverEdge]] = {w: [] for w in elements}
-    down: dict[Permutation, list[CoverEdge]] = {w: [] for w in elements}
-    for w in elements:
-        for edge in up_covers(w):
-            if edge.upper in members:
-                edges.append(edge)
-                up[w].append(edge)
-                down[edge.upper].append(edge)
-    return FcPoset(
-        n=n,
-        elements=tuple(elements),
-        edges=tuple(edges),
-        up={w: tuple(es) for w, es in up.items()},
-        down={w: tuple(es) for w, es in down.items()},
-    )
+    elements = tuple(fc_elements(n, bound=bound))
+    return FcPoset(n, elements, tuple(fc_covers(n, bound=bound)))
 
 
 def uncrowded_frontier(

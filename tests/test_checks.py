@@ -174,7 +174,7 @@ def test_knuth_classes_fails_without_knuth_moves(monkeypatch):
     assert result.counterexample == "fiber of 1,2,4,3"
 
 
-@pytest.mark.parametrize("name", ["thm-3.4", "cor-3.5"])
+@pytest.mark.parametrize("name", ["thm-3.4", "cor-3.5", "cor-4.12", "lemma-5.4"])
 def test_cover_checks_fail_when_rsk_returns_the_recording_tableau(monkeypatch, name):
     original = fcperm.checks.rsk
 

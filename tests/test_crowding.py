@@ -21,8 +21,8 @@ from fcperm import (
     uncrowded_iff_core,
 )
 import fcperm.crowding
-from fcperm.weak_order import fc_elements, up_covers
-from fcperm.patterns import is_fully_commutative, iter_occurrences
+from fcperm.weak_order import fc_covers, fc_elements
+from fcperm.patterns import iter_occurrences
 
 from conftest import wide_scan_is_uncrowded
 
@@ -268,16 +268,12 @@ class TestAnalyzeTransition:
 
     def test_exhaustive_over_s6(self):
         seen = 0
-        for v in fc_elements(6):
-            for edge in up_covers(v):
-                w, i = edge.upper, edge.index
-                if not is_fully_commutative(w) or i not in v.support():
-                    continue
-                if rsk(v).p == rsk(w).p:
-                    continue
-                seen += 1
-                report = analyze_transition(v, i)
-                assert classify(report.w).crowded
+        for v, w, i in fc_covers(6):
+            if i not in v.support() or rsk(v).p == rsk(w).p:
+                continue
+            seen += 1
+            report = analyze_transition(v, i)
+            assert classify(report.w).crowded
         assert seen >= 1
 
     def test_json_round_trip(self):
@@ -375,10 +371,11 @@ class TestMinimalCrowdedDirect:
 
         poset = build_fc_poset(7)
         crowded = {w: classify(w).crowded for w in poset.elements}
+        down = {w: [] for w in poset.elements}
+        for v, w, _ in poset.edges:
+            down[w].append(v)
         for w in poset.elements:
-            by_poset = crowded[w] and all(
-                not crowded[e.lower] for e in poset.down[w]
-            )
+            by_poset = crowded[w] and not any(crowded[v] for v in down[w])
             assert by_poset == is_minimal_crowded_direct(w).minimal
 
 

@@ -10,11 +10,10 @@ from fcperm import (
     all_permutations,
     bump_pairs,
     is_fully_commutative,
-    lis_ending_at,
-    max_increasing_subsequences,
     row2,
     rsk,
 )
+from fcperm.checks import _lis_ending, _longest_increasing
 
 from conftest import brute_lis_ending_at, list_row_insertion
 
@@ -149,25 +148,29 @@ class TestClassicalFacts:
 
 
 class TestLis:
+    """The checks' dynamic program for the longest increasing subsequence
+    ending at each position."""
+
     def test_goldens(self):
-        assert lis_ending_at(P("41623785"), 8) == 5
+        assert _lis_ending(P("41623785").image)[-2] == 5  # ends at 8
         for w in all_permutations(4):
-            assert lis_ending_at(w, w(1)) == 1
+            assert _lis_ending(w.image)[0] == 1
 
     def test_against_brute_force(self):
         for w in all_permutations(5):
-            for q in range(1, 6):
-                assert lis_ending_at(w, q) == brute_lis_ending_at(w.image, q)
+            assert _lis_ending(w.image) == [
+                brute_lis_ending_at(w.image, q) for q in w.image
+            ]
 
     def test_first_column_equals_lis(self):
         for w in all_permutations(6):
             trace = rsk(w).trace
-            for q in range(1, 7):
-                assert trace.first_column[q] == lis_ending_at(w, q)
+            for q, length in zip(w.image, _lis_ending(w.image)):
+                assert trace.first_column[q] == length
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            lis_ending_at(P("321"), 4)
+    def test_empty_sequence(self):
+        assert _lis_ending(()) == []
+        assert _longest_increasing(()) == []
 
 
 class TestBumpPairs:
@@ -190,14 +193,15 @@ class TestBumpPairs:
 
 class TestMaxIncreasingSubsequences:
     def test_small_cases(self):
-        assert max_increasing_subsequences((2, 1, 3)) == [(1, 3), (2, 3)]
-        assert max_increasing_subsequences((3, 2, 1)) == [(1,), (2,), (3,)]
+        assert sorted(_longest_increasing((2, 1, 3))) == [(1, 3), (2, 3)]
+        assert sorted(_longest_increasing((3, 2, 1))) == [(1,), (2,), (3,)]
 
     def test_lengths_and_membership(self):
         from itertools import combinations
 
         for w in all_permutations(5):
-            listed = max_increasing_subsequences(w.image)
+            listed = _longest_increasing(w.image)
+            assert len(listed) == len(set(listed))
             target = max(len(s) for s in listed)
             brute = {
                 tuple(w.image[p] for p in positions)

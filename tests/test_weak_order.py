@@ -9,7 +9,7 @@ from fcperm import (
     all_permutations,
     build_fc_poset,
     classify,
-    down_covers,
+    fc_covers,
     fc_crowding,
     fc_elements,
     is_fully_commutative,
@@ -21,7 +21,6 @@ from fcperm import (
     right_weak_leq,
     rsk,
     uncrowded_frontier,
-    up_covers,
 )
 
 from conftest import brute_avoids_321, minimal_crowded_count, wide_scan_is_uncrowded
@@ -32,25 +31,48 @@ P = Permutation.from_text
 
 class TestCovers:
     def test_golden_edge(self):
-        edges = up_covers(P("41623785"))
-        lifted = {e.index: e.upper for e in edges}
+        lifted = {i: w for v, w, i in fc_covers(8) if v == P("41623785")}
         assert lifted[5] == P("41627385")
 
     def test_identity_covers(self):
-        assert len(up_covers(Permutation.identity(6))) == 5
-        assert down_covers(Permutation.identity(6)) == []
+        identity = Permutation.identity(6)
+        edges = [(w, i) for v, w, i in fc_covers(6) if v == identity]
+        assert edges == [(identity.times(i), i) for i in range(1, 6)]
+        assert not any(w == identity for _, w, _ in fc_covers(6))
 
     def test_down_cover_indices(self):
-        assert [e.index for e in down_covers(P("41627385"))] == [1, 3, 5, 7]
+        w = P("41627385")
+        assert [i for _, upper, i in fc_covers(8) if upper == w] == [1, 3, 5, 7]
 
     def test_up_plus_down_is_everything(self):
-        for w in all_permutations(6):
-            assert len(up_covers(w)) + len(down_covers(w)) == 5
+        # every ascent is a cover or leaves the subposet; every descent is one
+        degree = {w: 0 for w in fc_elements(6)}
+        for v, w, _ in fc_covers(6):
+            degree[v] += 1
+            degree[w] += 1
+        for w, covers in degree.items():
+            leaving = sum(not is_fully_commutative(w.times(i)) for i in w.ascents())
+            assert covers + leaving == 5
 
     def test_edges_recombine(self):
-        for w in all_permutations(5):
-            for e in down_covers(w):
-                assert e.lower.times(e.index) == e.upper == w
+        for v, w, i in fc_covers(5):
+            assert v.times(i) == w and w.times(i) == v
+            assert w.length() == v.length() + 1
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_local_rule_matches_pair_scan(self, n):
+        expected = [
+            (v, v.times(i), i)
+            for v in fc_elements(n)
+            for i in sorted(v.ascents())
+            if is_fully_commutative(v.times(i))
+        ]
+        assert list(fc_covers(n)) == expected
+
+    def test_bound_guard(self):
+        with pytest.raises(BoundExceeded, match="degree 10 exceeds bound 9"):
+            list(fc_covers(10))
+        assert len(list(fc_covers(10, bound=10))) == 43758
 
 
 class TestLeqQueries:
@@ -114,16 +136,17 @@ class TestFcPoset:
         assert set(poset.elements) == expected
 
     def test_edge_count_against_pair_scan(self):
-        poset = build_fc_poset(4)
-        expected = 0
-        for v in all_permutations(4):
-            if not is_fully_commutative(v):
-                continue
-            for i in range(1, 4):
-                w = v.times(i)
-                if w.length() == v.length() + 1 and is_fully_commutative(w):
-                    expected += 1
-        assert len(poset.edges) == expected
+        # the exact edge list, from every pair of S_n one swap apart
+        for n in range(1, 8):
+            expected = [
+                (v, v.times(i), i)
+                for v in all_permutations(n)
+                if is_fully_commutative(v)
+                for i in range(1, n)
+                if v.times(i).length() == v.length() + 1
+                and is_fully_commutative(v.times(i))
+            ]
+            assert list(build_fc_poset(n).edges) == expected, n
 
     def test_bound_guard(self):
         with pytest.raises(BoundExceeded):
@@ -137,8 +160,8 @@ class TestFcPoset:
 
     def test_downward_closure(self):
         for w in fc_elements(7):
-            for e in down_covers(w):
-                assert is_fully_commutative(e.lower)
+            for d in w.descents():
+                assert is_fully_commutative(w.times(d))
 
 
 class TestFcElements:
@@ -194,15 +217,16 @@ def _frontier_from_poset_edges(n):
     crowded = {
         w: not wide_scan_is_uncrowded(rsk(w).p.row(2)) for w in poset.elements
     }
+    up = {w: [] for w in poset.elements}
+    down = {w: [] for w in poset.elements}
+    for v, w, _ in poset.edges:
+        up[v].append(w)
+        down[w].append(v)
     maximal_uncrowded = tuple(
-        w
-        for w in poset.elements
-        if not crowded[w] and all(crowded[e.upper] for e in poset.up[w])
+        w for w in poset.elements if not crowded[w] and all(crowded[u] for u in up[w])
     )
     minimal_crowded = tuple(
-        w
-        for w in poset.elements
-        if crowded[w] and not any(crowded[e.lower] for e in poset.down[w])
+        w for w in poset.elements if crowded[w] and not any(crowded[d] for d in down[w])
     )
     return maximal_uncrowded, minimal_crowded
 
