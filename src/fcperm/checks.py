@@ -7,6 +7,8 @@ when the case holds, or the counterexample text when it fails.  ``CHECKS``
 maps each check id accepted by ``fcperm verify`` to the degree the check is
 normally run at and its generator; ``run_check`` picks the degree, counts
 the cases, stops at the first counterexample and builds the ``CheckResult``.
+A ``ValueError`` raised while a sweep runs, such as a library call refusing
+a case that breaks its precondition, is that case's counterexample.
 """
 
 from __future__ import annotations
@@ -358,11 +360,6 @@ def _thm_3_2(n: int) -> Verdicts:
         dec = boolean_core(w)
         booleans = {b for b in principal_ideal(w) if is_boolean(b)}
         same_support = {b for b in booleans if b.support() == w.support()}
-        maximal = {
-            b
-            for b in booleans
-            if not any(b != c and right_weak_leq(b, c) for c in booleans)
-        }
         if not (
             is_boolean(dec.core)
             and dec.core.support() == w.support()
@@ -370,7 +367,9 @@ def _thm_3_2(n: int) -> Verdicts:
             and dec.core.compose(dec.remainder) == w
         ):
             yield w.to_text()
-        elif same_support != {dec.core} or dec.core not in maximal:
+        elif same_support != {dec.core} or any(
+            c != dec.core and right_weak_leq(dec.core, c) for c in booleans
+        ):
             yield f"{w.to_text()} (uniqueness)"
         else:
             yield None
@@ -526,13 +525,9 @@ def _downward_closure(n: int) -> Verdicts:
             yield None if is_fully_commutative(w.times(d)) else f"{w.to_text()} at {d}"
 
 
-def _minimal_crowded(n: int) -> list[Permutation]:
-    return list(uncrowded_frontier(n)[1])
-
-
 def _cor_5_5(n: int) -> Verdicts:
     """In a minimal crowded element, descents and adjacent bumps coincide."""
-    for w in _minimal_crowded(n):
+    for w in uncrowded_frontier(n)[1]:
         bumped_by = rsk(w).trace.row_bump_map()
         descents = w.descents()
         pos = {val: p for p, val in enumerate(w.image, start=1)}
@@ -550,7 +545,7 @@ def _cor_5_5(n: int) -> Verdicts:
 
 def _cor_5_6(n: int) -> Verdicts:
     """A minimal crowded element fixes everything outside its descent span."""
-    for w in _minimal_crowded(n):
+    for w in uncrowded_frontier(n)[1]:
         descents = sorted(w.descents())
         d, last = descents[0], descents[-1]
         outside = list(range(1, d)) + list(range(last + 2, n + 1))
@@ -560,7 +555,7 @@ def _cor_5_6(n: int) -> Verdicts:
 def _lemma_5_7(n: int) -> Verdicts:
     """The interleaved bumped/bumper word is consecutive in the one-line
     notation of a minimal crowded element."""
-    for w in _minimal_crowded(n):
+    for w in uncrowded_frontier(n)[1]:
         pairs = bump_pairs(w)
         interleaved = [x for b, z in pairs for x in (z, b)]
         pos = {val: p for p, val in enumerate(w.image, start=1)}
@@ -571,7 +566,7 @@ def _lemma_5_7(n: int) -> Verdicts:
 
 def _lemma_5_8(n: int) -> Verdicts:
     """Bumpers eventually overtake earlier bumped values: z_i < b_{i+3}."""
-    for w in _minimal_crowded(n):
+    for w in uncrowded_frontier(n)[1]:
         pairs = bump_pairs(w)
         for i in range(len(pairs) - 3):
             yield None if pairs[i][1] < pairs[i + 3][0] else f"{w.to_text()} index {i + 1}"
@@ -580,7 +575,7 @@ def _lemma_5_8(n: int) -> Verdicts:
 def _cor_5_9(n: int) -> Verdicts:
     """A minimal crowded element has exactly one inclusion-minimal crowded
     subset of its second row, and it contains the largest entry."""
-    for w in _minimal_crowded(n):
+    for w in uncrowded_frontier(n)[1]:
         second = row2(w)
         crowded_subsets = [
             frozenset(s)
@@ -655,9 +650,13 @@ def run_check(name: str, n: int | None = None) -> CheckResult:
     n = default_n if n is None else n
     require_degree_within(n, DEFAULT_POSET_BOUND)
     cases, counterexample = 0, None
-    for verdict in sweep(n):
+    try:
+        for verdict in sweep(n):
+            cases += 1
+            if verdict is not None:
+                counterexample = verdict
+                break
+    except ValueError as exc:  # the case being decided raised it
         cases += 1
-        if verdict is not None:
-            counterexample = verdict
-            break
+        counterexample = str(exc)
     return CheckResult(name, n, counterexample is None, cases, counterexample)

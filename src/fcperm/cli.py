@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .checks import CHECKS, run_check
 from .crowding import Classification, MinimalityReport, classify, is_minimal_crowded_direct
@@ -192,17 +192,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     result = run_check(args.check, args.n)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "check": result.check,
-                    "n": result.n,
-                    "passed": result.passed,
-                    "cases": result.cases,
-                    "counterexample": result.counterexample,
-                }
-            )
-        )
+        print(json.dumps(asdict(result)))
     else:
         print(result.summary())
     return 0 if result.passed else 1

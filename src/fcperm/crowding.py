@@ -202,23 +202,6 @@ class TransitionReport:
     chain_length: int
     interval: tuple[int, int]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "v": self.v.to_text(),
-            "w": self.w.to_text(),
-            "index": self.index,
-            "prefix_max": self.prefix_max,
-            "suffix_min": self.suffix_min,
-            "pattern_3142": list(self.pattern_3142),
-            "run_before": list(self.run_before),
-            "run_after": list(self.run_after),
-            "moved_value": self.moved_value,
-            "column_chain": list(self.column_chain),
-            "bumpers": list(self.bumpers),
-            "chain_length": self.chain_length,
-            "interval": list(self.interval),
-        }
-
 
 def analyze_transition(v: Permutation, i: int) -> TransitionReport:
     """Witness data for a cover step that changes the insertion tableau

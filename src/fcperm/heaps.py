@@ -47,9 +47,6 @@ class Heap:
     def less(self, x: int, y: int) -> bool:
         return x in self.below[y - 1]
 
-    def comparable(self, x: int, y: int) -> bool:
-        return x == y or self.less(x, y) or self.less(y, x)
-
     def elements_with_label(self, j: int) -> tuple[int, ...]:
         return tuple(x for x in range(1, self.size + 1) if self.labels[x - 1] == j)
 

@@ -2,8 +2,8 @@
 
 The searches are plain backtracking over positions; at the sizes this
 library targets (hosts of degree <= 9, patterns of degree <= 6) nothing
-fancier pays off.  ``contains_pattern`` always reports the occurrence with
-lexicographically least positions so golden outputs are stable.
+fancier pays off.  ``iter_occurrences`` yields occurrences in lexicographic
+position order so golden outputs are stable.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ class PatternOccurrence:
 
     positions: tuple[int, ...]
     pattern: Permutation
-
-    def values_in(self, host: Permutation) -> tuple[int, ...]:
-        return tuple(host(i) for i in self.positions)
 
 
 def iter_occurrences(w: Permutation, p: Permutation) -> Iterator[PatternOccurrence]:
@@ -58,26 +55,6 @@ def iter_occurrences(w: Permutation, p: Permutation) -> Iterator[PatternOccurren
                 chosen_val.pop()
 
     yield from extend(0)
-
-
-def contains_pattern(w: Permutation, p: Permutation) -> PatternOccurrence | None:
-    """The lexicographically least occurrence of p in w, or None.
-
-    >>> contains_pattern(Permutation.from_text("314592687"), Permutation.from_text("3241")) is None
-    True
-    """
-    return next(iter_occurrences(w, p), None)
-
-
-def avoids(w: Permutation, p: Permutation) -> bool:
-    """True when w has no occurrence of p.
-
-    >>> avoids(Permutation.from_text("345619278"), Permutation.from_text("321"))
-    True
-    """
-    if p.n > w.n:
-        return True
-    return contains_pattern(w, p) is None
 
 
 def is_fully_commutative(w: Permutation) -> bool:

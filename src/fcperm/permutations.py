@@ -209,12 +209,6 @@ class Permutation:
 
     # -- plumbing -------------------------------------------------------------
 
-    def embed(self, m: int) -> "Permutation":
-        """Pad with fixed points up to degree m."""
-        if m < self.n:
-            raise ValueError(f"cannot embed degree {self.n} into degree {m}")
-        return Permutation(self.image + tuple(range(self.n + 1, m + 1)))
-
     def __repr__(self) -> str:  # keeps goldens and failure output readable
         return f"Permutation({self.to_text(compact=True)!r})"
 

@@ -53,19 +53,11 @@ class Tableau:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rows)
 
-    @property
-    def size(self) -> int:
-        return sum(self.shape)
-
     def row(self, r: int) -> tuple[int, ...]:
         """Row r (1-based); empty when the tableau has fewer rows."""
         if r < 1:
             raise ValueError("rows are numbered from 1")
         return self.rows[r - 1] if r <= len(self.rows) else ()
-
-    def is_standard(self, n: int) -> bool:
-        entries = sorted(v for row in self.rows for v in row)
-        return entries == list(range(1, n + 1))
 
     def to_text(self) -> str:
         """Rows top to bottom, commas inside rows, '/' between rows.
@@ -74,18 +66,6 @@ class Tableau:
         '1,2,3,5/4,6,7,8'
         """
         return "/".join(",".join(str(v) for v in row) for row in self.rows)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Tableau":
-        text = text.strip()
-        if not text:
-            return cls(())
-        return cls(
-            tuple(
-                tuple(int(tok) for tok in part.split(","))
-                for part in text.split("/")
-            )
-        )
 
     def to_json_dict(self) -> dict:
         return {"rows": [list(row) for row in self.rows]}

@@ -192,28 +192,6 @@ def commutation_class(word: Sequence[int]) -> set[tuple[int, ...]]:
     return seen
 
 
-def commutation_classes(
-    w: Permutation, bound: int = DEFAULT_WORD_BOUND
-) -> tuple[frozenset[tuple[int, ...]], ...]:
-    """Partition of the reduced words of w into commutation classes.
-
-    Classes are ordered by their least word, so output is deterministic.
-
-    >>> [sorted(c) for c in commutation_classes(Permutation((3, 2, 1)))]
-    [[(1, 2, 1)], [(2, 1, 2)]]
-    """
-    remaining = all_reduced_words(w, bound=bound)
-    classes = []
-    while remaining:
-        seed = min(remaining)
-        cls = commutation_class(seed)
-        if not cls <= remaining:
-            raise RuntimeError("commutation move left the reduced-word set")
-        remaining -= cls
-        classes.append(frozenset(cls))
-    return tuple(sorted(classes, key=min))
-
-
 def word_to_text(letters: Iterable[int]) -> str:
     """Digits run together when every letter is a single digit, else commas.
 

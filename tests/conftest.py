@@ -26,17 +26,19 @@ def brute_has_pattern(host: tuple[int, ...], pattern: tuple[int, ...]) -> bool:
     return False
 
 
-def brute_first_occurrence(host: tuple[int, ...], pattern: tuple[int, ...]):
+def brute_occurrences(host: tuple[int, ...], pattern: tuple[int, ...]):
+    """Every occurrence of pattern in host, as 1-based positions, in
+    lexicographic order."""
     m = len(pattern)
-    for positions in combinations(range(len(host)), m):
-        values = [host[p] for p in positions]
+    return [
+        tuple(p + 1 for p in positions)
+        for positions in combinations(range(len(host)), m)
         if all(
-            (pattern[a] < pattern[b]) == (values[a] < values[b])
+            (pattern[a] < pattern[b]) == (host[positions[a]] < host[positions[b]])
             for a in range(m)
             for b in range(a + 1, m)
-        ):
-            return tuple(p + 1 for p in positions)
-    return None
+        )
+    ]
 
 
 def brute_avoids_321(host: tuple[int, ...]) -> bool:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fcperm.checks
 import fcperm.cli
-from fcperm import Permutation, classify, fc_elements, rsk
+from fcperm import CoverEdge, Permutation, classify, fc_elements, rsk
 from fcperm.cli import FILTERS, main
 from fcperm.crowding import InvariantViolation
 
@@ -207,6 +207,37 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             main(["verify", "6", "thm-0.0"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "check, summary",
+        [
+            (
+                "thm-4.11",
+                "thm-4.11 @ S_7: FAIL (1 cases) counterexample: precondition failed:"
+                " 1,2,3,4,7,6,5 is not fully commutative",
+            ),
+            (
+                "lemma-5.1",
+                "lemma-5.1 @ S_7: FAIL (435 cases) counterexample:"
+                " 1,5,2,7,6,3,4 is not fully commutative",
+            ),
+        ],
+        ids=["thm-4.11", "lemma-5.1"],
+    )
+    def test_refused_precondition_is_a_counterexample(self, capsys, monkeypatch, check, summary):
+        # covers that forget "no entry right of i+1 below v(i)" reach upper
+        # ends that are not fully commutative; the library call that refuses
+        # one with a ValueError decides that case, it is not a usage error
+        def loose_covers(n, bound=9):
+            for v in fc_elements(n, bound=bound):
+                high = 0
+                for i in range(1, n):
+                    if v(i) < v(i + 1) and high < v(i + 1):
+                        yield CoverEdge(v, v.times(i), i)
+                    high = max(high, v(i))
+
+        monkeypatch.setattr(fcperm.checks, "fc_covers", loose_covers)
+        assert run(capsys, "verify", "7", check) == (1, summary + "\n", "")
 
 
 class TestDot:

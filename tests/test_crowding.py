@@ -276,13 +276,6 @@ class TestAnalyzeTransition:
             assert classify(report.w).crowded
         assert seen >= 1
 
-    def test_json_round_trip(self):
-        import json
-
-        report = analyze_transition(P("41623785"), 5)
-        parsed = json.loads(json.dumps(report.to_json_dict()))
-        assert parsed == report.to_json_dict()
-
 
 class TestMinimalCrowdedDirect:
     def test_golden_positive(self):

@@ -41,10 +41,10 @@ class TestBuildHeap:
         assert heap.size == 11
         # both letters 2 sit on a chain; the letter 8 is unrelated to either
         first_two, second_two = heap.elements_with_label(2)
-        assert heap.comparable(first_two, second_two)
+        assert heap.less(first_two, second_two)
         (eight,) = heap.elements_with_label(8)
-        assert not heap.comparable(eight, first_two)
-        assert not heap.comparable(eight, second_two)
+        for two in (first_two, second_two):
+            assert not heap.less(eight, two) and not heap.less(two, eight)
         assert all(
             abs(heap.label(x) - heap.label(y)) == 1 for x, y in heap.covers
         )

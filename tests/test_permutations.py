@@ -153,12 +153,6 @@ class TestDescentsSupport:
 
 
 class TestPlumbing:
-    def test_embed(self):
-        w = Permutation((2, 1))
-        assert w.embed(4).image == (2, 1, 3, 4)
-        with pytest.raises(ValueError):
-            w.embed(1)
-
     @given(perms_strategy)
     def test_inverse_involution_random(self, w):
         assert w.inverse().inverse() == w

@@ -1,13 +1,30 @@
 """The README's library tour runs as written, so a documented name cannot
-disappear from the package unnoticed."""
+disappear from the package unnoticed, and it uses every name it imports."""
 
+import ast
 import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_library_tour_runs():
+def _tour() -> str:
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
     assert blocks, "README.md has no python block"
-    exec(compile(blocks[0], "README.md", "exec"), {})
+    return blocks[0]
+
+
+def test_library_tour_runs():
+    exec(compile(_tour(), "README.md", "exec"), {})
+
+
+def test_library_tour_uses_every_name_it_imports():
+    tree = ast.parse(_tour())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
