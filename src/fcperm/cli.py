@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 
 from .checks import CHECKS, run_check
 from .crowding import Classification, MinimalityReport, classify, is_minimal_crowded_direct
@@ -24,6 +25,7 @@ from .weak_order import (
     DEFAULT_MINIMAL_CROWDED_BOUND,
     DEFAULT_POSET_BOUND,
     build_fc_poset,
+    crowding_census,
     fc_crowding,
     fc_elements,
     minimal_crowded,
@@ -32,8 +34,8 @@ from .weak_order import (
 )
 from .words import (
     DEFAULT_WORD_BOUND,
-    all_reduced_words,
     count_reduced_words,
+    iter_reduced_words,
     require_length_within,
     word_from_text,
     word_to_text,
@@ -160,8 +162,9 @@ def _fc_crowded(wanted: bool):
 # filter -> (n, bound) -> the matching permutations of S_n, lexicographically.
 # Library functions are looked up by name on each call, so that a patched
 # one takes effect; "fc", "boolean", "uncrowded" and "crowded" draw on
-# fc_elements or on its verdict walk fc_crowding, while "minimal-crowded"
-# builds its elements without visiting the rest of S_n.
+# fc_elements or on its verdict walk fc_crowding (though --count on the
+# last two reads crowding_census), while "minimal-crowded" builds its
+# elements without visiting the rest of S_n.
 _MATCHES = {
     "all": _all_within,
     "fc": lambda n, bound: fc_elements(n, bound=bound),
@@ -180,6 +183,11 @@ def _cmd_enumerate(args) -> int:
     bound = args.bound
     if bound is None:
         bound = _DEFAULT_BOUNDS.get(args.filter, DEFAULT_POSET_BOUND)
+    if args.count and args.filter in ("uncrowded", "crowded"):
+        # crowdedness reads the second row alone, so count by second row
+        uncrowded, crowded = crowding_census(args.n, bound=bound)
+        print(crowded if args.filter == "crowded" else uncrowded)
+        return 0
     matches = _MATCHES[args.filter](args.n, bound)
     if args.count:
         print(sum(1 for _ in matches))
@@ -262,13 +270,13 @@ def _cmd_core(args) -> int:
 
 def _cmd_words(args) -> int:
     w = Permutation.from_text(args.permutation)
+    # the listing grows with the number of words and the count's memo with
+    # the weak-order interval below w, so both keep the length guard
+    require_length_within(w, args.bound)
     if args.count:
-        # the count's memo spans the weak-order interval below w, so counting
-        # can explode too and keeps the listing's length guard
-        require_length_within(w, args.bound)
         print(count_reduced_words(w))
         return 0
-    for word in sorted(all_reduced_words(w, bound=args.bound)):
+    for word in iter_reduced_words(w):  # lexicographic, one word alive at a time
         print(word_to_text(word))
     return 0
 
@@ -331,9 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first request and reused by the rest
+    of the process: building costs some thirty times what parsing does."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as exc:

@@ -10,6 +10,7 @@ picture of the whole reduced-word set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation
@@ -29,13 +30,27 @@ class Heap:
     """Labeled poset on the letter positions of a reduced word.
 
     ``below[k]`` holds every element strictly under element k+1, so order
-    queries are set lookups.  ``covers`` is the transitive reduction, stored
-    as sorted (lower, upper) pairs.
+    queries are set lookups.  ``covers`` is the transitive reduction, as
+    sorted (lower, upper) pairs, computed from the labels on first read.
     """
 
     labels: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]
     below: tuple[frozenset[int], ...]
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """x is covered by y exactly when x < y, |u_x - u_y| <= 1, and no
+        letter strictly between positions x and y is within 1 of both: any
+        longer chain from x to y would pass through such a letter.
+        """
+        letters = self.labels
+        return tuple(
+            (x, y)
+            for x, ux in enumerate(letters, start=1)
+            for y, uy in enumerate(letters[x:], start=x + 1)
+            if abs(ux - uy) <= 1
+            and not any(abs(uz - ux) <= 1 and abs(uz - uy) <= 1 for uz in letters[x : y - 1])
+        )
 
     @property
     def size(self) -> int:
@@ -64,18 +79,18 @@ class Heap:
 def build_heap(letters: tuple[int, ...] | list[int]) -> Heap:
     """Heap of a reduced word.  Raises ValueError on a non-reduced word.
 
-    Covers follow a local rule: x is covered by y exactly when x < y,
-    |u_x - u_y| <= 1, and no letter strictly between positions x and y is
-    within 1 of both.  Any longer chain from x to y would pass through
-    such a letter.
+    Only the order ``below`` is built here; ``covers`` waits for its first
+    reader.
 
     >>> h = build_heap((2, 1, 3))
+    >>> h.below
+    (frozenset(), frozenset({1}), frozenset({1}))
     >>> h.covers
     ((1, 2), (1, 3))
     """
     letters = tuple(letters)
     if not letters:
-        return Heap(labels=(), covers=(), below=())
+        return Heap(labels=(), below=())
     n = max(letters) + 1
     if not is_reduced(letters, n):
         raise ValueError(f"word {word_to_text(letters)} is not reduced")
@@ -88,14 +103,7 @@ def build_heap(letters: tuple[int, ...] | list[int]) -> Heap:
                 acc.add(x)
                 acc |= below[x - 1]
         below.append(frozenset(acc))
-    covers = [
-        (x, y)
-        for x, ux in enumerate(letters, start=1)
-        for y, uy in enumerate(letters[x:], start=x + 1)
-        if abs(ux - uy) <= 1
-        and not any(abs(uz - ux) <= 1 and abs(uz - uy) <= 1 for uz in letters[x : y - 1])
-    ]
-    return Heap(labels=letters, covers=tuple(covers), below=tuple(below))
+    return Heap(labels=letters, below=tuple(below))
 
 
 def heap_of(w: Permutation) -> Heap:
@@ -163,7 +171,7 @@ def count_linear_extensions(heap: Heap) -> int:
     2
     >>> count_linear_extensions(build_heap((1, 2, 1)))
     1
-    >>> count_linear_extensions(Heap((), (), ()))
+    >>> count_linear_extensions(Heap((), ()))
     1
     """
     needs = [sum(1 << (x - 1) for x in below) for below in heap.below]

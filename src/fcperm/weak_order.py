@@ -5,6 +5,9 @@ commutative permutations are exactly the 321-avoiding ones, and
 ``fc_elements`` generates them directly, in lexicographic order, by
 extending prefixes; ``fc_crowding`` walks the same prefixes carrying the
 two-row insertion along, so each element comes with its crowded verdict.
+``crowding_census`` counts the crowded and uncrowded elements
+without visiting any: crowdedness depends on the second row of the
+insertion tableau alone, so it sums over the possible second rows instead.
 ``fc_covers`` generates the subposet's covers by a local rule at each
 ascent, with no membership set and no 321 test, and ``build_fc_poset`` is
 the elements plus those covers.  The elements are downward closed under
@@ -23,6 +26,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 from typing import Iterator, NamedTuple
 
 from .crowding import classify, is_minimal_crowded_direct, is_uncrowded_set
@@ -217,6 +221,34 @@ def fc_crowding(
             free[v] = True
 
     return extend(0, 0, 1)
+
+
+def crowding_census(n: int, bound: int = DEFAULT_POSET_BOUND) -> tuple[int, int]:
+    """How many fully commutative elements of S_n are (uncrowded, crowded).
+
+    A 321-avoider's insertion tableau P has at most two rows, and a set S
+    of k values is the second row of a standard P exactly when it is a
+    ballot set: its i-th smallest member is at least 2i.  Through RSK, the
+    elements with a given P are one for each standard recording tableau of
+    the same shape (n-k, k), which number C(n, k) - C(n, k-1).  Crowdedness
+    reads the second row alone, so each ballot set is decided once and
+    weighted by that count, and no element is visited.  The degree and the
+    bound are checked as ``fc_crowding`` checks them.
+
+    >>> crowding_census(6)
+    (127, 5)
+    """
+    require_degree_within(n, bound)
+    weights = [comb(n, k) - comb(n, k - 1) if k else 1 for k in range(n // 2 + 1)]
+    counts = [0, 0]  # uncrowded, crowded
+    pending: list[tuple[int, ...]] = [()]
+    while pending:
+        second = pending.pop()
+        k = len(second)
+        counts[not is_uncrowded_set(second)] += weights[k]
+        low = max(second[-1] + 1 if second else 0, 2 * k + 2)
+        pending.extend(second + (m,) for m in range(low, n + 1))
+    return counts[0], counts[1]
 
 
 def fc_covers(n: int, bound: int = DEFAULT_POSET_BOUND) -> Iterator[CoverEdge]:

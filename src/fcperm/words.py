@@ -92,25 +92,32 @@ def canonical_reduced_word(w: Permutation) -> tuple[int, ...]:
 
 
 def iter_reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:
-    """Yield every reduced word of w exactly once.
+    """Yield every reduced word of w exactly once, in lexicographic order.
 
-    Peels descents recursively: each word arises as (word of w*s_d) + (d,).
+    Peels left descents, smallest first: each word is (d,) + (word of
+    s_d*w), where d is a left descent of w (d+1 stands left of d) and s_d*w
+    swaps the values d and d+1.  One word is alive at a time.
+
+    >>> list(iter_reduced_words(Permutation((3, 2, 1))))
+    [(1, 2, 1), (2, 1, 2)]
     """
-    image = list(w.image)
-    n = len(image)
-    tail: list[int] = []
+    n = w.n
+    pos = [0] * (n + 1)  # pos[v]: the position of the value v
+    for p, v in enumerate(w.image):
+        pos[v] = p
+    head: list[int] = []
 
     def peel() -> Iterator[tuple[int, ...]]:
-        descents = [d for d in range(1, n) if image[d - 1] > image[d]]
+        descents = [d for d in range(1, n) if pos[d] > pos[d + 1]]
         if not descents:
-            yield tuple(reversed(tail))
+            yield tuple(head)
             return
         for d in descents:
-            image[d - 1], image[d] = image[d], image[d - 1]
-            tail.append(d)
+            pos[d], pos[d + 1] = pos[d + 1], pos[d]
+            head.append(d)
             yield from peel()
-            tail.pop()
-            image[d - 1], image[d] = image[d], image[d - 1]
+            head.pop()
+            pos[d], pos[d + 1] = pos[d + 1], pos[d]
 
     yield from peel()
 
@@ -118,11 +125,11 @@ def iter_reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:
 def count_reduced_words(w: Permutation) -> int:
     """The number of reduced words of w, counted without listing any.
 
-    Peels descents as ``iter_reduced_words`` does, but memoized on the image:
-    one length level at a time, each image below w is stored once with the
-    number of ways to peel down to it from w.  The work follows the size of
-    the weak-order interval below w rather than the number of words, and
-    the memo lives for one call only.
+    Peels right descents (each word is (word of w*s_d) + (d,)), memoized on
+    the image: one length level at a time, each image below w is stored once
+    with the number of ways to peel down to it from w.  The work follows the
+    size of the weak-order interval below w rather than the number of words,
+    and the memo lives for one call only.
 
     >>> count_reduced_words(Permutation((6, 5, 4, 3, 2, 1)))
     292864

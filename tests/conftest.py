@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from fcperm import Permutation
 
@@ -168,3 +169,35 @@ def minimal_crowded_count(n: int) -> int:
         for k in range(2, n)
         if 2 * k + 2 <= n
     )
+
+
+def crowding_census_by_dp(n: int) -> tuple[int, int]:
+    """(uncrowded, crowded) fully commutative elements of S_n, by a dynamic
+    program over the possible second rows, with no window scan.
+
+    A second row m_1 < .. < m_k is a ballot set (m_i >= 2i), and it is
+    crowded exactly when some window of radius x holds x+2 consecutive
+    members m_i..m_j, j = i+x+1: m_j - m_i <= 2(j-i-1), that is, m_j - 2j
+    <= m_i - 2i - 2.  So one pass over the values 1..n carries, per prefix,
+    the number of members so far, the running maximum of m_i - 2i and
+    whether a member has fallen 2 below it.  Each row of k members is the
+    second row of C(n, k) - C(n, k-1) elements, one per recording tableau.
+    """
+    states = {(0, None, False): 1}  # (members, max of m_i - 2i, crowded) -> rows
+    for v in range(1, n + 1):
+        grown: dict = {}
+        for (k, high, crowded), rows in states.items():
+            moves = [(k, high, crowded)]  # v stays in row 1
+            drop = v - 2 * (k + 1)
+            if drop >= 0:  # v may be member k+1 of row 2
+                if high is None:
+                    moves.append((k + 1, drop, crowded))
+                else:
+                    moves.append((k + 1, max(high, drop), crowded or drop <= high - 2))
+            for state in moves:
+                grown[state] = grown.get(state, 0) + rows
+        states = grown
+    census = [0, 0]
+    for (k, _, crowded), rows in states.items():
+        census[crowded] += rows * (comb(n, k) - (comb(n, k - 1) if k else 0))
+    return census[0], census[1]

@@ -167,6 +167,26 @@ class TestEnumerate:
             )
             assert (code, out) == (0, f"{expected}\n"), which
 
+    def test_crowded_count_reaches_a_narrowed_witness(self, capsys, monkeypatch):
+        # the perfbench "witness-narrow" mutant: windows wider than x = 1 missed
+        original = fcperm.crowding.find_crowded_witness
+
+        def narrow(values):
+            witness = original(values)
+            return witness if witness is None or witness.x == 1 else None
+
+        monkeypatch.setattr(fcperm.crowding, "find_crowded_witness", narrow)
+        code, out, _ = run(capsys, "enumerate", "10", "--filter", "crowded", "--bound", "10", "--count")
+        assert (code, out) == (0, "3147\n")
+
+    @pytest.mark.parametrize("which", ["crowded", "uncrowded"])
+    @pytest.mark.parametrize("argv", [["-1"], ["0"], ["10"], ["12", "--bound", "11"]])
+    def test_count_refuses_as_the_listing_does(self, capsys, which, argv):
+        # counting reads second rows, listing walks the elements; the guards agree
+        listed = run(capsys, "enumerate", *argv, "--filter", which)
+        counted = run(capsys, "enumerate", *argv, "--filter", which, "--count")
+        assert counted == listed and listed[0] == 2 and listed[2].startswith("error: ")
+
     def test_boolean_count(self, capsys):
         code, out, _ = run(capsys, "enumerate", "4", "--filter", "boolean", "--count")
         # of the 14 fully commutative elements of S_4 only 3412 is not boolean
@@ -318,6 +338,39 @@ class TestOtherCommands:
         assert code == 0 and out.strip() == "292864"
 
 
+def _answer(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    REQUESTS = (
+        ["enumerate", "x"],  # a usage error, raised inside argparse
+        ["analyze", "41627385", "--json"],
+        ["verify", "6", "cor-5.5", "--json"],
+        ["enumerate", "7", "--filter", "crowded", "--compact"],
+        ["enumerate", "7", "--filter", "crowded", "--count"],
+        ["enumerate", "0", "--filter", "uncrowded", "--count"],
+    )
+
+    def test_one_parser_answers_as_fresh_ones_do(self, monkeypatch):
+        fresh = []
+        for argv in self.REQUESTS:
+            fcperm.cli._parser.cache_clear()
+            fresh.append(_answer(argv))
+        assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0, 2]
+        build, builds = fcperm.cli.build_parser, []
+        monkeypatch.setattr(fcperm.cli, "build_parser", lambda: builds.append(1) or build())
+        fcperm.cli._parser.cache_clear()
+        assert [_answer(argv) for argv in self.REQUESTS] == fresh
+        assert builds == [1]
+
+
 class TestInternalErrors:
     @pytest.mark.parametrize(
         "namespace, target, argv, error",
@@ -382,12 +435,7 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(_COMMANDS, _PERMUTATION_TEXT)
     def test_exit_code_is_zero_or_two(self, command, text):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main([*command, text])
-            except SystemExit as exc:  # argparse usage errors
-                code = exc.code
-        assert code in (0, 2), (command, text, code, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-        assert (code == 0) == (err.getvalue() == "")
+        code, _, err = _answer([*command, text])
+        assert code in (0, 2), (command, text, code, err)
+        assert "Traceback" not in err
+        assert (code == 0) == (err == "")

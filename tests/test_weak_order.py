@@ -1,5 +1,6 @@
 import json
 from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from fcperm import (
     all_permutations,
     build_fc_poset,
     classify,
+    crowding_census,
     fc_covers,
     fc_crowding,
     fc_elements,
@@ -23,7 +25,12 @@ from fcperm import (
     uncrowded_frontier,
 )
 
-from conftest import brute_avoids_321, minimal_crowded_count, wide_scan_is_uncrowded
+from conftest import (
+    brute_avoids_321,
+    crowding_census_by_dp,
+    minimal_crowded_count,
+    wide_scan_is_uncrowded,
+)
 
 
 P = Permutation.from_text
@@ -180,7 +187,7 @@ class TestFcElements:
         assert len(fc_elements(11, bound=11)) == 58786
 
     def test_bound_guard(self):
-        for enumerate_ in (fc_elements, fc_crowding):
+        for enumerate_ in (fc_elements, fc_crowding, crowding_census):
             with pytest.raises(BoundExceeded, match="degree 10 exceeds bound 9"):
                 enumerate_(10)
         with pytest.raises(BoundExceeded, match="degree 25 exceeds bound 24"):
@@ -193,6 +200,7 @@ class TestFcElements:
         for enumerate_ in (
             fc_elements,
             fc_crowding,
+            crowding_census,
             uncrowded_frontier,
             build_fc_poset,
             minimal_crowded,
@@ -208,6 +216,25 @@ class TestFcCrowding:
         pairs = [(w.image, crowded) for w, crowded in fc_crowding(n, bound=10)]
         expected = [(w.image, classify(w).crowded) for w in fc_elements(n, bound=10)]
         assert pairs == expected
+
+
+class TestCrowdingCensus:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_the_dynamic_program(self, n):
+        assert crowding_census(n, bound=16) == crowding_census_by_dp(n)
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_matches_the_walk(self, n):
+        crowded = [crowded for _, crowded in fc_crowding(n, bound=11)]
+        assert crowding_census(n, bound=11) == (crowded.count(False), crowded.count(True))
+
+    def test_halves_add_up_to_catalan(self):
+        for n in range(1, 21):
+            assert sum(crowding_census(n, bound=20)) == comb(2 * n, n) // (n + 1), n
+
+    def test_pinned_counts(self):
+        assert crowding_census(12, bound=12) == (141_671, 66_341)
+        assert crowding_census(16, bound=16) == (17_346_838, 18_010_832)
 
 
 def _frontier_from_poset_edges(n):

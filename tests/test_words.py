@@ -99,6 +99,11 @@ class TestEnumeration:
         for w in all_permutations(5):
             assert len(all_reduced_words(w)) == oracle_count_reduced_words(w)
 
+    def test_words_stream_in_lexicographic_order(self):
+        for w in all_permutations(5):
+            words = list(iter_reduced_words(w))
+            assert words == sorted(all_reduced_words(w)), w
+
     def test_every_word_is_reduced_and_evaluates_back(self):
         for w in all_permutations(4):
             for word in iter_reduced_words(w):
