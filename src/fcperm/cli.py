@@ -16,17 +16,22 @@ from dataclasses import asdict, dataclass
 from functools import cache
 
 from .checks import CHECKS, run_check
-from .crowding import Classification, MinimalityReport, classify, is_minimal_crowded_direct
+from .crowding import (
+    Classification,
+    MinimalityReport,
+    classify,
+    is_minimal_crowded_direct,
+    is_uncrowded_set,
+)
 from .heaps import boolean_core, build_heap, heap_of
 from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations
-from .rsk import RskResult, rsk
+from .rsk import RskResult, row2, rsk
 from .weak_order import (
     DEFAULT_MINIMAL_CROWDED_BOUND,
     DEFAULT_POSET_BOUND,
     build_fc_poset,
     crowding_census,
-    fc_crowding,
     fc_elements,
     minimal_crowded,
     poset_to_dot,
@@ -152,25 +157,18 @@ def _fc_where(keep):
     return matches
 
 
-def _fc_crowded(wanted: bool):
-    def matches(n: int, bound: int):
-        return (w for w, crowded in fc_crowding(n, bound=bound) if crowded == wanted)
-
-    return matches
-
-
 # filter -> (n, bound) -> the matching permutations of S_n, lexicographically.
 # Library functions are looked up by name on each call, so that a patched
 # one takes effect; "fc", "boolean", "uncrowded" and "crowded" draw on
-# fc_elements or on its verdict walk fc_crowding (though --count on the
-# last two reads crowding_census), while "minimal-crowded" builds its
-# elements without visiting the rest of S_n.
+# fc_elements, the last two deciding each element by its row2 (though
+# --count on them reads crowding_census), while "minimal-crowded" builds
+# its elements without visiting the rest of S_n.
 _MATCHES = {
     "all": _all_within,
     "fc": lambda n, bound: fc_elements(n, bound=bound),
     "boolean": _fc_where(lambda w: is_boolean(w)),
-    "uncrowded": _fc_crowded(False),
-    "crowded": _fc_crowded(True),
+    "uncrowded": _fc_where(lambda w: is_uncrowded_set(row2(w))),
+    "crowded": _fc_where(lambda w: not is_uncrowded_set(row2(w))),
     "minimal-crowded": lambda n, bound: minimal_crowded(n, bound=bound),
 }
 FILTERS = tuple(_MATCHES)

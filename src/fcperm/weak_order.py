@@ -3,11 +3,10 @@
 Covers go up by one right multiplication at an ascent.  The fully
 commutative permutations are exactly the 321-avoiding ones, and
 ``fc_elements`` generates them directly, in lexicographic order, by
-extending prefixes; ``fc_crowding`` walks the same prefixes carrying the
-two-row insertion along, so each element comes with its crowded verdict.
-``crowding_census`` counts the crowded and uncrowded elements
-without visiting any: crowdedness depends on the second row of the
-insertion tableau alone, so it sums over the possible second rows instead.
+extending prefixes.  Crowdedness depends on the second row of the insertion
+tableau alone: ``uncrowded_frontier`` decides each element by its ``row2``,
+and ``crowding_census`` counts the crowded and uncrowded elements without
+visiting any, summing over the possible second rows instead.
 ``fc_covers`` generates the subposet's covers by a local rule at each
 ascent, with no membership set and no 321 test, and ``build_fc_poset`` is
 the elements plus those covers.  The elements are downward closed under
@@ -22,7 +21,6 @@ all.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -31,6 +29,7 @@ from typing import Iterator, NamedTuple
 
 from .crowding import classify, is_minimal_crowded_direct, is_uncrowded_set
 from .permutations import Permutation
+from .rsk import row2
 from .words import BoundExceeded, require_length_within
 
 DEFAULT_POSET_BOUND = 9
@@ -163,66 +162,6 @@ def fc_elements(n: int, bound: int = DEFAULT_POSET_BOUND) -> list[Permutation]:
     return out
 
 
-def fc_crowding(
-    n: int, bound: int = DEFAULT_POSET_BOUND
-) -> Iterator[tuple[Permutation, bool]]:
-    """``fc_elements(n)``, each paired with whether it is crowded, streamed.
-
-    The walk extends prefixes exactly as ``fc_elements`` does and inserts
-    each new entry into the two rows of the prefix's insertion tableau, so
-    no element is tested for 321 or re-inserted.  A 321-avoider's tableau
-    has at most two rows.  A new maximum appends to row 1; the least free
-    value either appends to row 1 or bumps the least larger entry there,
-    and the bumped entry is appended to row 2 (inserting it anywhere else
-    would start a third row).  Each change is undone on the way back.
-    The degree and the bound are checked at the call, not at the first step.
-
-    >>> [w.to_text(compact=True) for w, crowded in fc_crowding(6) if crowded][:3]
-    ['415263', '415623', '451263']
-    """
-    require_degree_within(n, bound)
-    prefix = [0] * n
-    free = [True] * (n + 2)  # free[n + 1] stops the scan for the least free value
-    first: list[int] = []  # row 1 of the prefix's insertion tableau
-    second: list[int] = []  # row 2
-
-    def extend(k: int, high: int, least: int) -> Iterator[tuple[Permutation, bool]]:
-        if k == n:
-            yield Permutation._trusted(tuple(prefix)), not is_uncrowded_set(second)
-            return
-        if least < high:
-            prefix[k] = least
-            free[least] = False
-            following = least + 1
-            while not free[following]:
-                following += 1
-            col = bisect_right(first, least)
-            if col == len(first):
-                first.append(least)
-                yield from extend(k + 1, high, following)
-                first.pop()
-            else:
-                bumped = first[col]
-                first[col] = least
-                second.append(bumped)
-                yield from extend(k + 1, high, following)
-                second.pop()
-                first[col] = bumped
-            free[least] = True
-        for v in range(high + 1, n + 1):
-            prefix[k] = v
-            free[v] = False
-            first.append(v)
-            following = least
-            while not free[following]:
-                following += 1
-            yield from extend(k + 1, v, following)
-            first.pop()
-            free[v] = True
-
-    return extend(0, 0, 1)
-
-
 def crowding_census(n: int, bound: int = DEFAULT_POSET_BOUND) -> tuple[int, int]:
     """How many fully commutative elements of S_n are (uncrowded, crowded).
 
@@ -233,7 +172,7 @@ def crowding_census(n: int, bound: int = DEFAULT_POSET_BOUND) -> tuple[int, int]
     the same shape (n-k, k), which number C(n, k) - C(n, k-1).  Crowdedness
     reads the second row alone, so each ballot set is decided once and
     weighted by that count, and no element is visited.  The degree and the
-    bound are checked as ``fc_crowding`` checks them.
+    bound are checked as ``fc_elements`` checks them.
 
     >>> crowding_census(6)
     (127, 5)
@@ -295,17 +234,17 @@ def uncrowded_frontier(
     >>> uncrowded_frontier(5)[1]
     ()
     """
-    # images only, in lexicographic order: one Permutation is alive at a time
-    crowded = {w.image: verdict for w, verdict in fc_crowding(n, bound=bound)}
+    elements = fc_elements(n, bound=bound)
+    crowded = {w.image: not is_uncrowded_set(row2(w)) for w in elements}
 
     def swapped(image: tuple[int, ...], i: int) -> tuple[int, ...]:
         return image[: i - 1] + (image[i], image[i - 1]) + image[i + 1 :]
 
     maximal_uncrowded = []
     minimal_crowded = []
-    for image, verdict in crowded.items():
-        w = Permutation._trusted(image)
-        if verdict:
+    for w in elements:
+        image = w.image
+        if crowded[image]:
             if not any(crowded[swapped(image, d)] for d in w.descents()):
                 minimal_crowded.append(w)
         elif all(crowded.get(swapped(image, i), True) for i in w.ascents()):

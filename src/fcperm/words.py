@@ -96,7 +96,8 @@ def iter_reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:
 
     Peels left descents, smallest first: each word is (d,) + (word of
     s_d*w), where d is a left descent of w (d+1 stands left of d) and s_d*w
-    swaps the values d and d+1.  One word is alive at a time.
+    swaps the values d and d+1.  The peel keeps its own stack, so a long w
+    does not run into Python's recursion limit.  One word is alive at a time.
 
     >>> list(iter_reduced_words(Permutation((3, 2, 1))))
     [(1, 2, 1), (2, 1, 2)]
@@ -105,21 +106,30 @@ def iter_reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:
     pos = [0] * (n + 1)  # pos[v]: the position of the value v
     for p, v in enumerate(w.image):
         pos[v] = p
-    head: list[int] = []
 
-    def peel() -> Iterator[tuple[int, ...]]:
-        descents = [d for d in range(1, n) if pos[d] > pos[d + 1]]
-        if not descents:
-            yield tuple(head)
-            return
-        for d in descents:
+    def left_descents() -> list[int]:
+        # largest first, so that pop() takes the smallest
+        return [d for d in range(n - 1, 0, -1) if pos[d] > pos[d + 1]]
+
+    head: list[int] = []
+    # pending[k]: the left descents still to peel after head[:k]; a head
+    # with none to peel is a whole word
+    pending = [left_descents()]
+    if not pending[0]:
+        yield ()
+    while pending:
+        if pending[-1]:
+            d = pending[-1].pop()
             pos[d], pos[d + 1] = pos[d + 1], pos[d]
             head.append(d)
-            yield from peel()
-            head.pop()
-            pos[d], pos[d + 1] = pos[d + 1], pos[d]
-
-    yield from peel()
+            pending.append(left_descents())
+            if not pending[-1]:
+                yield tuple(head)
+        else:
+            pending.pop()
+            if head:  # undo the letter that led here
+                d = head.pop()
+                pos[d], pos[d + 1] = pos[d + 1], pos[d]
 
 
 def count_reduced_words(w: Permutation) -> int:

@@ -13,6 +13,7 @@ import fcperm.cli
 from fcperm import CoverEdge, Permutation, classify, fc_elements, rsk
 from fcperm.cli import FILTERS, main
 from fcperm.crowding import InvariantViolation
+from fcperm.words import evaluate_word, word_from_text
 
 from conftest import brute_avoids_321, brute_has_pattern, wide_scan_is_uncrowded
 
@@ -166,6 +167,17 @@ class TestEnumerate:
                 capsys, "enumerate", "10", "--filter", which, "--bound", "10", "--count"
             )
             assert (code, out) == (0, f"{expected}\n"), which
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_crowded_listings_match_classify(self, capsys, n):
+        elements = fc_elements(n, bound=10)
+        crowded = [w.to_text(compact=True) for w in elements if classify(w).crowded]
+        uncrowded = [w.to_text(compact=True) for w in elements if not classify(w).crowded]
+        for which, expected in (("crowded", crowded), ("uncrowded", uncrowded)):
+            code, out, err = run(
+                capsys, "enumerate", str(n), "--filter", which, "--bound", "10", "--compact"
+            )
+            assert (code, out.split(), err) == (0, expected, ""), which
 
     def test_crowded_count_reaches_a_narrowed_witness(self, capsys, monkeypatch):
         # the perfbench "witness-narrow" mutant: windows wider than x = 1 missed
@@ -337,6 +349,18 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "words", "654321", "--bound", "15", "--count")
         assert code == 0 and out.strip() == "292864"
 
+    def test_words_deeper_than_the_recursion_limit(self, capsys):
+        # 1101 stands before 1..1100: one reduced word, 1100 letters long
+        text = ",".join(map(str, [1101, *range(1, 1101)]))
+        w = Permutation.from_text(text)
+        code, out, err = run(capsys, "words", text, "--bound", "2000")
+        assert (code, err) == (0, "")
+        (line,) = out.splitlines()
+        word = word_from_text(line)
+        assert len(word) == 1100 and evaluate_word(word, 1101) == w
+        code, out, err = run(capsys, "words", text, "--bound", "2000", "--count")
+        assert (code, out, err) == (0, "1\n", "")
+
 
 def _answer(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -431,11 +455,47 @@ _COMMANDS = st.sampled_from(
 )
 
 
+# degrees and bounds stay at most 7, so that every draw finishes fast: a
+# degree above the bound is refused before anything is enumerated
+_DEGREE_TEXT = st.one_of(
+    st.integers(-2, 7).map(str),
+    st.sampled_from(["", " ", "x", "1.5", "7x", "0x7", "+3", " 4 ", "--", "\u0663", "--json"]),
+)
+_BOUND = st.none() | st.integers(-2, 7).map(str)
+
+
+def _with_bound(argv, bound):
+    return argv if bound is None else [*argv, "--bound", bound]
+
+
+def _assert_clean_answer(argv):
+    code, _, err = _answer(argv)
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err
+    assert (code == 0) == (err == "")
+
+
 class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(_COMMANDS, _PERMUTATION_TEXT)
     def test_exit_code_is_zero_or_two(self, command, text):
-        code, _, err = _answer([*command, text])
-        assert code in (0, 2), (command, text, code, err)
-        assert "Traceback" not in err
-        assert (code == 0) == (err == "")
+        _assert_clean_answer([*command, text])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _DEGREE_TEXT,
+        st.none() | st.sampled_from(FILTERS),
+        st.sampled_from([[], ["--count"], ["--compact"], ["--count", "--compact"]]),
+        _BOUND,
+    )
+    def test_enumerate_exit_code_is_zero_or_two(self, degree, which, flags, bound):
+        argv = ["enumerate", degree, *flags]
+        if which is not None:
+            argv += ["--filter", which]
+        _assert_clean_answer(_with_bound(argv, bound))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.none() | _DEGREE_TEXT, st.booleans(), _BOUND)
+    def test_dot_poset_exit_code_is_zero_or_two(self, degree, as_json, bound):
+        argv = ["dot", "poset"] + ([] if degree is None else [degree])
+        _assert_clean_answer(_with_bound(argv + ["--json"] * as_json, bound))

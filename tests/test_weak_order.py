@@ -1,5 +1,5 @@
 import json
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -12,10 +12,11 @@ from fcperm import (
     classify,
     crowding_census,
     fc_covers,
-    fc_crowding,
     fc_elements,
+    is_boolean,
     is_fully_commutative,
     is_minimal_crowded_direct,
+    is_uncrowded_set,
     knuth_neighbors,
     minimal_crowded,
     poset_to_dot,
@@ -187,7 +188,7 @@ class TestFcElements:
         assert len(fc_elements(11, bound=11)) == 58786
 
     def test_bound_guard(self):
-        for enumerate_ in (fc_elements, fc_crowding, crowding_census):
+        for enumerate_ in (fc_elements, crowding_census):
             with pytest.raises(BoundExceeded, match="degree 10 exceeds bound 9"):
                 enumerate_(10)
         with pytest.raises(BoundExceeded, match="degree 25 exceeds bound 24"):
@@ -199,7 +200,6 @@ class TestFcElements:
     def test_degree_below_one(self, n):
         for enumerate_ in (
             fc_elements,
-            fc_crowding,
             crowding_census,
             uncrowded_frontier,
             build_fc_poset,
@@ -209,15 +209,6 @@ class TestFcElements:
                 enumerate_(n)
 
 
-class TestFcCrowding:
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_verdicts_match_classify(self, n):
-        # the walk lists fc_elements in its order, each with classify's verdict
-        pairs = [(w.image, crowded) for w, crowded in fc_crowding(n, bound=10)]
-        expected = [(w.image, classify(w).crowded) for w in fc_elements(n, bound=10)]
-        assert pairs == expected
-
-
 class TestCrowdingCensus:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_matches_the_dynamic_program(self, n):
@@ -225,8 +216,23 @@ class TestCrowdingCensus:
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_matches_the_walk(self, n):
-        crowded = [crowded for _, crowded in fc_crowding(n, bound=11)]
+        crowded = [classify(w).crowded for w in fc_elements(n, bound=11)]
         assert crowding_census(n, bound=11) == (crowded.count(False), crowded.count(True))
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_uncrowded_ballot_sets_count_the_boolean_tableaux(self, n):
+        # prop-2.14: the boolean insertion tableaux are the uncrowded two-row
+        # ones, and a two-row standard P is fixed by its second row, a
+        # ballot set (its i-th smallest member is at least 2i)
+        ballot_sets = [
+            members
+            for k in range(n // 2 + 1)
+            for members in combinations(range(1, n + 1), k)
+            if all(m >= 2 * i for i, m in enumerate(members, start=1))
+        ]
+        uncrowded = sum(1 for members in ballot_sets if is_uncrowded_set(members))
+        boolean = {rsk(w).p for w in fc_elements(n, bound=11) if is_boolean(w)}
+        assert uncrowded == len(boolean)
 
     def test_halves_add_up_to_catalan(self):
         for n in range(1, 21):
