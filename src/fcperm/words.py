@@ -12,7 +12,7 @@ counts the set without listing it.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .permutations import Permutation
 
@@ -94,42 +94,74 @@ def canonical_reduced_word(w: Permutation) -> tuple[int, ...]:
 def iter_reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:
     """Yield every reduced word of w exactly once, in lexicographic order.
 
-    Peels left descents, smallest first: each word is (d,) + (word of
-    s_d*w), where d is a left descent of w (d+1 stands left of d) and s_d*w
-    swaps the values d and d+1.  The peel keeps its own stack, so a long w
-    does not run into Python's recursion limit.  One word is alive at a time.
+    Peels left descents: each word is (d,) + (word of s_d*w), where d is a
+    left descent of w (d+1 stands left of d) and s_d*w swaps the values d
+    and d+1.  The left descents of each head are kept as a bitmask (bit d
+    for descent d), and the peel takes its lowest set bit first.  Since
+    every word of s_d*w follows d, the words starting with a smaller letter
+    all come first, and the same holds one letter deeper, so the words
+    come out in lexicographic order.
+
+    Peeling d moves only the values d and d+1, so only the descents that
+    compare one of them with a neighbour can change: d-1, d and d+1.  Bit
+    d clears (d now stands left of d+1), and bits d-1 and d+1 are
+    recomputed from three positions; the other bits are the parent's.  A
+    head whose last peel leaves no descent is yielded as it is, without
+    moving a value or growing the stack.  The peel keeps its own stack, so
+    a long w does not run into Python's recursion limit.  One word is
+    alive at a time.
 
     >>> list(iter_reduced_words(Permutation((3, 2, 1))))
     [(1, 2, 1), (2, 1, 2)]
     """
     n = w.n
-    pos = [0] * (n + 1)  # pos[v]: the position of the value v
+    # pos[v]: the position of the value v, with pos[0] = -1 and pos[n+1] = n
+    # standing in for descents 0 and n, which never hold
+    pos = [-1] * (n + 2)
     for p, v in enumerate(w.image):
         pos[v] = p
-
-    def left_descents() -> list[int]:
-        # largest first, so that pop() takes the smallest
-        return [d for d in range(n - 1, 0, -1) if pos[d] > pos[d + 1]]
-
-    head: list[int] = []
-    # pending[k]: the left descents still to peel after head[:k]; a head
-    # with none to peel is a whole word
-    pending = [left_descents()]
-    if not pending[0]:
+    pos[n + 1] = n
+    descents = 0
+    for d in range(1, n):
+        if pos[d] > pos[d + 1]:
+            descents |= 1 << d
+    if not descents:
         yield ()
+        return
+    head: list[int] = []
+    # level k is the head head[:k]: its left descents, and those of them
+    # still to peel
+    masks = [descents]
+    pending = [descents]
     while pending:
-        if pending[-1]:
-            d = pending[-1].pop()
-            pos[d], pos[d + 1] = pos[d + 1], pos[d]
-            head.append(d)
-            pending.append(left_descents())
-            if not pending[-1]:
-                yield tuple(head)
-        else:
+        rest = pending[-1]
+        if not rest:
             pending.pop()
+            masks.pop()
             if head:  # undo the letter that led here
                 d = head.pop()
                 pos[d], pos[d + 1] = pos[d + 1], pos[d]
+            continue
+        bit = rest & -rest
+        pending[-1] = rest ^ bit
+        d = bit.bit_length() - 1
+        at_d, at_next = pos[d], pos[d + 1]  # at_next < at_d: a descent
+        # the descents once the values d and d+1 trade places: bit d clears,
+        # bit d-1 compares d-1 with d, now at at_next, and bit d+1 compares
+        # d+1, now at at_d, with d+2
+        mask = masks[-1] & ~(7 * bit >> 1)
+        if pos[d - 1] > at_next:
+            mask |= bit >> 1
+        if at_d > pos[d + 2]:
+            mask |= bit << 1
+        head.append(d)
+        if mask:
+            pos[d], pos[d + 1] = at_next, at_d
+            masks.append(mask)
+            pending.append(mask)
+        else:
+            yield tuple(head)
+            head.pop()
 
 
 def count_reduced_words(w: Permutation) -> int:
@@ -209,16 +241,21 @@ def commutation_class(word: Sequence[int]) -> set[tuple[int, ...]]:
     return seen
 
 
-def word_to_text(letters: Iterable[int]) -> str:
+_DIGIT_TEXT = {i: str(i) for i in range(10)}
+
+
+def word_to_text(letters: Sequence[int]) -> str:
     """Digits run together when every letter is a single digit, else commas.
 
     >>> word_to_text((4, 2, 3, 2, 4, 1))
     '423241'
+    >>> word_to_text((10, 2))
+    '10,2'
     """
-    letters = tuple(letters)
-    if letters and max(letters) <= 9:
-        return "".join(str(i) for i in letters)
-    return ",".join(str(i) for i in letters)
+    try:
+        return "".join(map(_DIGIT_TEXT.__getitem__, letters))
+    except KeyError:  # a letter past 9
+        return ",".join(map(str, letters))
 
 
 def word_from_text(text: str) -> tuple[int, ...]:

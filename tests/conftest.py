@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from fcperm import Permutation
+from fcperm import Permutation, canonical_reduced_word
 
 
 def brute_has_pattern(host: tuple[int, ...], pattern: tuple[int, ...]) -> bool:
@@ -125,6 +125,34 @@ def bfs_reduced_word(w: Permutation) -> tuple[int, ...]:
                     return tuple(reversed(word))
                 queue.append(nxt)
     raise AssertionError("unreachable")
+
+
+def braid_closure_words(w: Permutation) -> set[tuple[int, ...]]:
+    """Every reduced word of w, as the closure of one of them under
+    commutation moves (ij = ji, |i - j| > 1) and braid moves (i j i =
+    j i j, |i - j| = 1).
+
+    By Matsumoto-Tits, these moves connect all the reduced words of w.
+    Only the starting word comes from peeling descents; the closure peels
+    none, so it checks a listing by peeling independently.
+    """
+    start = canonical_reduced_word(w)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        word = frontier.pop()
+        moved = []
+        for k in range(len(word) - 1):
+            a, b = word[k], word[k + 1]
+            if abs(a - b) > 1:
+                moved.append(word[:k] + (b, a) + word[k + 2 :])
+            elif k + 2 < len(word) and abs(a - b) == 1 and word[k + 2] == a:
+                moved.append(word[:k] + (b, a, b) + word[k + 3 :])
+        for other in moved:
+            if other not in seen:
+                seen.add(other)
+                frontier.append(other)
+    return seen
 
 
 def count_reduced_words(w: Permutation) -> int:

@@ -361,6 +361,55 @@ class TestOtherCommands:
         code, out, err = run(capsys, "words", text, "--bound", "2000", "--count")
         assert (code, out, err) == (0, "1\n", "")
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # n = 12, but every letter lies in the support {8, 9}: digits
+            ("1,2,3,4,5,6,7,10,9,8,11,12", "898\n989\n"),
+            # a letter past 9: commas
+            ("1,2,3,4,5,6,7,8,11,10,9,12", "9,10,9\n10,9,10\n"),
+            # the identity has one reduced word, the empty one
+            ("123", "\n"),
+            ("1", "\n"),
+        ],
+        ids=["digits-at-n12", "commas", "identity-s3", "identity-s1"],
+    )
+    def test_words_text_form(self, capsys, text, expected):
+        assert run(capsys, "words", text) == (0, expected, "")
+
+    def test_words_listing_reads_the_module_global(self, capsys, monkeypatch):
+        # the words-drop-last benchmark mutant patches iter_reduced_words in
+        # fcperm.cli; the listing must go through that name
+        _, full, _ = run(capsys, "words", "4321")
+        original = fcperm.cli.iter_reduced_words
+
+        def drop_last(w):
+            words = list(original(w))
+            yield from words[:-1] if len(words) > 1 else words
+
+        monkeypatch.setattr(fcperm.cli, "iter_reduced_words", drop_last)
+        code, out, err = run(capsys, "words", "4321")
+        lines = full.splitlines(keepends=True)
+        assert len(lines) == 16
+        assert (code, out, err) == (0, "".join(lines[:-1]), "")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["enumerate", "3", "--count"], "6\n"),
+            (["words", "321"], "121\n212\n"),
+            (["words", "321", "--count"], "2\n"),
+        ],
+        ids=["enumerate-count", "words", "words-count"],
+    )
+    def test_huge_bound_answers_at_once(self, capsys, argv, expected):
+        # a bound is only compared with, never counted up to
+        assert run(capsys, *argv, "--bound", str(10**18)) == (0, expected, "")
+
+    def test_huge_bound_draws_the_same_poset(self, capsys):
+        _, expected, _ = run(capsys, "dot", "poset", "3")
+        assert run(capsys, "dot", "poset", "3", "--bound", str(10**18)) == (0, expected, "")
+
 
 def _answer(argv):
     out, err = io.StringIO(), io.StringIO()

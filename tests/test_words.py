@@ -2,6 +2,8 @@ import random
 from itertools import product as words_of_length
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fcperm import (
     BoundExceeded,
@@ -22,6 +24,7 @@ from fcperm import (
 
 from fcperm.checks import _prop_2_2_verdicts, _prop_2_3_verdicts
 
+from conftest import braid_closure_words
 from conftest import count_reduced_words as oracle_count_reduced_words
 
 
@@ -100,9 +103,16 @@ class TestEnumeration:
             assert len(all_reduced_words(w)) == oracle_count_reduced_words(w)
 
     def test_words_stream_in_lexicographic_order(self):
-        for w in all_permutations(5):
-            words = list(iter_reduced_words(w))
-            assert words == sorted(all_reduced_words(w)), w
+        for n in range(1, 6):
+            for w in all_permutations(n):
+                assert list(iter_reduced_words(w)) == sorted(braid_closure_words(w)), w
+
+    def test_words_are_the_braid_closure_sorted_in_s6(self):
+        # the closure grows with the number of words; length 11 keeps the
+        # sweep to a few seconds (the longest element has 292,864 words)
+        for w in all_permutations(6):
+            if w.length() <= 11:
+                assert list(iter_reduced_words(w)) == sorted(braid_closure_words(w)), w
 
     def test_every_word_is_reduced_and_evaluates_back(self):
         for w in all_permutations(4):
@@ -202,6 +212,15 @@ class TestCommutationClasses:
             assert (_class_count(w) == 1) == is_fully_commutative(w)
 
 
+def _generator_word_to_text(letters):
+    """The earlier word_to_text: a max over the letters, then one str per
+    letter through a generator."""
+    letters = tuple(letters)
+    if letters and max(letters) <= 9:
+        return "".join(str(i) for i in letters)
+    return ",".join(str(i) for i in letters)
+
+
 class TestText:
     def test_compact_digits(self):
         assert word_to_text((4, 2, 3, 2, 4, 1)) == "423241"
@@ -211,6 +230,14 @@ class TestText:
         assert word_to_text((10, 2)) == "10,2"
         assert word_from_text("10,2") == (10, 2)
         assert word_from_text("") == ()
+
+    @given(st.lists(st.integers(min_value=0, max_value=10**4)).map(tuple))
+    @example(())
+    @example((0,))
+    @example((0, 9, 10))
+    @example((123, 4))
+    def test_matches_the_generator_form(self, letters):
+        assert word_to_text(letters) == _generator_word_to_text(letters)
 
     def test_bad_tokens(self):
         with pytest.raises(ValueError):
