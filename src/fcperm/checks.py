@@ -593,13 +593,12 @@ def _cor_5_9(n: int) -> Verdicts:
 
 
 def _thm_5_10(n: int) -> Verdicts:
-    """The five-condition test agrees with poset minimality."""
-    crowded = {w: classify(w).crowded for w in fc_elements(n)}
-    for w, verdict in crowded.items():
-        # every lower cover sorts a descent and is fully commutative
-        by_poset = verdict and not any(crowded[w.times(d)] for d in w.descents())
+    """The five-condition test agrees with poset minimality, as the walk in
+    ``uncrowded_frontier`` finds it."""
+    by_poset = set(uncrowded_frontier(n)[1])
+    for w in fc_elements(n):
         by_conditions = is_minimal_crowded_direct(w).minimal
-        yield None if by_poset == by_conditions else w.to_text()
+        yield None if (w in by_poset) == by_conditions else w.to_text()
 
 
 CHECKS: dict[str, tuple[int, Callable[[int], Verdicts]]] = {

@@ -4,13 +4,15 @@ One binary, subcommands for single-permutation analysis, S_n enumeration
 with filters, the named verification checks, and DOT/JSON emitters.  Exit
 codes: 0 on success or a passing check, 1 when a check finds a
 counterexample, 2 for usage or parse errors, 3 for an internal error (a
-broken deduction inside the library).
+broken deduction inside the library), 141 when the reader closes stdout
+early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from functools import cache
@@ -347,7 +349,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, as `| head` does; stdout now leads
+        # nowhere, so the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

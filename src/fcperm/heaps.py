@@ -121,40 +121,29 @@ def labeled_linear_extensions(
     """All words read off linear extensions of the heap.
 
     This set is the commutation class of the generating word; for a fully
-    commutative permutation it is the full reduced-word set.
+    commutative permutation it is the full reduced-word set.  Extensions
+    grow as ``count_linear_extensions`` grows order ideals: an element can
+    come next once its whole lower set is placed.
+
+    >>> sorted(labeled_linear_extensions(build_heap((2, 1, 3))))
+    [(2, 1, 3), (2, 3, 1)]
     """
     if heap.size > bound:
         raise BoundExceeded(
             f"heap size {heap.size} exceeds bound {bound}; raise the bound to enumerate"
         )
-    size = heap.size
-    pending = [0] * size
-    above: list[list[int]] = [[] for _ in range(size)]
-    for x, y in heap.covers:
-        above[x - 1].append(y)
-        pending[y - 1] += 1
-    ready = sorted(x for x in range(1, size + 1) if pending[x - 1] == 0)
+    needs = [sum(1 << (x - 1) for x in below) for below in heap.below]
+    whole = (1 << heap.size) - 1
     out: set[tuple[int, ...]] = set()
-    word: list[int] = []
-
-    def grow(ready: list[int]) -> None:
-        if len(word) == size:
-            out.add(tuple(word))
-            return
-        for idx, x in enumerate(ready):
-            rest = ready[:idx] + ready[idx + 1 :]
-            released = []
-            for y in above[x - 1]:
-                pending[y - 1] -= 1
-                if pending[y - 1] == 0:
-                    released.append(y)
-            word.append(heap.labels[x - 1])
-            grow(rest + released)
-            word.pop()
-            for y in above[x - 1]:
-                pending[y - 1] += 1
-
-    grow(ready)
+    pending: list[tuple[int, tuple[int, ...]]] = [(0, ())]  # (ideal, its word)
+    while pending:
+        ideal, word = pending.pop()
+        if ideal == whole:
+            out.add(word)
+            continue
+        for y, need in enumerate(needs):
+            if not ideal >> y & 1 and ideal & need == need:
+                pending.append((ideal | 1 << y, word + (heap.labels[y],)))
     return out
 
 

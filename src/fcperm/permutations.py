@@ -12,6 +12,23 @@ from dataclasses import dataclass
 from typing import Iterator
 
 
+def _numbers_from_text(text: str, kind: str) -> tuple[int, ...]:
+    """Read the comma-separated form, or one digit per number.  Blank text
+    is ``()``; a token that is not all digits is a bad ``kind`` token."""
+    text = text.strip()
+    if "," in text:
+        values = []
+        for token in text.split(","):
+            token = token.strip()
+            if not token.isdigit():
+                raise ValueError(f"bad {kind} token {token!r}")
+            values.append(int(token))
+        return tuple(values)
+    if text and not text.isdigit():
+        raise ValueError(f"bad {kind} token {text!r}")
+    return tuple(int(ch) for ch in text)
+
+
 @dataclass(frozen=True)
 class SupportStats:
     """Prefix/suffix extremes around a cut position.
@@ -80,20 +97,10 @@ class Permutation:
         >>> Permutation.from_text("4,1,6,2,7,3,8,5") == Permutation.from_text("41627385")
         True
         """
-        text = text.strip()
-        if not text:
+        values = _numbers_from_text(text, "permutation")
+        if not values:
             raise ValueError("empty permutation text")
-        if "," in text:
-            values = []
-            for token in text.split(","):
-                token = token.strip()
-                if not token.isdigit():
-                    raise ValueError(f"bad permutation token {token!r}")
-                values.append(int(token))
-            return cls(tuple(values))
-        if not text.isdigit():
-            raise ValueError(f"bad permutation token {text!r}")
-        return cls(tuple(int(ch) for ch in text))
+        return cls(values)
 
     def to_text(self, compact: bool = False) -> str:
         """Comma-separated by default; single digits when asked and n <= 9."""
@@ -171,12 +178,6 @@ class Permutation:
         image = self.image
         return frozenset(
             d for d in range(1, self.n) if image[d - 1] > image[d]
-        )
-
-    def ascents(self) -> frozenset[int]:
-        image = self.image
-        return frozenset(
-            d for d in range(1, self.n) if image[d - 1] < image[d]
         )
 
     def support(self) -> frozenset[int]:

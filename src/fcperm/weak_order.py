@@ -12,11 +12,11 @@ ascent, with no membership set and no 321 test, and ``build_fc_poset`` is
 the elements plus those covers.  The elements are downward closed under
 covers (sorting an adjacent descent removes an inversion pair and cannot
 create a decreasing triple), so every lower cover of a fully commutative
-permutation is again one; ``uncrowded_frontier`` relies on this to test
-covers by swapping adjacent entries, without materializing the poset's
-edges.  ``minimal_crowded`` builds the frontier's minimal crowded half
-block by block instead, from the paper's characterization, with no walk at
-all.
+permutation is again one; ``uncrowded_frontier`` relies on this to read
+each element's covers downward, by sorting its descents, without
+materializing the poset's edges.  ``minimal_crowded`` builds the
+frontier's minimal crowded half block by block instead, from the paper's
+characterization, with no walk at all.
 """
 
 from __future__ import annotations
@@ -227,29 +227,33 @@ def uncrowded_frontier(
 ) -> tuple[tuple[Permutation, ...], tuple[Permutation, ...]]:
     """Maximal uncrowded and minimal crowded elements of the subposet.
 
-    Covers are found by swapping adjacent entries of each image: a lower
-    cover sorts a descent and is always fully commutative, while an upper
-    cover missing from the verdicts is not fully commutative and is skipped.
+    Covers are read downward only: a lower cover sorts a descent and is
+    always fully commutative.  So an uncrowded element is maximal unless it
+    is a lower cover of an uncrowded element, and a crowded element is
+    minimal unless one of its lower covers is crowded.
 
     >>> uncrowded_frontier(5)[1]
     ()
     """
     elements = fc_elements(n, bound=bound)
     crowded = {w.image: not is_uncrowded_set(row2(w)) for w in elements}
-
-    def swapped(image: tuple[int, ...], i: int) -> tuple[int, ...]:
-        return image[: i - 1] + (image[i], image[i - 1]) + image[i + 1 :]
-
-    maximal_uncrowded = []
+    covered_by_uncrowded: set[tuple[int, ...]] = set()
     minimal_crowded = []
     for w in elements:
         image = w.image
-        if crowded[image]:
-            if not any(crowded[swapped(image, d)] for d in w.descents()):
-                minimal_crowded.append(w)
-        elif all(crowded.get(swapped(image, i), True) for i in w.ascents()):
-            maximal_uncrowded.append(w)
-    return tuple(maximal_uncrowded), tuple(minimal_crowded)
+        lower = [
+            image[: d - 1] + (image[d], image[d - 1]) + image[d + 1 :]
+            for d in range(1, n)
+            if image[d - 1] > image[d]
+        ]
+        if not crowded[image]:
+            covered_by_uncrowded.update(lower)
+        elif not any(crowded[v] for v in lower):
+            minimal_crowded.append(w)
+    maximal_uncrowded = tuple(
+        w for w in elements if not crowded[w.image] and w.image not in covered_by_uncrowded
+    )
+    return maximal_uncrowded, tuple(minimal_crowded)
 
 
 def _primitive_block(letters: tuple[str, ...]) -> tuple[int, ...]:
@@ -347,7 +351,7 @@ def poset_to_dot(poset: FcPoset) -> str:
     """
     lines = ["digraph fc_poset {", "  rankdir=BT;", "  node [style=filled];"]
     for w in poset.elements:
-        name = w.to_text(compact=True) if w.n <= 9 else w.to_text()
+        name = w.to_text(compact=True)
         verdict = classify(w)
         if not verdict.crowded:
             color = "white"
@@ -360,8 +364,7 @@ def poset_to_dot(poset: FcPoset) -> str:
             extra = ""
         lines.append(f'  "{name}" [fillcolor={color}{extra}];')
     for e in poset.edges:
-        lo = e.lower.to_text(compact=True) if poset.n <= 9 else e.lower.to_text()
-        hi = e.upper.to_text(compact=True) if poset.n <= 9 else e.upper.to_text()
+        lo, hi = e.lower.to_text(compact=True), e.upper.to_text(compact=True)
         lines.append(f'  "{lo}" -> "{hi}" [label="{e.index}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .permutations import Permutation
+from .permutations import Permutation, _numbers_from_text
 
 DEFAULT_WORD_BOUND = 12
 
@@ -65,30 +65,14 @@ def is_reduced(letters: Sequence[int], n: int) -> bool:
 
 
 def canonical_reduced_word(w: Permutation) -> tuple[int, ...]:
-    """The lexicographically least reduced word of w.
+    """The lexicographically least reduced word of w: the first word
+    ``iter_reduced_words`` yields, since it peels the lowest left descent
+    first.
 
-    Built greedily: the smallest valid first letter of a reduced word is the
-    smallest left descent, so peel those off one at a time.
+    >>> canonical_reduced_word(Permutation((3, 2, 1)))
+    (1, 2, 1)
     """
-    image = list(w.image)
-    n = len(image)
-    pos = [0] * (n + 1)
-    for p, v in enumerate(image, start=1):
-        pos[v] = p
-    word = []
-    while True:
-        best = 0
-        for i in range(1, n):
-            if pos[i] > pos[i + 1]:
-                best = i
-                break
-        if best == 0:
-            return tuple(word)
-        word.append(best)
-        # left multiplication by s_best swaps the values best and best+1
-        pa, pb = pos[best], pos[best + 1]
-        image[pa - 1], image[pb - 1] = best + 1, best
-        pos[best], pos[best + 1] = pb, pa
+    return next(iter_reduced_words(w))
 
 
 def iter_reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:
@@ -259,17 +243,5 @@ def word_to_text(letters: Sequence[int]) -> str:
 
 
 def word_from_text(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    if "," in text:
-        out = []
-        for token in text.split(","):
-            token = token.strip()
-            if not token.isdigit():
-                raise ValueError(f"bad word token {token!r}")
-            out.append(int(token))
-        return tuple(out)
-    if not text.isdigit():
-        raise ValueError(f"bad word token {text!r}")
-    return tuple(int(ch) for ch in text)
+    """Parse a word as ``word_to_text`` writes it; blank text is ()."""
+    return _numbers_from_text(text, "word")

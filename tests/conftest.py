@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from fcperm import Permutation, canonical_reduced_word
+from fcperm import Permutation
 
 
 def brute_has_pattern(host: tuple[int, ...], pattern: tuple[int, ...]) -> bool:
@@ -127,16 +127,33 @@ def bfs_reduced_word(w: Permutation) -> tuple[int, ...]:
     raise AssertionError("unreachable")
 
 
+def lehmer_word(w: Permutation) -> tuple[int, ...]:
+    """A reduced word of w read off its Lehmer code, with no descent peeled.
+
+    c_i counts the values right of position i that are smaller than w(i).
+    Build w from the identity position by position: positions i..n hold
+    the values not yet placed in increasing order, so w(i) stands at
+    position i + c_i and moves to i by the letters i+c_i-1, .., i.  The
+    word has sum(c_i) = length(w) letters, so it is reduced.
+    """
+    image = w.image
+    word: list[int] = []
+    for i, value in enumerate(image, start=1):
+        code = sum(1 for later in image[i:] if later < value)
+        word.extend(range(i + code - 1, i - 1, -1))
+    return tuple(word)
+
+
 def braid_closure_words(w: Permutation) -> set[tuple[int, ...]]:
     """Every reduced word of w, as the closure of one of them under
     commutation moves (ij = ji, |i - j| > 1) and braid moves (i j i =
     j i j, |i - j| = 1).
 
     By Matsumoto-Tits, these moves connect all the reduced words of w.
-    Only the starting word comes from peeling descents; the closure peels
-    none, so it checks a listing by peeling independently.
+    The closure starts from ``lehmer_word(w)`` and peels no descents, so
+    it checks a listing by peeling independently.
     """
-    start = canonical_reduced_word(w)
+    start = lehmer_word(w)
     seen = {start}
     frontier = [start]
     while frontier:

@@ -144,6 +144,19 @@ def test_thm_5_10_fails_when_minimality_skips_the_fixed_points(monkeypatch):
     assert result.counterexample
 
 
+def test_thm_5_10_fails_when_the_walk_loses_a_minimal_element(monkeypatch):
+    original = fcperm.checks.uncrowded_frontier
+
+    def drop_last_minimal(n):
+        maximal_uncrowded, minimal_crowded = original(n)
+        return maximal_uncrowded, minimal_crowded[:-1]
+
+    monkeypatch.setattr(fcperm.checks, "uncrowded_frontier", drop_last_minimal)
+    result = run_check("thm-5.10", 8)
+    assert not result.passed
+    assert result.counterexample == "4,1,6,2,7,3,8,5"  # the last of the six
+
+
 @pytest.mark.parametrize("name, n", [("lemma-row2", 7), ("cor-3.5", 7), ("cor-5.9", 8)])
 def test_checks_fail_when_row2_drops_its_largest_entry(monkeypatch, name, n):
     original = fcperm.checks.row2

@@ -1,8 +1,12 @@
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -348,6 +352,29 @@ class TestOtherCommands:
         assert code == 2 and "bound" in err
         code, out, _ = run(capsys, "words", "654321", "--bound", "15", "--count")
         assert code == 0 and out.strip() == "292864"
+
+    @pytest.mark.parametrize(
+        "argv, first",
+        [
+            # 4862 lines, about 87 KB: more than a 64 KiB pipe buffer holds
+            (["enumerate", "9", "--filter", "fc"], b"1,2,3,4,5,6,7,8,9\n"),
+            (["words", "654321", "--bound", "15"], b"121321432154321\n"),
+        ],
+    )
+    def test_closed_pipe_exits_141_quietly(self, argv, first):
+        src = str(Path(fcperm.cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "fcperm.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        ) as proc:
+            assert proc.stdout.readline() == first
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert b"Traceback" not in err
 
     def test_words_deeper_than_the_recursion_limit(self, capsys):
         # 1101 stands before 1..1100: one reduced word, 1100 letters long

@@ -127,11 +127,9 @@ class TestEnumeration:
         assert len(all_reduced_words(long_s6, bound=15)) == 292864
 
     def test_canonical_word_is_lexicographically_least(self):
-        for w in all_permutations(5):
-            words = all_reduced_words(w)
-            canonical = canonical_reduced_word(w)
-            assert canonical in words
-            assert canonical == min(words) if words else canonical == ()
+        for n in range(1, 7):
+            for w in all_permutations(n):
+                assert canonical_reduced_word(w) == min(braid_closure_words(w))
 
 
 class TestCounting:
