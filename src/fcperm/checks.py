@@ -249,9 +249,26 @@ def _prop_2_7(n: int) -> Verdicts:
 
 
 def _prop_2_9(n: int) -> Verdicts:
-    """The insertion tableau of the inverse is the recording tableau."""
+    """The insertion tableau of the inverse is the recording tableau.
+
+    Each pair {w, w^-1} is inserted once, when the sweep first reaches it:
+    w's verdict is given then, and w^-1's is kept, keyed by its image,
+    until the sweep gets there.  An involution is its own pair, so its P
+    is compared with its own Q.
+    """
+    kept: dict[tuple[int, ...], bool] = {}
     for w in all_permutations(n):
-        yield None if rsk(w.inverse()).p == rsk(w).q else w.to_text()
+        holds = kept.pop(w.image, None)
+        if holds is None:
+            v = w.inverse()
+            result = rsk(w)
+            if v.image == w.image:
+                holds = result.p == result.q
+            else:
+                inverse = rsk(v)
+                holds = inverse.p == result.q
+                kept[v.image] = result.p == inverse.q
+        yield None if holds else w.to_text()
 
 
 def _thm_2_10(n: int) -> Verdicts:

@@ -60,27 +60,25 @@ def iter_occurrences(w: Permutation, p: Permutation) -> Iterator[PatternOccurren
 def is_fully_commutative(w: Permutation) -> bool:
     """True when w avoids 321.
 
-    Uses the linear scan: a 321 occurrence exists exactly when some middle
-    position has a larger value before it and a smaller value after it.
+    One pass: w avoids 321 exactly when its entries that are not
+    left-to-right maxima increase.  Two such entries in decreasing order
+    are the 2 and the 1 of a 321 whose 3 is the maximum before the first
+    of them.  Conversely, the 2 and the 1 of any 321 both sit below the 3
+    before them, so they are two such entries in decreasing order.
 
     >>> is_fully_commutative(Permutation.from_text("345619278"))
     True
     >>> is_fully_commutative(Permutation((4, 3, 2, 1)))
     False
     """
-    image = w.image
-    n = len(image)
-    if n < 3:
-        return True
-    suffix_min = [0] * (n + 1)
-    suffix_min[n] = n + 1
-    for j in range(n - 1, -1, -1):
-        suffix_min[j] = min(suffix_min[j + 1], image[j])
-    prefix_max = 0
-    for j in range(n):
-        if prefix_max > image[j] > suffix_min[j + 1]:
+    high = low = 0  # running maximum; last entry below the maximum
+    for v in w.image:
+        if v > high:
+            high = v
+        elif v < low:
             return False
-        prefix_max = max(prefix_max, image[j])
+        else:
+            low = v
     return True
 
 

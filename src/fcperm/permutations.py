@@ -194,7 +194,8 @@ class Permutation:
         running = 0
         out = []
         for i, v in enumerate(self.image[:-1], start=1):
-            running = max(running, v)
+            if v > running:
+                running = v
             if running > i:
                 out.append(i)
         return frozenset(out)

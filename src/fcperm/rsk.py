@@ -113,31 +113,38 @@ def rsk(w: Permutation) -> RskResult:
     >>> rsk(Permutation.from_text("41627385")).p.to_text()
     '1,2,3,5/4,6,7,8'
     """
-    rows: list[list[int]] = []
-    qrows: list[list[int]] = []
+    first: list[int] = []
+    rows: list[list[int]] = [first]
+    qrows: list[list[int]] = [[]]
     events = []
     first_column: dict[int, int] = {}
     for step_index, value in enumerate(w.image, start=1):
-        incoming = value
-        bumps = []
-        r = 0
+        # every letter lands in row 1; only a bumped one cascades further
+        col = bisect_right(first, value)
+        first_column[value] = col + 1
+        if col == len(first):
+            first.append(value)
+            qrows[0].append(step_index)
+            events.append(InsertionStep(value, ()))
+            continue
+        incoming, first[col] = first[col], value
+        bumps = [(value, incoming, 1)]
+        r = 1
         while True:
-            if r == len(rows):
-                rows.append([])
-                qrows.append([])
+            if r == len(rows):  # fell off the bottom: a new row holds it
+                rows.append([incoming])
+                qrows.append([step_index])
+                break
             row = rows[r]
             col = bisect_right(row, incoming)
-            if r == 0:
-                first_column[value] = col + 1
             if col == len(row):
                 row.append(incoming)
                 qrows[r].append(step_index)
                 break
-            displaced = row[col]
-            row[col] = incoming
-            bumps.append((incoming, displaced, r + 1))
-            incoming = displaced
+            displaced, row[col] = row[col], incoming
             r += 1
+            bumps.append((incoming, displaced, r))
+            incoming = displaced
         events.append(InsertionStep(value, tuple(bumps)))
     return RskResult(
         p=Tableau(tuple(map(tuple, rows))),

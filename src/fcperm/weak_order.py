@@ -21,6 +21,7 @@ characterization, with no walk at all.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -35,6 +36,8 @@ from .words import BoundExceeded, require_length_within
 DEFAULT_POSET_BOUND = 9
 DEFAULT_IDEAL_LENGTH_BOUND = 24
 DEFAULT_MINIMAL_CROWDED_BOUND = 24
+# stack frames that fc_elements leaves to its callers below the recursion limit
+_WALK_HEADROOM = 100
 
 
 class CoverEdge(NamedTuple):
@@ -129,10 +132,20 @@ def fc_elements(n: int, bound: int = DEFAULT_POSET_BOUND) -> list[Permutation]:
     completes, so nothing is searched, and trying candidates in increasing
     order yields lexicographic order.
 
+    The walk recurses once per position, so a degree that leaves fewer
+    than ``_WALK_HEADROOM`` frames under ``sys.getrecursionlimit()`` is
+    refused with a ``ValueError`` before anything is built.
+
     >>> [w.to_text(compact=True) for w in fc_elements(3)]
     ['123', '132', '213', '231', '312']
     """
     require_degree_within(n, bound)
+    limit = sys.getrecursionlimit()
+    if n + _WALK_HEADROOM > limit:
+        raise ValueError(
+            f"degree {n} is too deep for the recursive walk"
+            f" (recursion limit {limit})"
+        )
     out: list[Permutation] = []
     prefix = [0] * n
     free = [True] * (n + 2)  # free[n + 1] stops the scan for the least free value

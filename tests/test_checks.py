@@ -198,3 +198,30 @@ def test_cover_checks_fail_when_rsk_returns_the_recording_tableau(monkeypatch, n
     result = run_check(name, 6)
     assert not result.passed
     assert result.counterexample
+
+
+def test_prop_2_9_fails_when_rsk_returns_the_recording_tableau(monkeypatch):
+    original = fcperm.checks.rsk
+
+    def recording_as_insertion(w):
+        return dataclasses.replace(original(w), p=original(w).q)
+
+    monkeypatch.setattr(fcperm.checks, "rsk", recording_as_insertion)
+    result = run_check("prop-2.9", 4)
+    assert (result.passed, result.cases, result.counterexample) == (False, 4, "1,3,4,2")
+
+
+def test_prop_2_9_fails_on_a_verdict_kept_for_the_inverse(monkeypatch):
+    # 231 comes first in S_3, so the verdict of its inverse 312 is decided
+    # there and read back when the sweep reaches 312, the fifth case
+    original = fcperm.checks.rsk
+
+    def wrong_recording_of_312(w):
+        result = original(w)
+        if w.image == (3, 1, 2):
+            return dataclasses.replace(result, q=fcperm.Tableau(((1, 2), (3,))))
+        return result
+
+    monkeypatch.setattr(fcperm.checks, "rsk", wrong_recording_of_312)
+    result = run_check("prop-2.9", 3)
+    assert (result.passed, result.cases, result.counterexample) == (False, 5, "3,1,2")

@@ -19,7 +19,9 @@ from fcperm.cli import FILTERS, main
 from fcperm.crowding import InvariantViolation
 from fcperm.words import evaluate_word, word_from_text
 
-from conftest import brute_avoids_321, brute_has_pattern, wide_scan_is_uncrowded
+from conftest import (
+    brute_avoids_321, brute_has_pattern, crowding_census_by_dp, wide_scan_is_uncrowded,
+)
 
 
 def run(capsys, *argv):
@@ -125,8 +127,35 @@ class TestEnumerate:
         message = "error: degree 25 exceeds bound 24; raise the bound to enumerate\n"
         code, out, err = run(capsys, "enumerate", "25", "--filter", "minimal-crowded")
         assert (code, out, err) == (2, "", message)
-        code, out, err = run(capsys, "enumerate", "10", "--filter", "crowded", "--count")
+        code, out, err = run(capsys, "enumerate", "10", "--filter", "crowded")
         assert (code, out) == (2, "") and "degree 10 exceeds bound 9" in err
+
+    def test_census_counts_have_their_own_default_bound(self, capsys):
+        # counting by second row visits no element, so it reaches further
+        # than listing does
+        uncrowded, crowded = crowding_census_by_dp(10)
+        for which, expected in (("crowded", crowded), ("uncrowded", uncrowded)):
+            code, out, err = run(capsys, "enumerate", "10", "--filter", which, "--count")
+            assert (code, out, err) == (0, f"{expected}\n", ""), which
+            code, out, err = run(capsys, "enumerate", "10", "--filter", which)
+            assert (code, out) == (2, "") and "degree 10 exceeds bound 9" in err
+            message = "error: degree 21 exceeds bound 20; raise the bound to enumerate\n"
+            assert run(capsys, "enumerate", "21", "--filter", which, "--count") == (2, "", message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "1100", "--filter", "fc", "--bound", "2000", "--count"],
+            ["dot", "poset", "1100", "--bound", "2000"],
+        ],
+        ids=["enumerate", "dot-poset"],
+    )
+    def test_a_walk_deeper_than_the_stack_is_refused(self, capsys, argv):
+        message = (
+            "error: degree 1100 is too deep for the recursive walk"
+            f" (recursion limit {sys.getrecursionlimit()})\n"
+        )
+        assert run(capsys, *argv) == (2, "", message)
 
     def test_all_streams_lexicographically(self, capsys):
         code, out, _ = run(capsys, "enumerate", "3", "--compact")
@@ -196,7 +225,9 @@ class TestEnumerate:
         assert (code, out) == (0, "3147\n")
 
     @pytest.mark.parametrize("which", ["crowded", "uncrowded"])
-    @pytest.mark.parametrize("argv", [["-1"], ["0"], ["10"], ["12", "--bound", "11"]])
+    @pytest.mark.parametrize(
+        "argv", [["-1"], ["0"], ["10", "--bound", "9"], ["12", "--bound", "11"]]
+    )
     def test_count_refuses_as_the_listing_does(self, capsys, which, argv):
         # counting reads second rows, listing walks the elements; the guards agree
         listed = run(capsys, "enumerate", *argv, "--filter", which)

@@ -86,10 +86,11 @@ class TestFullyCommutativeAndBoolean:
 
     def test_matches_generic_search_exhaustively(self):
         pattern = P("321")
-        for w in all_permutations(7):
-            assert is_fully_commutative(w) == brute_avoids_321(w.image)
-            if w.n >= 3:
-                assert is_fully_commutative(w) == _avoids(w, pattern)
+        for n in range(1, 8):
+            for w in all_permutations(n):
+                assert is_fully_commutative(w) == brute_avoids_321(w.image)
+                if n >= 3:
+                    assert is_fully_commutative(w) == _avoids(w, pattern)
 
     def test_boolean_matches_brute_321_and_3412(self):
         for n in range(1, 8):
