@@ -37,7 +37,7 @@ from .words import all_reduced_words, canonical_reduced_word, count_reduced_word
 Verdicts = Iterator[str | None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     check: str
     n: int
@@ -635,7 +635,7 @@ CHECKS: dict[str, tuple[int, Callable[[int], Verdicts]]] = {
     "thm-3.4": (8, _thm_3_4),
     "cor-3.5": (7, _cor_3_5),
     "cor-3.7": (8, _cor_3_7),
-    "thm-4.11": (7, _thm_4_11),
+    "thm-4.11": (9, _thm_4_11),
     "cor-4.12": (8, _cor_4_12),
     "prop-2.14": (7, _prop_2_14),
     "lemma-5.1": (8, _lemma_5_1),
@@ -657,7 +657,7 @@ def run_check(name: str, n: int | None = None) -> CheckResult:
     """Run one registered check, at its default degree unless told otherwise.
 
     >>> run_check("thm-4.11").summary()
-    'thm-4.11 @ S_7: pass (4 cases)'
+    'thm-4.11 @ S_9: pass (102 cases)'
     """
     if name not in CHECKS:
         known = ", ".join(sorted(CHECKS))

@@ -48,7 +48,7 @@ from .words import (
     word_to_text,
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalysisReport:
     w: Permutation
     tableaux: RskResult

@@ -30,7 +30,7 @@ def _demand(condition: bool, message: str) -> None:
         raise InvariantViolation(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrowdedWitness:
     """A window [y, y+2x] holding more than x+1 members of the set."""
 
@@ -92,7 +92,7 @@ def minimal_crowded_window(x: int, y: int) -> tuple[int, ...]:
     return (y, y + 1) + tuple(range(y + 3, y + 2 * x, 2)) + (y + 2 * x,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimalCrowdedSet:
     x: int
     y: int
@@ -129,7 +129,7 @@ def minimal_crowded_subset(values) -> MinimalCrowdedSet:
     return MinimalCrowdedSet(x=x, y=y, elements=minimal_crowded_window(x, y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     crowded: bool
     row2: tuple[int, ...]
@@ -176,7 +176,7 @@ def uncrowded_iff_core(w: Permutation) -> bool:
     return verdict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionReport:
     """Everything extracted from one tableau-changing cover step v -> v*s_i.
 
@@ -401,7 +401,7 @@ _PATTERN_415263 = Permutation((4, 1, 5, 2, 6, 3))
 _PATTERN_315264 = Permutation((3, 1, 5, 2, 6, 4))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimalityReport:
     """Outcome of the five-part direct test for minimal crowdedness.
 

@@ -25,7 +25,7 @@ from .words import (
 DEFAULT_HEAP_BOUND = 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # no slots: cached_property needs a __dict__
 class Heap:
     """Labeled poset on the letter positions of a reduced word.
 
@@ -177,7 +177,7 @@ def count_linear_extensions(heap: Heap) -> int:
     return ways
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoreDecomposition:
     """w split as core * remainder with lengths adding up.
 

@@ -14,7 +14,7 @@ from typing import Iterator
 from .permutations import Permutation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternOccurrence:
     """Positions (1-based, strictly increasing) realizing a pattern."""
 

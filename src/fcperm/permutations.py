@@ -29,7 +29,7 @@ def _numbers_from_text(text: str, kind: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SupportStats:
     """Prefix/suffix extremes around a cut position.
 
@@ -44,7 +44,7 @@ class SupportStats:
     suffix_min: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """A permutation stored as its one-line notation.
 

@@ -22,7 +22,7 @@ from .patterns import is_fully_commutative
 from .permutations import Permutation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tableau:
     """Rows of strictly increasing integers, weakly shrinking in length.
 
@@ -83,7 +83,7 @@ class InsertionStep(NamedTuple):
     bumps: tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BumpTrace:
     events: tuple[InsertionStep, ...]
     first_column: Mapping[int, int]
@@ -98,7 +98,7 @@ class BumpTrace:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RskResult:
     p: Tableau
     q: Tableau

@@ -3,10 +3,12 @@
 Covers go up by one right multiplication at an ascent.  The fully
 commutative permutations are exactly the 321-avoiding ones, and
 ``fc_elements`` generates them directly, in lexicographic order, by
-extending prefixes.  Crowdedness depends on the second row of the insertion
-tableau alone: ``uncrowded_frontier`` decides each element by its ``row2``,
-and ``crowding_census`` counts the crowded and uncrowded elements without
-visiting any, summing over the possible second rows instead.
+extending prefixes until five values are left, and then stamping every
+completion of the prefix at once from a table.  Crowdedness depends on the
+second row of the insertion tableau alone: ``uncrowded_frontier`` decides
+each element by its ``row2``, and ``crowding_census`` counts the crowded
+and uncrowded elements without visiting any, summing over the possible
+second rows instead.
 ``fc_covers`` generates the subposet's covers by a local rule at each
 ascent, with no membership set and no 321 test, and ``build_fc_poset`` is
 the elements plus those covers.  The elements are downward closed under
@@ -24,8 +26,10 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import comb
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .crowding import classify, is_minimal_crowded_direct, is_uncrowded_set
@@ -92,7 +96,7 @@ def principal_ideal(
     return seen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FcPoset:
     """The fully commutative permutations of S_n under the right weak order."""
 
@@ -121,6 +125,48 @@ def require_degree_within(n: int, bound: int) -> None:
         raise ValueError("a permutation needs degree at least 1")
 
 
+def _tails(j: int, m: int) -> list[tuple[int, ...]]:
+    """Every 321-avoiding completion of a prefix with j free values, m of
+    them below its maximum, as indices into the sorted free values, in
+    lexicographic order.
+
+    The next index is 0 while m > 0 (the least free value, below the
+    maximum), or any k >= m (a new maximum, leaving k free values below
+    it); the rest then completes j - 1 values the same way.
+    """
+    if j == 0:
+        return [()]
+    out = []
+    if m:
+        out += [(0,) + tuple(i + 1 for i in t) for t in _tails(j - 1, m - 1)]
+    for k in range(m, j):
+        out += [(k,) + tuple(i + (i >= k) for i in t) for t in _tails(j - 1, k)]
+    return out
+
+
+# how many free values fc_elements completes from a table instead of
+# walking.  The walk above the table makes one call per prefix of n - 5
+# entries, not one per entry, and stays n - 5 frames deep.  A larger tail
+# walks a little faster at n = 11, but its table, built once per process,
+# grows by the Catalan numbers: about 1 ms for 5 and 6 ms for 6, already
+# more than the whole walk at n = 9, which is what a one-off command pays.
+_STAMPED_TAIL = 5
+
+
+@lru_cache(maxsize=None)
+def _stamps(j: int) -> tuple[tuple[itemgetter, ...], ...]:
+    """For m = 0..j, one getter per completion in ``_tails(j, m)``, each
+    picking its entries out of the sorted free values as a tuple.  Built
+    once per j, since it depends on nothing else."""
+    return tuple(
+        tuple(
+            itemgetter(*t) if len(t) > 1 else itemgetter(slice(t[0], t[0] + 1))
+            for t in _tails(j, m)
+        )
+        for m in range(j + 1)
+    )
+
+
 def fc_elements(n: int, bound: int = DEFAULT_POSET_BOUND) -> list[Permutation]:
     """All fully commutative permutations of S_n, sorted lexicographically.
 
@@ -132,9 +178,17 @@ def fc_elements(n: int, bound: int = DEFAULT_POSET_BOUND) -> list[Permutation]:
     completes, so nothing is searched, and trying candidates in increasing
     order yields lexicographic order.
 
-    The walk recurses once per position, so a degree that leaves fewer
-    than ``_WALK_HEADROOM`` frames under ``sys.getrecursionlimit()`` is
-    refused with a ``ValueError`` before anything is built.
+    How a prefix completes depends only on j, the number of free values,
+    and m, how many of them lie below its maximum.  So the walk extends
+    prefixes one entry per call until j = min(n, 5) values are left, and
+    then stamps every completion at once: one ``itemgetter`` per index
+    tuple of ``_tails(j, m)``, applied to the sorted free values, with no
+    call per position.  The getters are built once per process.
+
+    The walk recurses once per entry of the first n - 5, so a degree that
+    leaves fewer than ``_WALK_HEADROOM`` frames under
+    ``sys.getrecursionlimit()`` is refused with a ``ValueError`` before
+    anything is built.
 
     >>> [w.to_text(compact=True) for w in fc_elements(3)]
     ['123', '132', '213', '231', '312']
@@ -146,32 +200,26 @@ def fc_elements(n: int, bound: int = DEFAULT_POSET_BOUND) -> list[Permutation]:
             f"degree {n} is too deep for the recursive walk"
             f" (recursion limit {limit})"
         )
+    tail = min(n, _STAMPED_TAIL)
+    head = n - tail
+    stamps = _stamps(tail)
+    trusted = Permutation._trusted
     out: list[Permutation] = []
-    prefix = [0] * n
-    free = [True] * (n + 2)  # free[n + 1] stops the scan for the least free value
 
-    def extend(k: int, high: int, least: int) -> None:
-        if k == n:
-            out.append(Permutation._trusted(tuple(prefix)))
+    def extend(prefix: tuple[int, ...], used: int, high: int) -> None:
+        # bit v of used is set once v is placed; bit 0 is always set
+        if len(prefix) == head:
+            free = tuple(v for v in range(1, n + 1) if not used >> v & 1)
+            below = sum(1 for v in free if v < high)
+            out.extend(map(trusted, [prefix + stamp(free) for stamp in stamps[below]]))
             return
+        least = (~used & (used + 1)).bit_length() - 1
         if least < high:
-            prefix[k] = least
-            free[least] = False
-            following = least + 1
-            while not free[following]:
-                following += 1
-            extend(k + 1, high, following)
-            free[least] = True
+            extend(prefix + (least,), used | 1 << least, high)
         for v in range(high + 1, n + 1):
-            prefix[k] = v
-            free[v] = False
-            following = least
-            while not free[following]:
-                following += 1
-            extend(k + 1, v, following)
-            free[v] = True
+            extend(prefix + (v,), used | 1 << v, v)
 
-    extend(0, 0, 1)
+    extend((), 1, 0)
     return out
 
 

@@ -246,3 +246,42 @@ def crowding_census_by_dp(n: int) -> tuple[int, int]:
     for (k, _, crowded), rows in states.items():
         census[crowded] += rows * (comb(n, k) - (comb(n, k - 1) if k else 0))
     return census[0], census[1]
+
+
+def prefix_walk_fc(n: int) -> list[tuple[int, ...]]:
+    """The images of the 321-avoiders of S_n, in lexicographic order, by a
+    recursive prefix walk that places one entry per call.
+
+    The next entry is either the least free value, when it lies below the
+    running maximum, or a new maximum; any other value below the maximum
+    would leave the least free value to come later, below two larger
+    entries.  It stamps no completions, so it checks ``fc_elements``
+    independently of its table.
+    """
+    out: list[tuple[int, ...]] = []
+    prefix = [0] * n
+    free = [True] * (n + 2)  # free[n + 1] stops the scan for the least free value
+
+    def extend(k: int, high: int, least: int) -> None:
+        if k == n:
+            out.append(tuple(prefix))
+            return
+        if least < high:
+            prefix[k] = least
+            free[least] = False
+            following = least + 1
+            while not free[following]:
+                following += 1
+            extend(k + 1, high, following)
+            free[least] = True
+        for v in range(high + 1, n + 1):
+            prefix[k] = v
+            free[v] = False
+            following = least
+            while not free[following]:
+                following += 1
+            extend(k + 1, v, following)
+            free[v] = True
+
+    extend(0, 0, 1)
+    return out

@@ -79,7 +79,7 @@ FULL_SCOPES = [
     ("thm-3.2", 7, 429),
     ("thm-3.4", 8, 3003),
     ("cor-3.5", 7, 792),
-    ("thm-4.11", 7, 4),
+    ("thm-4.11", 9, 102),
     ("cor-4.12", 8, 1430),
     ("lemma-5.1", 8, 3003),
     ("thm-5.10", 8, 1430),

@@ -30,6 +30,7 @@ from conftest import (
     brute_avoids_321,
     crowding_census_by_dp,
     minimal_crowded_count,
+    prefix_walk_fc,
     wide_scan_is_uncrowded,
 )
 
@@ -183,6 +184,16 @@ class TestFcElements:
         for w in fc_elements(7):
             assert Permutation(w.image) == w
             assert hash(Permutation(w.image)) == hash(w)
+
+    # the last five values come from a table: for n <= 5 it completes the
+    # empty prefix alone, and n = 6 is the first degree that walks
+    @pytest.mark.parametrize("n", [1, 5, 6, 10, 11])
+    def test_matches_the_recursive_prefix_walk(self, n):
+        assert [w.image for w in fc_elements(n, bound=n)] == prefix_walk_fc(n)
+
+    def test_images_strictly_increase(self):
+        images = [w.image for w in fc_elements(11, bound=11)]
+        assert all(a < b for a, b in zip(images, images[1:]))
 
     def test_catalan_counts_past_the_brute_force_range(self):
         assert len(fc_elements(10, bound=10)) == 16796
