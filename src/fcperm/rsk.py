@@ -1,8 +1,14 @@
-"""Row insertion with a full bump trace.
+"""Row insertion with a full bump trace, built on read.
 
 Insertion is ordinary unbounded RSK, so arbitrary permutations are handled
 correctly; the operations whose statements only make sense in the two-row
 world (``bump_pairs``) enforce full commutativity at their boundary.
+
+``rsk`` runs the insertion once per call and keeps only its own lists: the
+rows, the recording rows, each letter's first-row column and each letter's
+bump cascade.  The insertion tableau, the recording tableau and the
+trace are each built from those lists when first read, and cached; every
+tableau read is still validated by the one ``Tableau`` constructor.
 
 The trace records, for each inserted letter, the whole bump cascade and the
 first-row column where the letter landed.  That column always equals the
@@ -14,7 +20,8 @@ this library.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from operator import lt
 from typing import Mapping, NamedTuple
 
@@ -100,13 +107,52 @@ class BumpTrace:
 
 @dataclass(frozen=True, slots=True)
 class RskResult:
+    """The insertion tableau ``p``, the recording tableau ``q`` and the
+    ``trace`` of one insertion.
+
+    ``rsk`` fills only ``_raw``, the insertion's lists; a field's slot stays
+    empty until its first read, when ``__getattr__`` builds and caches it.
+    A result built with all three fields, as ``dataclasses.replace`` builds
+    one, needs no ``_raw``.
+    """
+
     p: Tableau
     q: Tableau
     trace: BumpTrace
+    _raw: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getattr__(self, name: str):
+        # only reached when a slot is empty: the first read of a field
+        build = _BUILDERS.get(name)
+        if build is None or self._raw is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = build(self._raw)
+        object.__setattr__(self, name, value)
+        return value
+
+
+def _build_trace(raw) -> BumpTrace:
+    _, _, image, cascades, first_column = raw
+    # tuple.__new__ is what InsertionStep's own constructor calls
+    steps = map(tuple.__new__, repeat(InsertionStep), zip(image, map(tuple, cascades)))
+    return BumpTrace(events=tuple(steps), first_column=first_column)
+
+
+# field name -> builder from RskResult._raw, which is
+# (rows of P, rows of Q, the letters, their bump cascades, first_column)
+_BUILDERS = {
+    "p": lambda raw: Tableau(raw[0]),
+    "q": lambda raw: Tableau(raw[1]),
+    "trace": _build_trace,
+}
 
 
 def rsk(w: Permutation) -> RskResult:
     """Insertion tableau, recording tableau, and the full trace.
+
+    The insertion runs once, here, and records only plain lists; ``p``,
+    ``q`` and ``trace`` are built from them on first read, each tableau
+    through the validating ``Tableau`` constructor.
 
     >>> rsk(Permutation.from_text("315264")).p.to_text()
     '1,2,4/3,5,6'
@@ -115,8 +161,9 @@ def rsk(w: Permutation) -> RskResult:
     """
     first: list[int] = []
     rows: list[list[int]] = [first]
-    qrows: list[list[int]] = [[]]
-    events = []
+    qfirst: list[int] = []
+    qrows: list[list[int]] = [qfirst]
+    cascades: list = []  # per letter: its bump triples, () when none
     first_column: dict[int, int] = {}
     for step_index, value in enumerate(w.image, start=1):
         # every letter lands in row 1; only a bumped one cascades further
@@ -124,11 +171,11 @@ def rsk(w: Permutation) -> RskResult:
         first_column[value] = col + 1
         if col == len(first):
             first.append(value)
-            qrows[0].append(step_index)
-            events.append(InsertionStep(value, ()))
+            qfirst.append(step_index)
+            cascades.append(())
             continue
         incoming, first[col] = first[col], value
-        bumps = [(value, incoming, 1)]
+        cascade = [(value, incoming, 1)]
         r = 1
         while True:
             if r == len(rows):  # fell off the bottom: a new row holds it
@@ -143,14 +190,12 @@ def rsk(w: Permutation) -> RskResult:
                 break
             displaced, row[col] = row[col], incoming
             r += 1
-            bumps.append((incoming, displaced, r))
+            cascade.append((incoming, displaced, r))
             incoming = displaced
-        events.append(InsertionStep(value, tuple(bumps)))
-    return RskResult(
-        p=Tableau(tuple(map(tuple, rows))),
-        q=Tableau(tuple(map(tuple, qrows))),
-        trace=BumpTrace(events=tuple(events), first_column=first_column),
-    )
+        cascades.append(cascade)
+    result = object.__new__(RskResult)
+    object.__setattr__(result, "_raw", (rows, qrows, w.image, cascades, first_column))
+    return result
 
 
 def row2(w: Permutation) -> tuple[int, ...]:
@@ -194,8 +239,8 @@ def bump_pairs(w: Permutation) -> list[tuple[int, int]]:
     pairs = []
     for step in rsk(w).trace.events:
         if step.bumps:
-            # two-row insertion never cascades past row 1
-            assert len(step.bumps) == 1
+            if len(step.bumps) > 1:
+                raise RuntimeError(f"two-row insertion of {w.to_text()} cascaded past row 1")
             b, z, _ = step.bumps[0]
             pairs.append((b, z))
     return pairs

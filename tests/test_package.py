@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import fcperm
 
@@ -18,3 +20,15 @@ def test_exports_list_every_public_name_once():
     }
     assert len(fcperm.__all__) == len(set(fcperm.__all__))
     assert set(fcperm.__all__) == public
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so a self-check written as one would vanish;
+    # the library raises instead (doctests are strings, not statements)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(fcperm.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

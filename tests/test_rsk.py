@@ -1,4 +1,9 @@
+import copy
+import dataclasses
+import importlib
+import pickle
 import re
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +17,18 @@ from fcperm import (
     is_fully_commutative,
     row2,
     rsk,
+    run_check,
 )
 from fcperm.checks import _lis_ending, _longest_increasing
+from fcperm.cli import main
+from fcperm.rsk import BumpTrace, InsertionStep
 
 from conftest import brute_lis_ending_at, list_row_insertion
 
 
 P = Permutation.from_text
+# the package binds the name rsk to the function, so reach the module itself
+RSK_MODULE = importlib.import_module("fcperm.rsk")
 
 
 def _is_tableau(rows) -> bool:
@@ -143,6 +153,91 @@ class TestClassicalFacts:
             assert is_fully_commutative(w) == (len(rsk(w).p.rows) <= 2)
 
 
+FIELDS = ("p", "q", "trace")
+
+
+def _read_matches_list_insertion(w, order):
+    """Read the fields of a fresh rsk(w) in the given order and compare each
+    with the list-scan insertion."""
+    result = rsk(w)
+    p, q, steps, first_column = list_row_insertion(w.image)
+    for name in order:
+        value = getattr(result, name)
+        if name == "p":
+            assert value.rows == p
+        elif name == "q":
+            assert value.rows == q
+        else:
+            assert [(s.value, s.bumps) for s in value.events] == steps
+            assert dict(value.first_column) == first_column
+            assert all(type(s) is InsertionStep for s in value.events)
+
+
+class TestLazyResult:
+    """rsk inserts once and builds p, q and trace on first read; the result
+    must not show the order of reads, or whether there were any."""
+
+    @pytest.mark.parametrize("order", list(permutations(FIELDS)), ids="-".join)
+    def test_every_read_order_matches_list_insertion(self, order):
+        for n in range(1, 7):
+            for w in all_permutations(n):
+                _read_matches_list_insertion(w, order)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        st.permutations(FIELDS),
+    )
+    def test_random_degree_and_read_order(self, image, order):
+        _read_matches_list_insertion(Permutation(tuple(image)), order)
+
+    @pytest.mark.parametrize("text", ["1", "3142", "41627385", "4321", "5274163"])
+    def test_unread_and_read_results_behave_alike(self, text):
+        w = P(text)
+        read = rsk(w)
+        for name in FIELDS:
+            getattr(read, name)
+
+        def unread():
+            return rsk(w)
+
+        assert repr(unread()) == repr(read)
+        assert unread() == read and read == unread() and unread() == unread()
+        assert pickle.dumps(unread()) == pickle.dumps(read)
+        for round_trip in (lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy):
+            again, again_read = round_trip(unread()), round_trip(read)
+            assert again == again_read == read
+            assert repr(again) == repr(again_read) == repr(read)
+        swapped, swapped_read = (dataclasses.replace(r, p=r.q) for r in (unread(), read))
+        assert swapped == swapped_read and swapped.p == read.q
+        assert repr(swapped) == repr(swapped_read)
+        for r in (unread(), read):
+            with pytest.raises(TypeError):
+                hash(r)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                r.p = read.q
+
+    def test_unknown_attributes_are_still_missing(self):
+        result = rsk(P("3142"))
+        with pytest.raises(AttributeError, match="no attribute 'r'"):
+            result.r
+        assert not hasattr(result, "__dict__")
+
+    def test_tableaux_are_built_only_when_read(self, monkeypatch):
+        built = []
+        validate = Tableau.__post_init__
+
+        def counting(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(Tableau, "__post_init__", counting)
+        # thm-2.10 reads only p: one tableau per element of S_5, where
+        # building both p and q on every call made 240
+        assert run_check("thm-2.10", 5).cases == 120
+        assert len(built) == 120
+
+
 class TestLis:
     """The checks' dynamic program for the longest increasing subsequence
     ending at each position."""
@@ -177,6 +272,37 @@ class TestBumpPairs:
     def test_rejects_non_fully_commutative(self):
         with pytest.raises(ValueError):
             bump_pairs(Permutation((3, 2, 1)))
+
+    @staticmethod
+    def _cascade_past_row_1(monkeypatch):
+        """Patch rsk so that the first bump of every trace cascades on into
+        row 2, which two-row insertion never does."""
+        original = RSK_MODULE.rsk
+
+        def two_step_cascade(w):
+            result = original(w)
+            events = list(result.trace.events)
+            for i, step in enumerate(events):
+                if step.bumps:
+                    b, z, _ = step.bumps[0]
+                    events[i] = InsertionStep(step.value, ((b, z, 1), (z, z + 1, 2)))
+                    break
+            trace = BumpTrace(tuple(events), result.trace.first_column)
+            return dataclasses.replace(result, trace=trace)
+
+        monkeypatch.setattr(RSK_MODULE, "rsk", two_step_cascade)
+
+    def test_cascade_past_row_1_is_an_internal_error(self, monkeypatch):
+        self._cascade_past_row_1(monkeypatch)
+        with pytest.raises(RuntimeError, match="^two-row insertion of 4,1,6,2,7,3,8,5 cascaded past row 1$"):
+            bump_pairs(P("41627385"))
+
+    def test_cascade_past_row_1_exits_3(self, monkeypatch, capsys):
+        self._cascade_past_row_1(monkeypatch)
+        assert main(["verify", "9", "lemma-5.8"]) == 3
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("internal error: two-row insertion of ")
 
     def test_bumped_values_are_row2(self):
         for w in all_permutations(6):
