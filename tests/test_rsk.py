@@ -236,6 +236,10 @@ class TestLazyResult:
         # building both p and q on every call made 240
         assert run_check("thm-2.10", 5).cases == 120
         assert len(built) == 120
+        # a field read twice is built once
+        result = rsk(P("41627385"))
+        assert result.p is result.p and result.trace is result.trace
+        assert len(built) == 121
 
 
 class TestLis:
@@ -294,7 +298,8 @@ class TestBumpPairs:
 
     def test_cascade_past_row_1_is_an_internal_error(self, monkeypatch):
         self._cascade_past_row_1(monkeypatch)
-        with pytest.raises(RuntimeError, match="^two-row insertion of 4,1,6,2,7,3,8,5 cascaded past row 1$"):
+        message = "^two-row insertion of 4,1,6,2,7,3,8,5 cascaded past row 1$"
+        with pytest.raises(RuntimeError, match=message):
             bump_pairs(P("41627385"))
 
     def test_cascade_past_row_1_exits_3(self, monkeypatch, capsys):
