@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .crowding import (
     analyze_transition, classify, find_crowded_witness, is_minimal_crowded_direct,
@@ -28,13 +28,14 @@ from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations
 from .rsk import Tableau, bump_pairs, row2, rsk
 from .weak_order import (
-    DEFAULT_POSET_BOUND, fc_covers, fc_elements, knuth_neighbors, principal_ideal,
-    require_degree_within, right_weak_leq, uncrowded_frontier,
+    DEFAULT_POSET_BOUND, _inversion_pairs, fc_covers, fc_elements, knuth_neighbors,
+    principal_ideal, require_degree_within, uncrowded_frontier,
 )
-from .words import all_reduced_words, canonical_reduced_word, count_reduced_words
+from .words import all_reduced_words, canonical_reduced_word, reduced_word_counts
 
 # one verdict per case: None when it holds, else the counterexample
 Verdicts = Iterator[str | None]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,19 +99,29 @@ def _longest_increasing(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
+def _per_image(compute: Callable[[Permutation], T]) -> Callable[[Permutation], T]:
+    """``compute`` (which never returns None), worked out once per image.
+
+    A sweep builds its memos when it starts and drops them when it ends, so
+    nothing outlives one check.  The checks pass a lambda that names a
+    module-global function, so the name is looked up on each miss and a
+    patched function takes effect.
+    """
+    memo: dict[tuple[int, ...], T] = {}
+
+    def lookup(w: Permutation) -> T:
+        found = memo.get(w.image)
+        if found is None:
+            found = memo[w.image] = compute(w)
+        return found
+
+    return lookup
+
+
 def _insertion_tableaux() -> Callable[[Permutation], Tableau]:
     """P of each element, built once per sweep over fully commutative
-    elements (at most Catalan(n) entries); rsk is looked up by name on each
-    miss, so a patched one takes effect."""
-    memo: dict[Permutation, Tableau] = {}
-
-    def p_of(w: Permutation) -> Tableau:
-        p = memo.get(w)
-        if p is None:
-            p = memo[w] = rsk(w).p
-        return p
-
-    return p_of
+    elements (at most Catalan(n) entries)."""
+    return _per_image(lambda w: rsk(w).p)
 
 
 def _two_row_standard_tableaux(n: int) -> set[tuple[tuple[int, ...], ...]]:
@@ -129,12 +140,15 @@ def _two_row_standard_tableaux(n: int) -> set[tuple[tuple[int, ...], ...]]:
 
 def _lemma_2_1(n: int) -> Verdicts:
     """Support membership matches the prefix-max / suffix-min tests."""
+    # heads[i] = {1..i} and tails[i] = {i+1..n}, the same for every w
+    heads = [set(range(1, i + 1)) for i in range(n)]
+    tails = [set(range(i + 1, n + 1)) for i in range(n)]
     for w in all_permutations(n):
         supp = w.support()
         for i in range(1, n):
             stats = w.support_stats(i)
-            prefix_set = set(w.image[:i]) != set(range(1, i + 1))
-            suffix_set = set(w.image[i:]) != set(range(i + 1, n + 1))
+            prefix_set = set(w.image[:i]) != heads[i]
+            suffix_set = set(w.image[i:]) != tails[i]
             verdicts = {
                 i in supp,
                 prefix_set,
@@ -171,9 +185,10 @@ def _prop_2_2_verdicts(n: int) -> Iterator[tuple[Permutation, bool, bool, bool]]
             memo[key] = found
         return found
 
+    counts = reduced_word_counts(n)
     for w in all_permutations(n):
         class_size = count_linear_extensions(build_heap(canonical_reduced_word(w)))
-        single = class_size == count_reduced_words(w)
+        single = class_size == counts[w.image]
         yield w, is_fully_commutative(w), not has_braid(w.image, 0, 0), single
 
 
@@ -372,20 +387,30 @@ def _lemma_3_1(n: int) -> Verdicts:
 
 def _thm_3_2(n: int) -> Verdicts:
     """The boolean core exists, splits the length, keeps the support, and is
-    the unique maximal same-support boolean below."""
+    the unique maximal same-support boolean below.
+
+    The ideals of different elements overlap, so the boolean test, the
+    support and the inversion set are each worked out once per element of
+    the sweep.  The weak order is inversion-set containment, as
+    ``right_weak_leq`` defines it.
+    """
+    boolean = _per_image(lambda b: is_boolean(b))
+    support = _per_image(lambda b: b.support())
+    inversions = _per_image(lambda b: _inversion_pairs(b))
     for w in fc_elements(n):
         dec = boolean_core(w)
-        booleans = {b for b in principal_ideal(w) if is_boolean(b)}
-        same_support = {b for b in booleans if b.support() == w.support()}
+        supp = support(w)
+        booleans = {b for b in principal_ideal(w) if boolean(b)}
+        same_support = {b for b in booleans if support(b) == supp}
         if not (
-            is_boolean(dec.core)
-            and dec.core.support() == w.support()
+            boolean(dec.core)
+            and support(dec.core) == supp
             and dec.core.length() + dec.remainder.length() == w.length()
             and dec.core.compose(dec.remainder) == w
         ):
             yield w.to_text()
         elif same_support != {dec.core} or any(
-            c != dec.core and right_weak_leq(dec.core, c) for c in booleans
+            c != dec.core and inversions(dec.core) <= inversions(c) for c in booleans
         ):
             yield f"{w.to_text()} (uniqueness)"
         else:
@@ -409,11 +434,10 @@ def _cor_3_5(n: int) -> Verdicts:
     """The tableau changes along a cover exactly when every longest
     increasing run uses both swapped letters, and then row 2 grows by one."""
     p_of = _insertion_tableaux()
+    longest = _per_image(lambda v: _longest_increasing(v.image))  # once per lower end
     for v, w, i in fc_covers(n):
         changed = p_of(v) != p_of(w)
-        both = all(
-            v(i) in subseq and v(i + 1) in subseq for subseq in _longest_increasing(v.image)
-        )
+        both = all(v(i) in subseq and v(i + 1) in subseq for subseq in longest(v))
         if changed != both:
             yield f"{v.to_text()} at {i}"
         elif changed and len(row2(w)) != len(row2(v)) + 1:
@@ -432,8 +456,9 @@ def _cor_3_7(n: int) -> Verdicts:
 def _thm_4_11(n: int) -> Verdicts:
     """Tableau-changing, support-preserving covers always land crowded,
     with every intermediate deduction intact."""
+    p_of = _insertion_tableaux()
     for v, w, i in fc_covers(n):
-        if i not in v.support() or rsk(v).p == rsk(w).p:
+        if i not in v.support() or p_of(v) == p_of(w):
             continue
         report = analyze_transition(v, i)  # raises on any broken deduction
         yield None if classify(report.w).crowded else f"{v.to_text()} at {i}"
@@ -475,13 +500,14 @@ def _lemma_5_1(n: int) -> Verdicts:
 def _lemma_5_2(n: int) -> Verdicts:
     """A descent whose right letter does not bump its left letter leaves
     the insertion tableau unchanged."""
+    p_of = _insertion_tableaux()  # lower covers are fully commutative too
     for w in fc_elements(n):
         result = rsk(w)
         bumped_by = result.trace.row_bump_map()
         for d in w.descents():
             if bumped_by.get(w(d)) == w(d + 1):
                 continue
-            yield None if result.p == rsk(w.times(d)).p else f"{w.to_text()} at {d}"
+            yield None if result.p == p_of(w.times(d)) else f"{w.to_text()} at {d}"
 
 
 def _lemma_5_4(n: int) -> Verdicts:
@@ -525,12 +551,14 @@ def _knuth_classes(n: int) -> Verdicts:
 def _cor_left_q(n: int) -> Verdicts:
     """Along left-order covers of fully commutative elements, the second
     rows of the recording tableaux grow."""
+    q_of = _per_image(lambda w: rsk(w).q)  # each upper end is some later v too
     for v in fc_elements(n):
+        inverse, length = v.inverse(), v.length()
         for i in range(1, n):
-            w = (v.inverse().times(i)).inverse()  # left multiplication by s_i
-            if w.length() != v.length() + 1 or not is_fully_commutative(w):
+            w = inverse.times(i).inverse()  # left multiplication by s_i
+            if w.length() != length + 1 or not is_fully_commutative(w):
                 continue
-            ok = set(rsk(v).q.row(2)) <= set(rsk(w).q.row(2))
+            ok = set(q_of(v).row(2)) <= set(q_of(w).row(2))
             yield None if ok else f"{v.to_text()} at {i}"
 
 

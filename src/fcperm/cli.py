@@ -42,6 +42,7 @@ from .weak_order import (
 from .words import (
     DEFAULT_WORD_BOUND,
     count_reduced_words,
+    evaluate_word,
     iter_reduced_words,
     require_length_within,
     word_from_text,
@@ -215,7 +216,12 @@ def _cmd_verify(args) -> int:
 def _cmd_dot(args) -> int:
     if args.target == "heap":
         if args.word is not None:
-            heap = build_heap(word_from_text(args.word))
+            word = word_from_text(args.word)
+            if args.argument is not None:
+                w = Permutation.from_text(args.argument)
+                if evaluate_word(word, w.n) != w:
+                    raise ValueError(f"word {args.word} does not spell {args.argument}")
+            heap = build_heap(word)
         elif args.argument is None:
             raise ValueError("dot heap needs a permutation argument or --word")
         else:
@@ -322,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dot", help="DOT output for a heap or the fc poset")
     p.add_argument("target", choices=("heap", "poset"))
     p.add_argument("argument", nargs="?")
-    p.add_argument("--word", help="explicit reduced word for the heap")
+    p.add_argument("--word", help="explicit reduced word for the heap (spells the permutation)")
     p.add_argument("--json", action="store_true", help="edge list instead of DOT (poset)")
     p.add_argument("--bound", type=int, default=DEFAULT_POSET_BOUND)
     p.set_defaults(fn=_cmd_dot)

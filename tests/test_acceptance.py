@@ -26,7 +26,7 @@ from fcperm import (
     rsk,
     word_from_text,
 )
-from fcperm.checks import run_check
+from fcperm.checks import CHECKS, run_check
 
 from conftest import wide_scan_is_uncrowded
 
@@ -105,6 +105,14 @@ FULL_SCOPES = [
     ("cor-5.9", 8, 6),
     ("lemma-2.11", 6, 2059),
 ]
+
+
+def test_full_scopes_name_every_check_once_at_its_default_degree():
+    names = [name for name, _n, _cases in FULL_SCOPES]
+    assert len(names) == len(set(names))
+    assert {name: n for name, n, _cases in FULL_SCOPES} == {
+        name: default_n for name, (default_n, _sweep) in CHECKS.items()
+    }
 
 
 @pytest.mark.parametrize(

@@ -108,18 +108,23 @@ def test_narrow_witness_mutation_is_caught(monkeypatch):
         assert not result.passed or result.cases != cases, result.summary()
 
 
+def _off_by_one_table(table):
+    """The reduced-word count table with every count above the identity's
+    one too high."""
+    return lambda n: {
+        image: count + (image != tuple(sorted(image))) for image, count in table(n).items()
+    }
+
+
 @pytest.mark.parametrize(
-    "counter, nontrivial",
+    "counter, off_by_one",
     [
-        ("count_reduced_words", lambda w: not w.is_identity()),
-        ("count_linear_extensions", lambda heap: heap.size > 0),
+        ("reduced_word_counts", _off_by_one_table),
+        ("count_linear_extensions", lambda count: lambda heap: count(heap) + (heap.size > 0)),
     ],
 )
-def test_prop_2_2_fails_under_an_off_by_one_counter(monkeypatch, counter, nontrivial):
-    original = getattr(fcperm.checks, counter)
-    monkeypatch.setattr(
-        fcperm.checks, counter, lambda arg: original(arg) + nontrivial(arg)
-    )
+def test_prop_2_2_fails_under_an_off_by_one_counter(monkeypatch, counter, off_by_one):
+    monkeypatch.setattr(fcperm.checks, counter, off_by_one(getattr(fcperm.checks, counter)))
     result = run_check("prop-2.2", 4)
     assert not result.passed
     assert result.counterexample
@@ -187,7 +192,19 @@ def test_knuth_classes_fails_without_knuth_moves(monkeypatch):
     assert result.counterexample == "fiber of 1,2,4,3"
 
 
-@pytest.mark.parametrize("name", ["thm-3.4", "cor-3.5", "cor-4.12", "lemma-5.4"])
+# The first counterexample at S_6 when rsk gives Q in place of P: checks
+# that read P through a memo must still call the patched rsk.
+RECORDING_AS_INSERTION = {
+    "thm-3.4": "1,2,3,4,6,5 -> 1,2,3,6,4,5",
+    "cor-3.5": "1,2,3,4,6,5 at 4",
+    "cor-4.12": "1,2,5,6,3,4",
+    "lemma-5.4": "1,2,3,6,4,5 at 4",
+    "lemma-5.2": "1,2,3,5,6,4 at 5",
+    "thm-4.11": "precondition failed: the insertion tableau does not change at index 4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDING_AS_INSERTION))
 def test_cover_checks_fail_when_rsk_returns_the_recording_tableau(monkeypatch, name):
     original = fcperm.checks.rsk
 
@@ -197,7 +214,30 @@ def test_cover_checks_fail_when_rsk_returns_the_recording_tableau(monkeypatch, n
     monkeypatch.setattr(fcperm.checks, "rsk", recording_as_insertion)
     result = run_check(name, 6)
     assert not result.passed
-    assert result.counterexample
+    assert result.counterexample == RECORDING_AS_INSERTION[name]
+
+
+def test_cor_left_q_fails_when_rsk_swaps_its_tableaux(monkeypatch):
+    original = fcperm.checks.rsk
+
+    def swapped(w):
+        result = original(w)
+        return dataclasses.replace(result, p=result.q, q=result.p)
+
+    monkeypatch.setattr(fcperm.checks, "rsk", swapped)
+    result = run_check("cor-left-q", 6)
+    assert (result.passed, result.counterexample) == (False, "1,2,3,4,6,5 at 4")
+
+
+def test_lemma_2_1_fails_when_the_suffix_starts_one_position_early(monkeypatch):
+    def suffix_one_early(w, i):
+        return fcperm.SupportStats(
+            index=i, prefix_max=max(w.image[:i]), suffix_min=min(w.image[i - 1 :])
+        )
+
+    monkeypatch.setattr(fcperm.Permutation, "support_stats", suffix_one_early)
+    result = run_check("lemma-2.1", 4)
+    assert (result.passed, result.counterexample) == (False, "1,2,3,4 at 1")
 
 
 def test_prop_2_9_fails_when_rsk_returns_the_recording_tableau(monkeypatch):

@@ -325,6 +325,15 @@ class TestDot:
         code, out, _ = run(capsys, "dot", "heap", "4321", "--word", "121321")
         assert code == 0 and out.count("[label=") == 6
 
+    def test_heap_word_must_spell_the_permutation(self, capsys):
+        code, out, err = run(capsys, "dot", "heap", "4321", "--word", "1")
+        assert code == 2 and not out
+        assert "4321" in err and "1 does not spell" in err
+
+    def test_heap_with_word_rejects_a_malformed_permutation(self, capsys):
+        code, out, err = run(capsys, "dot", "heap", "xyz", "--word", "1")
+        assert code == 2 and not out and "xyz" in err
+
     def test_heap_from_word_alone(self, capsys):
         code, out, err = run(capsys, "dot", "heap", "--word", "121")
         assert code == 0 and not err

@@ -18,6 +18,7 @@ from fcperm import (
     is_fully_commutative,
     is_reduced,
     iter_reduced_words,
+    reduced_word_counts,
     word_from_text,
     word_to_text,
 )
@@ -140,6 +141,13 @@ class TestCounting:
     def test_count_matches_memoized_oracle(self):
         for w in all_permutations(6):
             assert count_reduced_words(w) == oracle_count_reduced_words(w)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_count_table_matches_the_one_call_counts(self, n):
+        table = reduced_word_counts(n)
+        assert len(table) == len(list(all_permutations(n)))
+        for w in all_permutations(n):
+            assert table[w.image] == count_reduced_words(w) == oracle_count_reduced_words(w)
 
 
 def _brute_prop_2_2(w):
