@@ -551,7 +551,7 @@ def _knuth_classes(n: int) -> Verdicts:
 def _cor_left_q(n: int) -> Verdicts:
     """Along left-order covers of fully commutative elements, the second
     rows of the recording tableaux grow."""
-    q_of = _per_image(lambda w: rsk(w).q)  # each upper end is some later v too
+    q_of = _per_image(lambda w: rsk(w).q)  # each upper end is also some v of the sweep
     for v in fc_elements(n):
         inverse, length = v.inverse(), v.length()
         for i in range(1, n):
