@@ -500,14 +500,14 @@ def _lemma_5_1(n: int) -> Verdicts:
 def _lemma_5_2(n: int) -> Verdicts:
     """A descent whose right letter does not bump its left letter leaves
     the insertion tableau unchanged."""
-    p_of = _insertion_tableaux()  # lower covers are fully commutative too
+    rsk_of = _per_image(lambda w: rsk(w))  # lower covers are fully commutative too
     for w in fc_elements(n):
-        result = rsk(w)
+        result = rsk_of(w)
         bumped_by = result.trace.row_bump_map()
         for d in w.descents():
             if bumped_by.get(w(d)) == w(d + 1):
                 continue
-            yield None if result.p == p_of(w.times(d)) else f"{w.to_text()} at {d}"
+            yield None if result.p == rsk_of(w.times(d)).p else f"{w.to_text()} at {d}"
 
 
 def _lemma_5_4(n: int) -> Verdicts:

@@ -8,7 +8,9 @@ to share permutations across threads or workers without coordination.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import permutations, repeat
 from typing import Iterator
 
 
@@ -81,6 +83,16 @@ class Permutation:
         w = object.__new__(cls)
         object.__setattr__(w, "image", image)
         return w
+
+    @classmethod
+    def _trusted_many(cls, images: list[tuple[int, ...]]) -> list["Permutation"]:
+        """``_trusted`` over a list of images, with no Python-level call per
+        image: the instances are made by ``object.__new__`` and their
+        ``image`` slots filled through the slot's own setter, both mapped
+        at C level."""
+        out = list(map(object.__new__, repeat(cls, len(images))))
+        deque(map(_set_image, out, images), maxlen=0)
+        return out
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -215,9 +227,17 @@ class Permutation:
         return f"Permutation({self.to_text(compact=True)!r})"
 
 
-def all_permutations(n: int) -> Iterator[Permutation]:
-    """All of S_n in lexicographic one-line order."""
-    from itertools import permutations as _perms
+# the ``image`` slot's setter, which a frozen instance's ``__setattr__`` refuses
+_set_image = Permutation.__dict__["image"].__set__
 
-    for image in _perms(range(1, n + 1)):
-        yield Permutation(image)
+
+def all_permutations(n: int) -> Iterator[Permutation]:
+    """All of S_n in lexicographic one-line order.
+
+    ``itertools.permutations`` only rearranges 1..n, so its images are
+    wrapped without validation; a degree below 1 is refused as the
+    constructor refuses it.
+    """
+    if n < 1:
+        raise ValueError("a permutation needs degree at least 1")
+    yield from map(Permutation._trusted, permutations(range(1, n + 1)))

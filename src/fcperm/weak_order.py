@@ -145,10 +145,12 @@ def _tails(j: int, m: int) -> list[tuple[int, ...]]:
 
 
 # how many free values fc_elements completes from a table instead of
-# walking.  The walk above the table makes one call per prefix of n - 5
-# entries, not one per entry, and stays n - 5 frames deep.  A larger tail
+# walking.  The walk above the table makes one call per prefix of at most
+# n - 5 entries and stays n - 5 frames deep; each prefix is handed its free
+# values and their count below its maximum, so a leaf scans nothing and
+# costs one stamp per completion.  A larger tail leaves fewer leaves and
 # walks a little faster at n = 11, but its table, built once per process,
-# grows by the Catalan numbers: about 1 ms for 5 and 6 ms for 6, already
+# grows by the Catalan numbers: about 1.5 ms for 5 and 7 ms for 6, already
 # more than the whole walk at n = 9, which is what a one-off command pays.
 _STAMPED_TAIL = 5
 
@@ -179,11 +181,16 @@ def fc_elements(n: int, bound: int = DEFAULT_POSET_BOUND) -> list[Permutation]:
     order yields lexicographic order.
 
     How a prefix completes depends only on j, the number of free values,
-    and m, how many of them lie below its maximum.  So the walk extends
+    and m, how many of them lie below its maximum.  The walk carries both
+    down, the free values as a sorted tuple: the next entry is the first
+    free value while m > 0, leaving m - 1 below the maximum, or the i-th
+    for some i >= m, a new maximum with i free values below it.  It extends
     prefixes one entry per call until j = min(n, 5) values are left, and
     then stamps every completion at once: one ``itemgetter`` per index
-    tuple of ``_tails(j, m)``, applied to the sorted free values, with no
-    call per position.  The getters are built once per process.
+    tuple of ``_tails(j, m)``, applied to the free values, with no call per
+    position.  The getters are built once per process, and each leaf's
+    images become ``Permutation``s in one ``Permutation._trusted_many``
+    call, with no Python-level call per element.
 
     The walk recurses once per entry of the first n - 5, so a degree that
     leaves fewer than ``_WALK_HEADROOM`` frames under
@@ -201,25 +208,22 @@ def fc_elements(n: int, bound: int = DEFAULT_POSET_BOUND) -> list[Permutation]:
             f" (recursion limit {limit})"
         )
     tail = min(n, _STAMPED_TAIL)
-    head = n - tail
     stamps = _stamps(tail)
-    trusted = Permutation._trusted
+    trusted_many = Permutation._trusted_many
     out: list[Permutation] = []
 
-    def extend(prefix: tuple[int, ...], used: int, high: int) -> None:
-        # bit v of used is set once v is placed; bit 0 is always set
-        if len(prefix) == head:
-            free = tuple(v for v in range(1, n + 1) if not used >> v & 1)
-            below = sum(1 for v in free if v < high)
-            out.extend(map(trusted, [prefix + stamp(free) for stamp in stamps[below]]))
+    def extend(prefix: tuple[int, ...], free: tuple[int, ...], below: int) -> None:
+        # free: the values not yet placed, sorted; the first ``below`` of
+        # them lie under the prefix's maximum
+        if len(free) == tail:
+            out.extend(trusted_many([prefix + stamp(free) for stamp in stamps[below]]))
             return
-        least = (~used & (used + 1)).bit_length() - 1
-        if least < high:
-            extend(prefix + (least,), used | 1 << least, high)
-        for v in range(high + 1, n + 1):
-            extend(prefix + (v,), used | 1 << v, v)
+        if below:
+            extend(prefix + free[:1], free[1:], below - 1)
+        for i in range(below, len(free)):
+            extend(prefix + free[i : i + 1], free[:i] + free[i + 1 :], i)
 
-    extend((), 1, 0)
+    extend((), tuple(range(1, n + 1)), 0)
     return out
 
 

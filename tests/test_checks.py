@@ -217,6 +217,20 @@ def test_cover_checks_fail_when_rsk_returns_the_recording_tableau(monkeypatch, n
     assert result.counterexample == RECORDING_AS_INSERTION[name]
 
 
+def test_lemma_5_2_inserts_each_element_once(monkeypatch):
+    original = fcperm.checks.rsk
+    inserted = []
+
+    def counted(w):
+        inserted.append(w.image)
+        return original(w)
+
+    monkeypatch.setattr(fcperm.checks, "rsk", counted)
+    result = run_check("lemma-5.2", 7)
+    assert (result.passed, result.cases) == (True, 396)
+    assert len(inserted) == len(set(inserted)) == 429
+
+
 def test_cor_left_q_fails_when_rsk_swaps_its_tableaux(monkeypatch):
     original = fcperm.checks.rsk
 

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,6 +59,17 @@ class TestConstruction:
             for v in derived:
                 assert v == Permutation(v.image) and hash(v) == hash(Permutation(v.image))
                 assert type(v.image) is tuple and sorted(v.image) == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_all_permutations_equal_validated_ones(self, n):
+        swept = list(all_permutations(n))
+        assert swept == [Permutation(p) for p in permutations(range(1, n + 1))]
+        assert all(type(w) is Permutation and type(w.image) is tuple for w in swept)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_all_permutations_refuses_a_degree_below_one(self, n):
+        with pytest.raises(ValueError, match="degree at least 1"):
+            next(all_permutations(n))
 
 
 class TestLength:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 from itertools import combinations, permutations
 from math import comb
 
@@ -181,9 +183,24 @@ class TestFcElements:
         assert [w.image for w in fc_elements(n)] == expected
 
     def test_elements_are_valid_permutations(self):
-        for w in fc_elements(7):
-            assert Permutation(w.image) == w
-            assert hash(Permutation(w.image)) == hash(w)
+        # the elements are built in bulk, past the constructor and its
+        # frozen __setattr__, so each must still behave like a built one
+        for n in range(1, 12):
+            elements = fc_elements(n, bound=n)
+            for w in elements:
+                assert type(w) is Permutation and type(w.image) is tuple
+                built = Permutation(w.image)
+                assert built == w
+                assert (hash(built), repr(built)) == (hash(w), repr(w))
+                try:
+                    w.image = built.image
+                except dataclasses.FrozenInstanceError:
+                    pass
+                else:
+                    pytest.fail(f"{w!r} accepted a new image")
+            restored = pickle.loads(pickle.dumps(elements))
+            assert restored == elements
+            assert all(type(v) is Permutation for v in restored)
 
     # the last five values come from a table: for n <= 5 it completes the
     # empty prefix alone, and n = 6 is the first degree that walks
