@@ -14,21 +14,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import cache
 
 from .checks import CHECKS, run_check
-from .crowding import (
-    Classification,
-    MinimalityReport,
-    classify,
-    is_minimal_crowded_direct,
-    is_uncrowded_set,
-)
+from .crowding import classify, is_minimal_crowded_direct, is_uncrowded_set
 from .heaps import boolean_core, build_heap, heap_of
 from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations
-from .rsk import RskResult, row2, rsk
+from .rsk import row2, rsk
 from .weak_order import (
     DEFAULT_MINIMAL_CROWDED_BOUND,
     DEFAULT_POSET_BOUND,
@@ -49,102 +43,57 @@ from .words import (
     word_to_text,
 )
 
-@dataclass(frozen=True, slots=True)
-class AnalysisReport:
-    w: Permutation
-    tableaux: RskResult
-    fully_commutative: bool
-    boolean: bool
-    core: Permutation | None
-    core_word: tuple[int, ...] | None
-    classification: Classification | None
-    minimality: MinimalityReport | None
-
-    def to_json_dict(self) -> dict:
-        result = self.tableaux
-        out: dict = {
-            "permutation": self.w.to_text(),
-            "n": self.w.n,
-            "length": self.w.length(),
-            "descents": sorted(self.w.descents()),
-            "support": sorted(self.w.support()),
-            "fully_commutative": self.fully_commutative,
-            "boolean": self.boolean,
-            "p_tableau": result.p.to_json_dict(),
-            "q_tableau": result.q.to_json_dict(),
-        }
-        if self.core is not None:
-            out["core"] = self.core.to_text()
-            out["core_word"] = list(self.core_word or ())
-        if self.classification is not None:
-            out["row2"] = list(self.classification.row2)
-            out["classification"] = self.classification.to_json_dict()
-        if self.minimality is not None:
-            out["minimal_crowded"] = self.minimality.to_json_dict()
-        return out
-
-    def to_text(self) -> str:
-        result = self.tableaux
-        lines = [
-            f"permutation:        {self.w.to_text()}",
-            f"length:             {self.w.length()}",
-            f"descents:           {sorted(self.w.descents())}",
-            f"support:            {sorted(self.w.support())}",
-            f"fully commutative:  {self.fully_commutative}",
-            f"boolean:            {self.boolean}",
-            f"P tableau:          {result.p.to_text()}",
-            f"Q tableau:          {result.q.to_text()}",
-        ]
-        if self.core is not None:
-            lines.append(f"boolean core:       {self.core.to_text()}")
-            lines.append(f"core word:          {word_to_text(self.core_word or ())}")
-        if self.classification is not None:
-            verdict = "crowded" if self.classification.crowded else "uncrowded"
-            lines.append(f"row 2:              {list(self.classification.row2)}")
-            if self.classification.witness is not None:
-                witness = self.classification.witness
-                verdict += f" (window {list(witness.window)}, x={witness.x}, y={witness.y})"
-            lines.append(f"classification:     {verdict}")
-        if self.minimality is not None:
-            lines.append(f"minimal crowded:    {self.minimality.minimal}")
-            for key, value in self.minimality.to_json_dict()["conditions"].items():
-                lines.append(f"  {key}: {value}")
-        return "\n".join(lines)
-
-
-def analyze(w: Permutation) -> AnalysisReport:
-    tableaux = rsk(w)
-    if is_fully_commutative(w):
-        decomposition = boolean_core(w)
-        return AnalysisReport(
-            w=w,
-            tableaux=tableaux,
-            fully_commutative=True,
-            boolean=is_boolean(w),
-            core=decomposition.core,
-            core_word=decomposition.core_word,
-            classification=classify(w),
-            minimality=is_minimal_crowded_direct(w),
-        )
-    return AnalysisReport(
-        w=w,
-        tableaux=tableaux,
-        fully_commutative=False,
-        boolean=False,
-        core=None,
-        core_word=None,
-        classification=None,
-        minimality=None,
-    )
-
 
 def _cmd_analyze(args) -> int:
+    # every fact is computed before anything is printed, so that a broken
+    # deduction leaves stdout empty
     w = Permutation.from_text(args.permutation)
-    report = analyze(w)
-    if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        print(report.to_text())
+    tableaux = rsk(w)
+    fully_commutative = is_fully_commutative(w)
+    boolean = fully_commutative and is_boolean(w)
+    report: dict = {
+        "permutation": w.to_text(),
+        "n": w.n,
+        "length": w.length(),
+        "descents": sorted(w.descents()),
+        "support": sorted(w.support()),
+        "fully_commutative": fully_commutative,
+        "boolean": boolean,
+        "p_tableau": tableaux.p.to_json_dict(),
+        "q_tableau": tableaux.q.to_json_dict(),
+    }
+    lines = [
+        f"permutation:        {report['permutation']}",
+        f"length:             {report['length']}",
+        f"descents:           {report['descents']}",
+        f"support:            {report['support']}",
+        f"fully commutative:  {fully_commutative}",
+        f"boolean:            {boolean}",
+        f"P tableau:          {tableaux.p.to_text()}",
+        f"Q tableau:          {tableaux.q.to_text()}",
+    ]
+    if fully_commutative:
+        core = boolean_core(w)
+        classification = classify(w)
+        minimality = is_minimal_crowded_direct(w)
+        report["core"] = core.core.to_text()
+        report["core_word"] = list(core.core_word)
+        report["row2"] = list(classification.row2)
+        report["classification"] = classification.to_json_dict()
+        report["minimal_crowded"] = minimality.to_json_dict()
+        verdict, witness = report["classification"]["verdict"], classification.witness
+        if witness is not None:
+            verdict += f" (window {list(witness.window)}, x={witness.x}, y={witness.y})"
+        lines += [
+            f"boolean core:       {report['core']}",
+            f"core word:          {word_to_text(core.core_word)}",
+            f"row 2:              {report['row2']}",
+            f"classification:     {verdict}",
+            f"minimal crowded:    {minimality.minimal}",
+        ]
+        conditions = report["minimal_crowded"]["conditions"]
+        lines += [f"  {key}: {value}" for key, value in conditions.items()]
+    print(json.dumps(report, indent=2) if args.json else "\n".join(lines))
     return 0
 
 
@@ -215,6 +164,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_dot(args) -> int:
     if args.target == "heap":
+        if args.json or args.bound is not None:
+            option = "--json" if args.json else "--bound"
+            raise ValueError(f"dot heap takes no {option}; it applies to dot poset")
         if args.word is not None:
             word = word_from_text(args.word)
             if args.argument is not None:
@@ -230,7 +182,8 @@ def _cmd_dot(args) -> int:
         return 0
     if args.argument is None:
         raise ValueError("dot poset needs a degree argument")
-    poset = build_fc_poset(int(args.argument), bound=args.bound)
+    bound = DEFAULT_POSET_BOUND if args.bound is None else args.bound
+    poset = build_fc_poset(int(args.argument), bound=bound)
     if args.json:
         print(json.dumps(poset.to_json_dict()))
     else:
@@ -330,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("argument", nargs="?")
     p.add_argument("--word", help="explicit reduced word for the heap (spells the permutation)")
     p.add_argument("--json", action="store_true", help="edge list instead of DOT (poset)")
-    p.add_argument("--bound", type=int, default=DEFAULT_POSET_BOUND)
+    p.add_argument("--bound", type=int, help=f"poset degree bound (default {DEFAULT_POSET_BOUND})")
     p.set_defaults(fn=_cmd_dot)
 
     p = sub.add_parser("rsk", help="insertion and recording tableaux")

@@ -401,6 +401,12 @@ _PATTERN_415263 = Permutation((4, 1, 5, 2, 6, 3))
 _PATTERN_315264 = Permutation((3, 1, 5, 2, 6, 4))
 
 
+def _ranks(values) -> tuple[int, ...]:
+    """The pattern that distinct values form: each one's rank among them."""
+    order = sorted(values)
+    return tuple(order.index(v) + 1 for v in values)
+
+
 @dataclass(frozen=True, slots=True)
 class MinimalityReport:
     """Outcome of the five-part direct test for minimal crowdedness.
@@ -456,23 +462,25 @@ def is_minimal_crowded_direct(w: Permutation) -> MinimalityReport:
         len(descents) >= 3
         and all(b - a == 2 for a, b in zip(descents, descents[1:]))
     )
-    d = descents[0] if descent_form else None
-    k = len(descents) - 1 if descent_form else None
 
     second = row2(w)
     if descent_form:
+        d, k = descents[0], len(descents) - 1
         descent_values = {w(p) for p in descents}
-    else:
-        descent_values = set(second)
-    descent_values_crowded = find_crowded_witness(descent_values) is not None
-
-    if descent_form:
         inside = range(d, d + 2 * k + 2)
         fixed_outside = all(
             w(p) == p for p in range(1, w.n + 1) if p not in inside
         )
+        window_patterns = all(
+            _ranks(w.image[start - 1 : start + 5])
+            in (_PATTERN_415263.image, _PATTERN_315264.image)
+            for start in range(d, d + 2 * k - 2, 2)
+        )
     else:
-        fixed_outside = False
+        d = k = None
+        descent_values = set(second)
+        fixed_outside = window_patterns = False
+    descent_values_crowded = find_crowded_witness(descent_values) is not None
 
     if w.n >= _PATTERN_415263.n:
         # stop at the first spread-out occurrence: a large input has
@@ -485,18 +493,6 @@ def is_minimal_crowded_direct(w: Permutation) -> MinimalityReport:
         )
     else:
         pattern_consecutive = False
-
-    if descent_form:
-        window_patterns = True
-        for t in range(0, k - 1):
-            start = d + 2 * t
-            values = tuple(w(p) for p in range(start, start + 6))
-            ranks = tuple(sorted(values).index(v) + 1 for v in values)
-            if ranks not in (_PATTERN_415263.image, _PATTERN_315264.image):
-                window_patterns = False
-                break
-    else:
-        window_patterns = False
 
     minimal = (
         descent_form

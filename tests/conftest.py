@@ -285,3 +285,54 @@ def prefix_walk_fc(n: int) -> list[tuple[int, ...]]:
 
     extend(0, 0, 1)
     return out
+
+
+def minimality_conditions(host: tuple[int, ...]) -> dict:
+    """The five conditions of the direct test for minimal crowded elements,
+    each read straight off the image, keyed by the fields of
+    ``MinimalityReport``.
+
+    The descents must be d, d+2, .., d+2k with k >= 2.  Off that form, the
+    start and count are None, the conditions that need them are False, and
+    ``descent_values_crowded`` reports on the second row of P instead.
+    """
+    n = len(host)
+    descents = [p for p in range(1, n) if host[p - 1] > host[p]]
+    occurrences = brute_occurrences(host, (4, 1, 5, 2, 6, 3))
+    consecutive = bool(occurrences) and all(o[-1] - o[0] == 5 for o in occurrences)
+    form = len(descents) >= 3 and descents == list(range(descents[0], descents[-1] + 1, 2))
+    if not form:
+        rows = list_row_insertion(host)[0]
+        second = rows[1] if len(rows) > 1 else ()
+        return {
+            "descent_form": False,
+            "descent_start": None,
+            "descent_count": None,
+            "descent_values_crowded": not wide_scan_is_uncrowded(second),
+            "fixed_outside": False,
+            "pattern_consecutive": consecutive,
+            "window_patterns": False,
+            "minimal": False,
+        }
+    block = range(descents[0], descents[-1] + 2)
+    conditions = {
+        "descent_form": True,
+        "descent_start": descents[0],
+        "descent_count": len(descents) - 1,
+        "descent_values_crowded": not wide_scan_is_uncrowded({host[p - 1] for p in descents}),
+        "fixed_outside": all(host[p - 1] == p for p in range(1, n + 1) if p not in block),
+        "pattern_consecutive": consecutive,
+        # the six letters from each descent but the last two
+        "window_patterns": all(
+            brute_has_pattern(host[p - 1 : p + 5], (4, 1, 5, 2, 6, 3))
+            or brute_has_pattern(host[p - 1 : p + 5], (3, 1, 5, 2, 6, 4))
+            for p in descents[:-2]
+        ),
+    }
+    conditions["minimal"] = (
+        conditions["descent_values_crowded"]
+        and conditions["fixed_outside"]
+        and conditions["pattern_consecutive"]
+        and conditions["window_patterns"]
+    )
+    return conditions

@@ -279,3 +279,32 @@ def test_prop_2_9_fails_on_a_verdict_kept_for_the_inverse(monkeypatch):
     monkeypatch.setattr(fcperm.checks, "rsk", wrong_recording_of_312)
     result = run_check("prop-2.9", 3)
     assert (result.passed, result.cases, result.counterexample) == (False, 5, "3,1,2")
+
+
+def test_prop_2_14_fails_under_a_narrowed_witness(monkeypatch):
+    # windows wider than x = 1 are missed, so a crowded tableau reads as
+    # uncrowded; the first one that no boolean element has turns up at S_8
+    original = fcperm.checks.find_crowded_witness
+
+    def narrow(values):
+        witness = original(values)
+        return witness if witness is None or witness.x == 1 else None
+
+    monkeypatch.setattr(fcperm.checks, "find_crowded_witness", narrow)
+    result = run_check("prop-2.14", 8)
+    assert (result.passed, result.cases, result.counterexample) == (
+        False, 21, "tableau ((1, 2, 3, 6), (4, 5, 7, 8)): boolean=False uncrowded=True",
+    )
+
+
+def test_cor_3_7_fails_when_the_core_keeps_the_last_occurrences(monkeypatch):
+    def last_occurrences(w):
+        word = fcperm.canonical_reduced_word(w)
+        last = [j for i, j in enumerate(word) if j not in word[i + 1 :]]
+        return dataclasses.replace(
+            fcperm.boolean_core(w), core=fcperm.evaluate_word(last, w.n)
+        )
+
+    monkeypatch.setattr(fcperm.checks, "boolean_core", last_occurrences)
+    result = run_check("cor-3.7", 6)
+    assert (result.passed, result.cases, result.counterexample) == (False, 13, "1,2,5,6,3,4")

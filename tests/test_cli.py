@@ -17,6 +17,7 @@ import fcperm.cli
 from fcperm import CoverEdge, Permutation, classify, fc_elements, rsk
 from fcperm.cli import FILTERS, main
 from fcperm.crowding import InvariantViolation
+from fcperm.weak_order import DEFAULT_POSET_BOUND
 from fcperm.words import evaluate_word, word_from_text
 
 from conftest import (
@@ -28,6 +29,235 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# `analyze` output, exactly: minimal crowded, uncrowded, not fully
+# commutative, the identity of S_1, and degree 10 in comma form
+ANALYZE_TEXT = {
+    "41627385": (
+        "permutation:        4,1,6,2,7,3,8,5",
+        "length:             9",
+        "descents:           [1, 3, 5, 7]",
+        "support:            [1, 2, 3, 4, 5, 6, 7]",
+        "fully commutative:  True",
+        "boolean:            False",
+        "P tableau:          1,2,3,5/4,6,7,8",
+        "Q tableau:          1,3,5,7/2,4,6,8",
+        "boolean core:       4,1,2,6,3,7,8,5",
+        "core word:          3215467",
+        "row 2:              [4, 6, 7, 8]",
+        "classification:     crowded (window [6, 7, 8], x=1, y=6)",
+        "minimal crowded:    True",
+        "  descent_form: True",
+        "  descent_values_crowded: True",
+        "  fixed_outside: True",
+        "  pattern_consecutive: True",
+        "  window_patterns: True",
+    ),
+    "41623785": (
+        "permutation:        4,1,6,2,3,7,8,5",
+        "length:             8",
+        "descents:           [1, 3, 7]",
+        "support:            [1, 2, 3, 4, 5, 6, 7]",
+        "fully commutative:  True",
+        "boolean:            False",
+        "P tableau:          1,2,3,5,8/4,6,7",
+        "Q tableau:          1,3,5,6,7/2,4,8",
+        "boolean core:       4,1,2,6,3,7,8,5",
+        "core word:          3215467",
+        "row 2:              [4, 6, 7]",
+        "classification:     uncrowded",
+        "minimal crowded:    False",
+        "  descent_form: False",
+        "  descent_values_crowded: False",
+        "  fixed_outside: False",
+        "  pattern_consecutive: False",
+        "  window_patterns: False",
+    ),
+    "4321": (
+        "permutation:        4,3,2,1",
+        "length:             6",
+        "descents:           [1, 2, 3]",
+        "support:            [1, 2, 3]",
+        "fully commutative:  False",
+        "boolean:            False",
+        "P tableau:          1/2/3/4",
+        "Q tableau:          1/2/3/4",
+    ),
+    "1": (
+        "permutation:        1",
+        "length:             0",
+        "descents:           []",
+        "support:            []",
+        "fully commutative:  True",
+        "boolean:            True",
+        "P tableau:          1",
+        "Q tableau:          1",
+        "boolean core:       1",
+        "core word:          ",
+        "row 2:              []",
+        "classification:     uncrowded",
+        "minimal crowded:    False",
+        "  descent_form: False",
+        "  descent_values_crowded: False",
+        "  fixed_outside: False",
+        "  pattern_consecutive: False",
+        "  window_patterns: False",
+    ),
+    "10,1,2,3,4,5,6,7,8,9": (
+        "permutation:        10,1,2,3,4,5,6,7,8,9",
+        "length:             9",
+        "descents:           [1]",
+        "support:            [1, 2, 3, 4, 5, 6, 7, 8, 9]",
+        "fully commutative:  True",
+        "boolean:            True",
+        "P tableau:          1,2,3,4,5,6,7,8,9/10",
+        "Q tableau:          1,3,4,5,6,7,8,9,10/2",
+        "boolean core:       10,1,2,3,4,5,6,7,8,9",
+        "core word:          987654321",
+        "row 2:              [10]",
+        "classification:     uncrowded",
+        "minimal crowded:    False",
+        "  descent_form: False",
+        "  descent_values_crowded: False",
+        "  fixed_outside: False",
+        "  pattern_consecutive: False",
+        "  window_patterns: False",
+    ),
+}
+ANALYZE_JSON = {
+    "41627385": {
+        "permutation": "4,1,6,2,7,3,8,5",
+        "n": 8,
+        "length": 9,
+        "descents": [1, 3, 5, 7],
+        "support": [1, 2, 3, 4, 5, 6, 7],
+        "fully_commutative": True,
+        "boolean": False,
+        "p_tableau": {"rows": [[1, 2, 3, 5], [4, 6, 7, 8]]},
+        "q_tableau": {"rows": [[1, 3, 5, 7], [2, 4, 6, 8]]},
+        "core": "4,1,2,6,3,7,8,5",
+        "core_word": [3, 2, 1, 5, 4, 6, 7],
+        "row2": [4, 6, 7, 8],
+        "classification": {
+            "verdict": "crowded",
+            "row2": [4, 6, 7, 8],
+            "witness": {"x": 1, "y": 6, "window": [6, 7, 8]},
+        },
+        "minimal_crowded": {
+            "w": "4,1,6,2,7,3,8,5",
+            "minimal": True,
+            "conditions": {
+                "descent_form": True,
+                "descent_values_crowded": True,
+                "fixed_outside": True,
+                "pattern_consecutive": True,
+                "window_patterns": True,
+            },
+            "descent_start": 1,
+            "descent_count": 3,
+            "row2": [4, 6, 7, 8],
+        },
+    },
+    "41623785": {
+        "permutation": "4,1,6,2,3,7,8,5",
+        "n": 8,
+        "length": 8,
+        "descents": [1, 3, 7],
+        "support": [1, 2, 3, 4, 5, 6, 7],
+        "fully_commutative": True,
+        "boolean": False,
+        "p_tableau": {"rows": [[1, 2, 3, 5, 8], [4, 6, 7]]},
+        "q_tableau": {"rows": [[1, 3, 5, 6, 7], [2, 4, 8]]},
+        "core": "4,1,2,6,3,7,8,5",
+        "core_word": [3, 2, 1, 5, 4, 6, 7],
+        "row2": [4, 6, 7],
+        "classification": {"verdict": "uncrowded", "row2": [4, 6, 7]},
+        "minimal_crowded": {
+            "w": "4,1,6,2,3,7,8,5",
+            "minimal": False,
+            "conditions": {
+                "descent_form": False,
+                "descent_values_crowded": False,
+                "fixed_outside": False,
+                "pattern_consecutive": False,
+                "window_patterns": False,
+            },
+            "descent_start": None,
+            "descent_count": None,
+            "row2": [4, 6, 7],
+        },
+    },
+    "4321": {
+        "permutation": "4,3,2,1",
+        "n": 4,
+        "length": 6,
+        "descents": [1, 2, 3],
+        "support": [1, 2, 3],
+        "fully_commutative": False,
+        "boolean": False,
+        "p_tableau": {"rows": [[1], [2], [3], [4]]},
+        "q_tableau": {"rows": [[1], [2], [3], [4]]},
+    },
+    "1": {
+        "permutation": "1",
+        "n": 1,
+        "length": 0,
+        "descents": [],
+        "support": [],
+        "fully_commutative": True,
+        "boolean": True,
+        "p_tableau": {"rows": [[1]]},
+        "q_tableau": {"rows": [[1]]},
+        "core": "1",
+        "core_word": [],
+        "row2": [],
+        "classification": {"verdict": "uncrowded", "row2": []},
+        "minimal_crowded": {
+            "w": "1",
+            "minimal": False,
+            "conditions": {
+                "descent_form": False,
+                "descent_values_crowded": False,
+                "fixed_outside": False,
+                "pattern_consecutive": False,
+                "window_patterns": False,
+            },
+            "descent_start": None,
+            "descent_count": None,
+            "row2": [],
+        },
+    },
+    "10,1,2,3,4,5,6,7,8,9": {
+        "permutation": "10,1,2,3,4,5,6,7,8,9",
+        "n": 10,
+        "length": 9,
+        "descents": [1],
+        "support": [1, 2, 3, 4, 5, 6, 7, 8, 9],
+        "fully_commutative": True,
+        "boolean": True,
+        "p_tableau": {"rows": [[1, 2, 3, 4, 5, 6, 7, 8, 9], [10]]},
+        "q_tableau": {"rows": [[1, 3, 4, 5, 6, 7, 8, 9, 10], [2]]},
+        "core": "10,1,2,3,4,5,6,7,8,9",
+        "core_word": [9, 8, 7, 6, 5, 4, 3, 2, 1],
+        "row2": [10],
+        "classification": {"verdict": "uncrowded", "row2": [10]},
+        "minimal_crowded": {
+            "w": "10,1,2,3,4,5,6,7,8,9",
+            "minimal": False,
+            "conditions": {
+                "descent_form": False,
+                "descent_values_crowded": False,
+                "fixed_outside": False,
+                "pattern_consecutive": False,
+                "window_patterns": False,
+            },
+            "descent_start": None,
+            "descent_count": None,
+            "row2": [10],
+        },
+    },
+}
 
 
 class TestAnalyze:
@@ -62,6 +292,16 @@ class TestAnalyze:
         assert blob["classification"]["witness"]["window"] == [6, 7, 8]
         assert blob["minimal_crowded"]["minimal"] is True
         assert json.loads(json.dumps(blob)) == blob
+
+    @pytest.mark.parametrize("permutation", list(ANALYZE_TEXT))
+    def test_text_golden(self, capsys, permutation):
+        expected = "\n".join(ANALYZE_TEXT[permutation]) + "\n"
+        assert run(capsys, "analyze", permutation) == (0, expected, "")
+
+    @pytest.mark.parametrize("permutation", list(ANALYZE_JSON))
+    def test_json_golden(self, capsys, permutation):
+        expected = json.dumps(ANALYZE_JSON[permutation], indent=2) + "\n"
+        assert run(capsys, "analyze", permutation, "--json") == (0, expected, "")
 
     def test_parse_error_names_token(self, capsys):
         code, _, err = run(capsys, "analyze", "4,x,2")
@@ -346,6 +586,18 @@ class TestDot:
         code, out, err = run(capsys, "dot", "heap", "--word", "40720,5")
         assert code == 0 and not err
         assert out.count("[label=") == 2 and "->" not in out
+
+    @pytest.mark.parametrize("option", [["--json"], ["--bound", "-5"], ["--bound", "9"]])
+    @pytest.mark.parametrize("source", [["312"], ["--word", "12"]])
+    def test_heap_refuses_the_poset_options(self, capsys, source, option):
+        message = f"error: dot heap takes no {option[0]}; it applies to dot poset\n"
+        assert run(capsys, "dot", "heap", *source, *option) == (2, "", message)
+
+    def test_poset_bound_defaults_to_the_poset_bound(self, capsys):
+        expected = run(capsys, "dot", "poset", "9", "--bound", str(DEFAULT_POSET_BOUND))
+        assert expected[0] == 0 and run(capsys, "dot", "poset", "9") == expected
+        message = f"degree 10 exceeds bound {DEFAULT_POSET_BOUND}; raise the bound to enumerate"
+        assert run(capsys, "dot", "poset", "10") == (2, "", f"error: {message}\n")
 
     def test_poset(self, capsys):
         code, out, _ = run(capsys, "dot", "poset", "4")

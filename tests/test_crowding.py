@@ -24,7 +24,7 @@ import fcperm.crowding
 from fcperm.weak_order import fc_covers, fc_elements
 from fcperm.patterns import iter_occurrences
 
-from conftest import wide_scan_is_uncrowded
+from conftest import minimality_conditions, wide_scan_is_uncrowded
 
 
 P = Permutation.from_text
@@ -323,6 +323,13 @@ class TestMinimalCrowdedDirect:
                 report, pattern_consecutive=listed, minimal=minimal
             )
             assert report == expected, w.to_text()
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_field_matches_the_plain_conditions(self, n):
+        for w in fc_elements(n):
+            report = is_minimal_crowded_direct(w)
+            expected = minimality_conditions(w.image)
+            assert {key: getattr(report, key) for key in expected} == expected, w.to_text()
 
     def test_stops_at_the_first_spread_out_occurrence(self, monkeypatch):
         seen = []
