@@ -29,7 +29,7 @@ from .permutations import Permutation, all_permutations
 from .rsk import Tableau, bump_pairs, row2, rsk
 from .weak_order import (
     DEFAULT_POSET_BOUND, _inversion_pairs, fc_covers, fc_elements, knuth_neighbors,
-    principal_ideal, require_degree_within, uncrowded_frontier,
+    require_degree_within, uncrowded_frontier,
 )
 from .words import all_reduced_words, canonical_reduced_word, reduced_word_counts
 
@@ -390,17 +390,21 @@ def _thm_3_2(n: int) -> Verdicts:
     the unique maximal same-support boolean below.
 
     The ideals of different elements overlap, so the boolean test, the
-    support and the inversion set are each worked out once per element of
-    the sweep.  The weak order is inversion-set containment, as
-    ``right_weak_leq`` defines it.
+    support, the inversion set and the principal ideal are each worked out
+    once per element of the sweep.  An ideal is the element with the
+    ideals of its lower covers, one for each descent.  The weak order is
+    inversion-set containment, as ``right_weak_leq`` defines it.
     """
     boolean = _per_image(lambda b: is_boolean(b))
     support = _per_image(lambda b: b.support())
     inversions = _per_image(lambda b: _inversion_pairs(b))
+    ideal = _per_image(
+        lambda b: frozenset((b,)).union(*(ideal(b.times(d)) for d in b.descents()))
+    )
     for w in fc_elements(n):
         dec = boolean_core(w)
         supp = support(w)
-        booleans = {b for b in principal_ideal(w) if boolean(b)}
+        booleans = {b for b in ideal(w) if boolean(b)}
         same_support = {b for b in booleans if support(b) == supp}
         if not (
             boolean(dec.core)

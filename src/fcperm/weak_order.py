@@ -4,11 +4,15 @@ Covers go up by one right multiplication at an ascent.  The fully
 commutative permutations are exactly the 321-avoiding ones, and
 ``fc_elements`` generates them directly, in lexicographic order, by
 extending prefixes until five values are left, and then stamping every
-completion of the prefix at once from a table.  Crowdedness depends on the
-second row of the insertion tableau alone: ``uncrowded_frontier`` decides
-each element by its ``row2``, and ``crowding_census`` counts the crowded
-and uncrowded elements without visiting any, summing over the possible
-second rows instead.
+completion of the prefix at once from a table.  It is a lazy view, like
+``range``: the call checks the degree, the bound and the depth of the
+walk, and each pass over the view walks again, holding one prefix's
+completions at a time; indexing walks once and lists everything.  A
+reader that needs the elements twice takes a ``tuple``.  Crowdedness
+depends on the second row of the insertion tableau alone:
+``uncrowded_frontier`` decides each element by its ``row2``, and
+``crowding_census`` counts the crowded and uncrowded elements without
+visiting any, summing over the possible second rows instead.
 ``fc_covers`` generates the subposet's covers by a local rule at each
 ascent, with no membership set and no 321 test, and ``build_fc_poset`` is
 the elements plus those covers.  The elements are downward closed under
@@ -27,7 +31,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import comb
 from operator import itemgetter
 from typing import Iterator, NamedTuple
@@ -169,8 +173,9 @@ def _stamps(j: int) -> tuple[tuple[itemgetter, ...], ...]:
     )
 
 
-def fc_elements(n: int, bound: int = DEFAULT_POSET_BOUND) -> list[Permutation]:
-    """All fully commutative permutations of S_n, sorted lexicographically.
+class fc_elements:
+    """All fully commutative permutations of S_n, sorted lexicographically,
+    as a lazy view that walks them each time it is iterated.
 
     A permutation avoids 321 exactly when its entries that are not
     left-to-right maxima increase.  Built left to right, the next entry is
@@ -192,39 +197,70 @@ def fc_elements(n: int, bound: int = DEFAULT_POSET_BOUND) -> list[Permutation]:
     images become ``Permutation``s in one ``Permutation._trusted_many``
     call, with no Python-level call per element.
 
-    The walk recurses once per entry of the first n - 5, so a degree that
-    leaves fewer than ``_WALK_HEADROOM`` frames under
-    ``sys.getrecursionlimit()`` is refused with a ``ValueError`` before
-    anything is built.
+    Like ``range``, this is a class, and calling it only checks the
+    request: the degree and the bound, and the depth of the walk, which
+    recurses once per entry of the first n - 5, so a degree that leaves
+    fewer than ``_WALK_HEADROOM`` frames under ``sys.getrecursionlimit()``
+    is refused with a ``ValueError``.  Nothing is built until the view is
+    iterated, and then one leaf's elements are alive at a time, so
+    counting S_11's 58,786 elements holds a few dozen.  A reader that
+    needs the elements twice takes a ``tuple``; each pass walks again.
+    Indexing builds the whole list: ``view[key]`` is ``list(view)[key]``.
+    There is no ``__len__``, because ``list`` and ``tuple`` would call it
+    for a length hint and walk twice.
 
     >>> [w.to_text(compact=True) for w in fc_elements(3)]
     ['123', '132', '213', '231', '312']
     """
-    require_degree_within(n, bound)
-    limit = sys.getrecursionlimit()
-    if n + _WALK_HEADROOM > limit:
-        raise ValueError(
-            f"degree {n} is too deep for the recursive walk"
-            f" (recursion limit {limit})"
-        )
-    tail = min(n, _STAMPED_TAIL)
-    stamps = _stamps(tail)
-    trusted_many = Permutation._trusted_many
-    out: list[Permutation] = []
 
-    def extend(prefix: tuple[int, ...], free: tuple[int, ...], below: int) -> None:
-        # free: the values not yet placed, sorted; the first ``below`` of
-        # them lie under the prefix's maximum
-        if len(free) == tail:
-            out.extend(trusted_many([prefix + stamp(free) for stamp in stamps[below]]))
-            return
-        if below:
-            extend(prefix + free[:1], free[1:], below - 1)
-        for i in range(below, len(free)):
-            extend(prefix + free[i : i + 1], free[:i] + free[i + 1 :], i)
+    __slots__ = ("n",)
 
-    extend((), tuple(range(1, n + 1)), 0)
-    return out
+    def __init__(self, n: int, bound: int = DEFAULT_POSET_BOUND) -> None:
+        require_degree_within(n, bound)
+        limit = sys.getrecursionlimit()
+        if n + _WALK_HEADROOM > limit:
+            raise ValueError(
+                f"degree {n} is too deep for the recursive walk"
+                f" (recursion limit {limit})"
+            )
+        self.n = n
+
+    def __repr__(self) -> str:
+        return f"fc_elements({self.n})"
+
+    def __iter__(self) -> Iterator[Permutation]:
+        return chain.from_iterable(self.batches())
+
+    def __getitem__(self, key):
+        return list(self)[key]
+
+    def batches(self) -> Iterator[list[Permutation]]:
+        """The elements in order, as one list per leaf of the walk: the
+        completions of one prefix with min(n, 5) values left.
+
+        Iterating the view chains these lists.  The walk is a public
+        method, so that perfbench's tracer, which wraps public functions
+        and methods, times it under ``weak_order``.
+        """
+        n = self.n
+        tail = min(n, _STAMPED_TAIL)
+        stamps = _stamps(tail)
+        trusted_many = Permutation._trusted_many
+
+        def extend(
+            prefix: tuple[int, ...], free: tuple[int, ...], below: int
+        ) -> Iterator[list[Permutation]]:
+            # free: the values not yet placed, sorted; the first ``below`` of
+            # them lie under the prefix's maximum
+            if len(free) == tail:
+                yield trusted_many([prefix + stamp(free) for stamp in stamps[below]])
+                return
+            if below:
+                yield from extend(prefix + free[:1], free[1:], below - 1)
+            for i in range(below, len(free)):
+                yield from extend(prefix + free[i : i + 1], free[:i] + free[i + 1 :], i)
+
+        yield from extend((), tuple(range(1, n + 1)), 0)
 
 
 def crowding_census(n: int, bound: int = DEFAULT_POSET_BOUND) -> tuple[int, int]:
@@ -300,7 +336,7 @@ def uncrowded_frontier(
     >>> uncrowded_frontier(5)[1]
     ()
     """
-    elements = fc_elements(n, bound=bound)
+    elements = tuple(fc_elements(n, bound=bound))
     crowded = {w.image: not is_uncrowded_set(row2(w)) for w in elements}
     covered_by_uncrowded: set[tuple[int, ...]] = set()
     minimal_crowded = []

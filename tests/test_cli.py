@@ -433,7 +433,7 @@ class TestEnumerate:
             assert out.split() == [w.to_text(compact=True) for w in members], which
 
     def test_crowded_counts_match_classify(self, capsys):
-        elements = fc_elements(10, bound=10)
+        elements = tuple(fc_elements(10, bound=10))
         crowded = sum(classify(w).crowded for w in elements)
         for which, expected in (("crowded", crowded), ("uncrowded", len(elements) - crowded)):
             code, out, _ = run(

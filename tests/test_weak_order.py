@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import pickle
+import sys
+import tracemalloc
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
+from fcperm import cli
 from fcperm import (
     BoundExceeded,
     Permutation,
@@ -198,8 +201,9 @@ class TestFcElements:
                     pass
                 else:
                     pytest.fail(f"{w!r} accepted a new image")
-            restored = pickle.loads(pickle.dumps(elements))
-            assert restored == elements
+            listed = list(elements)
+            restored = pickle.loads(pickle.dumps(listed))
+            assert restored == listed
             assert all(type(v) is Permutation for v in restored)
 
     # the last five values come from a table: for n <= 5 it completes the
@@ -213,8 +217,8 @@ class TestFcElements:
         assert all(a < b for a, b in zip(images, images[1:]))
 
     def test_catalan_counts_past_the_brute_force_range(self):
-        assert len(fc_elements(10, bound=10)) == 16796
-        assert len(fc_elements(11, bound=11)) == 58786
+        assert sum(1 for _ in fc_elements(10, bound=10)) == 16796
+        assert sum(1 for _ in fc_elements(11, bound=11)) == 58786
 
     def test_bound_guard(self):
         for enumerate_ in (fc_elements, crowding_census):
@@ -236,6 +240,69 @@ class TestFcElements:
         ):
             with pytest.raises(ValueError, match="degree at least 1"):
                 enumerate_(n)
+
+
+def _count_walks(monkeypatch) -> list[int]:
+    """Record the degree of every pass over an ``fc_elements`` view."""
+    walks: list[int] = []
+    original = fc_elements.__iter__
+
+    def counted(self):
+        walks.append(self.n)
+        return original(self)
+
+    monkeypatch.setattr(fc_elements, "__iter__", counted)
+    return walks
+
+
+class TestFcElementsView:
+    def test_refusals_come_from_the_call(self, monkeypatch):
+        batches = []
+        original = fc_elements.batches
+        monkeypatch.setattr(
+            fc_elements, "batches", lambda self: batches.append(self.n) or original(self)
+        )
+        with pytest.raises(BoundExceeded, match="degree 10 exceeds bound 9"):
+            fc_elements(10)
+        with pytest.raises(ValueError, match="degree at least 1"):
+            fc_elements(0)
+        limit = sys.getrecursionlimit()
+        with pytest.raises(ValueError, match=f"too deep .*recursion limit {limit}"):
+            fc_elements(limit, bound=limit)
+        fc_elements(11, bound=11)  # accepted, and nothing walked yet
+        assert batches == []
+
+    def test_two_passes_agree(self):
+        view = fc_elements(7)
+        first = list(view)
+        assert len(first) == 429 and list(view) == first
+
+    def test_indexing_reads_the_listed_elements(self):
+        view = fc_elements(6)
+        assert view[:-1] == list(view)[:-1] and len(view[:-1]) == 131
+        assert view[0].is_identity()
+        assert view[-1] == Permutation((6, 1, 2, 3, 4, 5))
+
+    def test_tuple_walks_once(self, monkeypatch):
+        walks = _count_walks(monkeypatch)
+        assert len(tuple(fc_elements(8))) == 1430
+        assert walks == [8]
+
+    def test_frontier_walks_once(self, monkeypatch):
+        walks = _count_walks(monkeypatch)
+        uncrowded_frontier(9)
+        assert walks == [9]
+
+    def test_counting_holds_no_list(self, capsys):
+        # a list of all 58,786 elements peaked at 10.1 MiB here
+        tracemalloc.start()
+        try:
+            code = cli.main(["enumerate", "11", "--filter", "fc", "--bound", "11", "--count"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr().out) == (0, "58786\n")
+        assert peak < 2**20, peak
 
 
 class TestCrowdingCensus:
