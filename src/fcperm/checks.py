@@ -392,19 +392,34 @@ def _thm_3_2(n: int) -> Verdicts:
     The ideals of different elements overlap, so the boolean test, the
     support, the inversion set and the principal ideal are each worked out
     once per element of the sweep.  An ideal is the element with the
-    ideals of its lower covers, one for each descent.  The weak order is
-    inversion-set containment, as ``right_weak_leq`` defines it.
+    ideals of its lower covers, one for each descent, kept as a bitmask
+    over the elements in the order the sweep first meets them.  The weak
+    order is inversion-set containment, as ``right_weak_leq`` defines it.
     """
     boolean = _per_image(lambda b: is_boolean(b))
     support = _per_image(lambda b: b.support())
     inversions = _per_image(lambda b: _inversion_pairs(b))
-    ideal = _per_image(
-        lambda b: frozenset((b,)).union(*(ideal(b.times(d)) for d in b.descents()))
-    )
+    met: list[Permutation] = []  # bit i of an ideal stands for met[i]
+
+    def ideal_bits(b: Permutation) -> int:
+        met.append(b)
+        bits = 1 << (len(met) - 1)
+        for d in b.descents():
+            bits |= ideal(b.times(d))
+        return bits
+
+    ideal = _per_image(ideal_bits)
     for w in fc_elements(n):
         dec = boolean_core(w)
         supp = support(w)
-        booleans = {b for b in ideal(w) if boolean(b)}
+        below = ideal(w)
+        booleans = set()
+        while below:
+            low = below & -below
+            b = met[low.bit_length() - 1]
+            if boolean(b):
+                booleans.add(b)
+            below ^= low
         same_support = {b for b in booleans if support(b) == supp}
         if not (
             boolean(dec.core)

@@ -225,9 +225,6 @@ class fc_elements:
             )
         self.n = n
 
-    def __repr__(self) -> str:
-        return f"fc_elements({self.n})"
-
     def __iter__(self) -> Iterator[Permutation]:
         return chain.from_iterable(self.batches())
 
