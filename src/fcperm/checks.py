@@ -14,6 +14,7 @@ a case that breaks its precondition, is that case's counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Callable, Iterator, TypeVar
 
@@ -28,7 +29,7 @@ from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations
 from .rsk import Tableau, bump_pairs, row2, rsk
 from .weak_order import (
-    DEFAULT_POSET_BOUND, _inversion_pairs, fc_covers, fc_elements, knuth_neighbors,
+    DEFAULT_POSET_BOUND, fc_covers, fc_elements, knuth_neighbors, principal_ideal,
     require_degree_within, uncrowded_frontier,
 )
 from .words import all_reduced_words, canonical_reduced_word, reduced_word_counts
@@ -139,20 +140,21 @@ def _two_row_standard_tableaux(n: int) -> set[tuple[tuple[int, ...], ...]]:
 
 
 def _lemma_2_1(n: int) -> Verdicts:
-    """Support membership matches the prefix-max / suffix-min tests."""
-    # heads[i] = {1..i} and tails[i] = {i+1..n}, the same for every w
-    heads = [set(range(1, i + 1)) for i in range(n)]
-    tails = [set(range(i + 1, n + 1)) for i in range(n)]
+    """Support membership matches the prefix-max / suffix-min tests.
+
+    The last n - i entries are {i+1..n} exactly when the first i are
+    {1..i}, so the suffix set is not compared: it could never disagree
+    with the prefix set.
+    """
+    heads = [set(range(1, i + 1)) for i in range(n)]  # heads[i] = {1..i}
     for w in all_permutations(n):
         supp = w.support()
         for i in range(1, n):
             stats = w.support_stats(i)
             prefix_set = set(w.image[:i]) != heads[i]
-            suffix_set = set(w.image[i:]) != tails[i]
             verdicts = {
                 i in supp,
                 prefix_set,
-                suffix_set,
                 stats.prefix_max > i,
                 stats.suffix_min < i + 1,
                 stats.prefix_max > stats.suffix_min,
@@ -171,19 +173,14 @@ def _prop_2_2_verdicts(n: int) -> Iterator[tuple[Permutation, bool, bool, bool]]
     A braid factor a b a is found by peeling descents from the right end of
     the word, memoized on (image, last two letters peeled) for the sweep.
     """
-    memo: dict[tuple[tuple[int, ...], int, int], bool] = {}
 
+    @cache
     def has_braid(image: tuple[int, ...], older: int, newer: int) -> bool:
-        key = (image, older, newer)
-        found = memo.get(key)
-        if found is None:
-            found = any(
-                (d == older and abs(newer - d) == 1) or has_braid(_peel(image, d), newer, d)
-                for d in range(1, n)
-                if image[d - 1] > image[d]
-            )
-            memo[key] = found
-        return found
+        return any(
+            (d == older and abs(newer - d) == 1) or has_braid(_peel(image, d), newer, d)
+            for d in range(1, n)
+            if image[d - 1] > image[d]
+        )
 
     counts = reduced_word_counts(n)
     for w in all_permutations(n):
@@ -208,25 +205,21 @@ def _prop_2_3_verdicts(n: int) -> Iterator[tuple[Permutation, bool, bool, bool]]
     the sweep, answering at once whether some completion repeats no letter
     and whether some completion repeats one.
     """
-    memo: dict[tuple[tuple[int, ...], int], tuple[bool, bool]] = {}
 
+    @cache
     def letter_use(image: tuple[int, ...], used: int) -> tuple[bool, bool]:
-        key = (image, used)
-        found = memo.get(key)
-        if found is None:
-            some_distinct = some_repeated = False
-            descents = [d for d in range(1, n) if image[d - 1] > image[d]]
-            if not descents:
-                some_distinct = True
-            for d in descents:
-                if used >> d & 1:
-                    some_repeated = True
-                else:
-                    distinct, repeated = letter_use(_peel(image, d), used | 1 << d)
-                    some_distinct |= distinct
-                    some_repeated |= repeated
-            found = memo[key] = (some_distinct, some_repeated)
-        return found
+        some_distinct = some_repeated = False
+        descents = [d for d in range(1, n) if image[d - 1] > image[d]]
+        if not descents:
+            some_distinct = True
+        for d in descents:
+            if used >> d & 1:
+                some_repeated = True
+            else:
+                distinct, repeated = letter_use(_peel(image, d), used | 1 << d)
+                some_distinct |= distinct
+                some_repeated |= repeated
+        return some_distinct, some_repeated
 
     for w in all_permutations(n):
         some_distinct, some_repeated = letter_use(w.image, 0)
@@ -244,8 +237,6 @@ def _prop_2_3(n: int) -> Verdicts:
 def _lemma_2_5(n: int) -> Verdicts:
     """Heap covers always join labels differing by exactly one."""
     for w in fc_elements(n):
-        if w.is_identity():
-            continue
         heap = heap_of(w)
         for x, y in heap.covers:
             ok = abs(heap.label(x) - heap.label(y)) == 1
@@ -369,8 +360,6 @@ def _lemma_row2(n: int) -> Verdicts:
 def _lemma_3_1(n: int) -> Verdicts:
     """Equal-label heap elements are separated by both adjacent labels."""
     for w in fc_elements(n):
-        if w.is_identity():
-            continue
         heap = heap_of(w)
         for j in set(heap.labels):
             chain = heap.elements_with_label(j)
@@ -389,38 +378,18 @@ def _thm_3_2(n: int) -> Verdicts:
     """The boolean core exists, splits the length, keeps the support, and is
     the unique maximal same-support boolean below.
 
-    The ideals of different elements overlap, so the boolean test, the
-    support, the inversion set and the principal ideal are each worked out
-    once per element of the sweep.  An ideal is the element with the
-    ideals of its lower covers, one for each descent, kept as a bitmask
-    over the elements in the order the sweep first meets them.  The weak
-    order is inversion-set containment, as ``right_weak_leq`` defines it.
+    Only uniqueness is compared, since maximality follows from it: the
+    support only grows up the right weak order, so a boolean c with
+    core <= c <= w has supp(w) = supp(core) inside supp(c) inside supp(w),
+    and then c, having w's support, is the core.  Ideals overlap, so the
+    boolean test and the support are worked out once per element.
     """
     boolean = _per_image(lambda b: is_boolean(b))
     support = _per_image(lambda b: b.support())
-    inversions = _per_image(lambda b: _inversion_pairs(b))
-    met: list[Permutation] = []  # bit i of an ideal stands for met[i]
-
-    def ideal_bits(b: Permutation) -> int:
-        met.append(b)
-        bits = 1 << (len(met) - 1)
-        for d in b.descents():
-            bits |= ideal(b.times(d))
-        return bits
-
-    ideal = _per_image(ideal_bits)
     for w in fc_elements(n):
         dec = boolean_core(w)
         supp = support(w)
-        below = ideal(w)
-        booleans = set()
-        while below:
-            low = below & -below
-            b = met[low.bit_length() - 1]
-            if boolean(b):
-                booleans.add(b)
-            below ^= low
-        same_support = {b for b in booleans if support(b) == supp}
+        same_support = {b for b in principal_ideal(w) if boolean(b) and support(b) == supp}
         if not (
             boolean(dec.core)
             and support(dec.core) == supp
@@ -428,9 +397,7 @@ def _thm_3_2(n: int) -> Verdicts:
             and dec.core.compose(dec.remainder) == w
         ):
             yield w.to_text()
-        elif same_support != {dec.core} or any(
-            c != dec.core and inversions(dec.core) <= inversions(c) for c in booleans
-        ):
+        elif same_support != {dec.core}:
             yield f"{w.to_text()} (uniqueness)"
         else:
             yield None

@@ -10,7 +10,6 @@ picture of the whole reduced-word set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation
@@ -25,19 +24,19 @@ from .words import (
 DEFAULT_HEAP_BOUND = 14
 
 
-@dataclass(frozen=True)  # no slots: cached_property needs a __dict__
+@dataclass(frozen=True, slots=True)
 class Heap:
     """Labeled poset on the letter positions of a reduced word.
 
     ``below[k]`` holds every element strictly under element k+1, so order
     queries are set lookups.  ``covers`` is the transitive reduction, as
-    sorted (lower, upper) pairs, computed from the labels on first read.
+    sorted (lower, upper) pairs, computed from the labels when read.
     """
 
     labels: tuple[int, ...]
     below: tuple[frozenset[int], ...]
 
-    @cached_property
+    @property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """x is covered by y exactly when x < y, |u_x - u_y| <= 1, and no
         letter strictly between positions x and y is within 1 of both: any
@@ -79,8 +78,8 @@ class Heap:
 def build_heap(letters: tuple[int, ...] | list[int]) -> Heap:
     """Heap of a reduced word.  Raises ValueError on a non-reduced word.
 
-    Only the order ``below`` is built here; ``covers`` waits for its first
-    reader.
+    Only the order ``below`` is built here; ``covers`` is computed when
+    read.
 
     >>> h = build_heap((2, 1, 3))
     >>> h.below

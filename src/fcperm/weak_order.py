@@ -28,7 +28,6 @@ characterization, with no walk at all.
 from __future__ import annotations
 
 import sys
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
@@ -84,20 +83,25 @@ def principal_ideal(
 ) -> set[Permutation]:
     """Everything below w in the right weak order, by downward search.
 
+    The search walks bare images, sorting one descent at a time, and wraps
+    what it found as ``Permutation``s once, at the end.
+
     >>> len(principal_ideal(Permutation((4, 3, 2, 1))))
     24
     """
     require_length_within(w, bound)
-    seen = {w}
-    queue = deque([w])
-    while queue:
-        current = queue.popleft()
-        for d in current.descents():
-            lower = current.times(d)
-            if lower not in seen:
-                seen.add(lower)
-                queue.append(lower)
-    return seen
+    n = w.n
+    seen = {w.image}
+    pending = [w.image]
+    while pending:
+        image = pending.pop()
+        for d in range(1, n):
+            if image[d - 1] > image[d]:
+                lower = image[: d - 1] + (image[d], image[d - 1]) + image[d + 1 :]
+                if lower not in seen:
+                    seen.add(lower)
+                    pending.append(lower)
+    return set(Permutation._trusted_many(list(seen)))
 
 
 @dataclass(frozen=True, slots=True)

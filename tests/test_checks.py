@@ -297,7 +297,14 @@ def test_prop_2_14_fails_under_a_narrowed_witness(monkeypatch):
     )
 
 
-def test_cor_3_7_fails_when_the_core_keeps_the_last_occurrences(monkeypatch):
+@pytest.mark.parametrize(
+    "name, n, cases, counterexample",
+    [("cor-3.7", 6, 13, "1,2,5,6,3,4"), ("thm-3.2", 4, 13, "3,4,1,2")],
+    ids=["cor-3.7", "thm-3.2"],
+)
+def test_checks_fail_when_the_core_keeps_the_last_occurrences(
+    monkeypatch, name, n, cases, counterexample
+):
     def last_occurrences(w):
         word = fcperm.canonical_reduced_word(w)
         last = [j for i, j in enumerate(word) if j not in word[i + 1 :]]
@@ -306,5 +313,115 @@ def test_cor_3_7_fails_when_the_core_keeps_the_last_occurrences(monkeypatch):
         )
 
     monkeypatch.setattr(fcperm.checks, "boolean_core", last_occurrences)
-    result = run_check("cor-3.7", 6)
-    assert (result.passed, result.cases, result.counterexample) == (False, 13, "1,2,5,6,3,4")
+    result = run_check(name, n)
+    assert (result.passed, result.cases, result.counterexample) == (False, cases, counterexample)
+
+
+# -- one-function mutants, each named for what it gets wrong -------------------
+
+
+def _rsk_reads_right_to_left(monkeypatch):
+    # P of the reversed word is the transpose, so rows and columns swap
+    original = fcperm.checks.rsk
+    monkeypatch.setattr(fcperm.checks, "rsk", lambda w: original(fcperm.Permutation(w.image[::-1])))
+
+
+def _rsk_keeps_two_rows(monkeypatch):
+    original = fcperm.checks.rsk
+
+    def two_rows(w):
+        result = original(w)
+        return dataclasses.replace(result, p=fcperm.Tableau(result.p.rows[:2]))
+
+    monkeypatch.setattr(fcperm.checks, "rsk", two_rows)
+
+
+def _fully_commutative_means_boolean(monkeypatch):
+    monkeypatch.setattr(fcperm.checks, "is_fully_commutative", fcperm.checks.is_boolean)
+
+
+def _rsk_rewrites_its_trace(bumps=lambda bumps: bumps, column=lambda col: col):
+    """A mutant of rsk whose trace has each step's bump triples and each
+    letter's first-row column rewritten."""
+
+    def patch(monkeypatch):
+        original = fcperm.checks.rsk
+
+        def rewritten(w):
+            result = original(w)
+            trace = fcperm.BumpTrace(
+                tuple(fcperm.InsertionStep(s.value, bumps(s.bumps)) for s in result.trace.events),
+                {v: column(c) for v, c in result.trace.first_column.items()},
+            )
+            return dataclasses.replace(result, trace=trace)
+
+        monkeypatch.setattr(fcperm.checks, "rsk", rewritten)
+
+    return patch
+
+
+def _covers_without_the_between_test(monkeypatch):
+    # every pair x < y with labels within one, whatever lies between them
+    def comparable(heap):
+        letters = heap.labels
+        return tuple(
+            (x, y)
+            for x, ux in enumerate(letters, start=1)
+            for y, uy in enumerate(letters[x:], start=x + 1)
+            if abs(ux - uy) <= 1
+        )
+
+    monkeypatch.setattr(fcperm.Heap, "covers", property(comparable))
+
+
+def _bump_map_reversed(monkeypatch):
+    original = fcperm.BumpTrace.row_bump_map
+    monkeypatch.setattr(
+        fcperm.BumpTrace, "row_bump_map", lambda trace: {b: z for z, b in original(trace).items()}
+    )
+
+
+def _row2_returns_row_1(monkeypatch):
+    monkeypatch.setattr(fcperm.checks, "row2", lambda w: fcperm.rsk(w).p.row(1))
+
+
+# id -> (check, the smallest degree at which the mutant makes it fail,
+# mutant, cases up to the failure, counterexample)
+VERDICT_TURNING_MUTANTS = {
+    "thm-2.10-row": ("thm-2.10", 2, _rsk_reads_right_to_left, 1, "1,2 (row)"),
+    "thm-2.10-column": ("thm-2.10", 3, _rsk_keeps_two_rows, 6, "3,2,1 (column)"),
+    "thm-2.10-two-row-test": (
+        "thm-2.10", 4, _fully_commutative_means_boolean, 17, "3,4,1,2 (two-row test)",
+    ),
+    "downward-closure": (
+        "downward-closure", 5, _fully_commutative_means_boolean, 47, "3,4,1,5,2 at 4",
+    ),
+    "lemma-2.11-bump": (
+        "lemma-2.11", 2,
+        _rsk_rewrites_its_trace(bumps=lambda bumps: tuple((z, b, r) for b, z, r in bumps)),
+        1, "2,1 bump (2, 1)",
+    ),
+    "lemma-2.11-cascade": (
+        "lemma-2.11", 3,
+        _rsk_rewrites_its_trace(
+            bumps=lambda bumps: tuple((b, z, r) if r == 1 else (z, b, r) for b, z, r in bumps)
+        ),
+        6, "3,2,1 cascade",
+    ),
+    "lemma-2.12": (
+        "lemma-2.12", 1, _rsk_rewrites_its_trace(column=lambda col: col - 1), 1, "1 value 1",
+    ),
+    "lemma-2.5": ("lemma-2.5", 4, _covers_without_the_between_test, 13, "3,4,1,2 cover (1, 4)"),
+    "cor-5.5-at-d": ("cor-5.5", 6, _bump_map_reversed, 1, "4,1,5,2,6,3 at 1"),
+    "cor-5.5-value-z": ("cor-5.5", 6, _row2_returns_row_1, 1, "4,1,5,2,6,3 value 1"),
+}
+
+
+@pytest.mark.parametrize("mutant_id", sorted(VERDICT_TURNING_MUTANTS))
+def test_check_fails_under_a_one_function_mutant(monkeypatch, mutant_id):
+    name, n, mutate, cases, counterexample = VERDICT_TURNING_MUTANTS[mutant_id]
+    mutate(monkeypatch)
+    result = run_check(name, n)
+    assert (result.passed, result.cases, result.counterexample) == (False, cases, counterexample)
+    if n > 1:
+        assert run_check(name, n - 1).passed  # n is the smallest failing degree

@@ -32,3 +32,16 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_checks_import_no_private_name():
+    # the checks test the library through its public surface
+    tree = ast.parse((Path(fcperm.__file__).parent / "checks.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("fcperm"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, private

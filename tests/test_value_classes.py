@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError, fields
 import pytest
 
 import fcperm.checks
-from fcperm import Classification, Permutation, Tableau, classify, rsk, run_check
+from fcperm import Classification, Permutation, Tableau, build_heap, classify, rsk, run_check
 from fcperm.cli import main
 
 VALUES = {
@@ -25,6 +25,10 @@ VALUES = {
     "CheckResult": (
         run_check("thm-4.11", 6),
         "CheckResult(check='thm-4.11', n=6, passed=True, cases=1, counterexample=None)",
+    ),
+    "Heap": (
+        build_heap((2, 1, 3)),
+        "Heap(labels=(2, 1, 3), below=(frozenset(), frozenset({1}), frozenset({1})))",
     ),
     "Classification": (
         classify(Permutation.from_text("41627385")),
