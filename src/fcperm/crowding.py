@@ -92,24 +92,18 @@ def minimal_crowded_window(x: int, y: int) -> tuple[int, ...]:
     return (y, y + 1) + tuple(range(y + 3, y + 2 * x, 2)) + (y + 2 * x,)
 
 
-@dataclass(frozen=True, slots=True)
-class MinimalCrowdedSet:
-    x: int
-    y: int
-    elements: tuple[int, ...]
-
-
-def minimal_crowded_subset(values) -> MinimalCrowdedSet:
+def minimal_crowded_subset(values) -> CrowdedWitness:
     """An inclusion-wise minimal crowded subset of a crowded set.
 
     The candidates are exactly the sets ``minimal_crowded_window(x, y)``.
     They are pairwise incomparable: each has exactly two adjacent pairs,
     (y, y+1) and (y+2x-1, y+2x), and those fix x and y.  So the first one
     contained in the input, scanning y down from max L - 2 and then x up
-    from 1, is the one with largest y, then smallest x.
+    from 1, is the one with largest y, then smallest x.  It comes back as
+    the witness whose window is that set.
 
-    >>> minimal_crowded_subset({4, 6, 7, 8}).elements
-    (6, 7, 8)
+    >>> minimal_crowded_subset({4, 6, 7, 8})
+    CrowdedWitness(x=1, y=6, window=(6, 7, 8))
     """
     members = frozenset(values)
     if is_uncrowded_set(members):
@@ -126,7 +120,7 @@ def minimal_crowded_subset(values) -> MinimalCrowdedSet:
     )
     _demand(found is not None, f"crowded set {sorted(members)} holds no standard window")
     x, y = found
-    return MinimalCrowdedSet(x=x, y=y, elements=minimal_crowded_window(x, y))
+    return CrowdedWitness(x, y, window=minimal_crowded_window(x, y))
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,8 +227,7 @@ def analyze_transition(v: Permutation, i: int) -> TransitionReport:
             f"precondition failed: the insertion tableau does not change at index {i}"
         )
 
-    stats = v.support_stats(i)
-    prefix_max, suffix_min = stats.prefix_max, stats.suffix_min
+    prefix_max, suffix_min = v.support_stats(i)
     pos = {val: p for p, val in enumerate(v.image, start=1)}
     pos_max, pos_min = pos[prefix_max], pos[suffix_min]
 
@@ -488,8 +481,7 @@ def is_minimal_crowded_direct(w: Permutation) -> MinimalityReport:
         occurrences = iter_occurrences(w, _PATTERN_415263)
         first = next(occurrences, None)
         pattern_consecutive = first is not None and all(
-            occ.positions[-1] - occ.positions[0] == 5
-            for occ in chain((first,), occurrences)
+            occ[-1] - occ[0] == 5 for occ in chain((first,), occurrences)
         )
     else:
         pattern_consecutive = False

@@ -8,25 +8,17 @@ position order so golden outputs are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .permutations import Permutation
 
 
-@dataclass(frozen=True, slots=True)
-class PatternOccurrence:
-    """Positions (1-based, strictly increasing) realizing a pattern."""
-
-    positions: tuple[int, ...]
-    pattern: Permutation
-
-
-def iter_occurrences(w: Permutation, p: Permutation) -> Iterator[PatternOccurrence]:
-    """All occurrences of p in w, in lexicographic position order.
+def iter_occurrences(w: Permutation, p: Permutation) -> Iterator[tuple[int, ...]]:
+    """All occurrences of p in w, in lexicographic position order, each as
+    its positions (1-based, strictly increasing).
 
     >>> w = Permutation.from_text("314592687")
-    >>> next(iter_occurrences(w, Permutation.from_text("1423"))).positions
+    >>> next(iter_occurrences(w, Permutation.from_text("1423")))
     (1, 5, 7, 8)
     """
     host = w.image
@@ -37,10 +29,10 @@ def iter_occurrences(w: Permutation, p: Permutation) -> Iterator[PatternOccurren
     chosen_pos: list[int] = []
     chosen_val: list[int] = []
 
-    def extend(start: int) -> Iterator[PatternOccurrence]:
+    def extend(start: int) -> Iterator[tuple[int, ...]]:
         k = len(chosen_pos)
         if k == m:
-            yield PatternOccurrence(tuple(chosen_pos), p)
+            yield tuple(chosen_pos)
             return
         # 0-based scan; keep enough room for the remaining pattern letters
         for j in range(start, n - (m - k) + 1):

@@ -32,21 +32,6 @@ def _numbers_from_text(text: str, kind: str) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True, slots=True)
-class SupportStats:
-    """Prefix/suffix extremes around a cut position.
-
-    ``prefix_max`` is the largest value in the first ``index`` positions and
-    ``suffix_min`` the smallest value in the remaining ones.  The letter
-    ``index`` occurs in reduced words exactly when ``prefix_max > suffix_min``
-    (equivalently ``prefix_max > index``, or ``suffix_min < index + 1``).
-    """
-
-    index: int
-    prefix_max: int
-    suffix_min: int
-
-
-@dataclass(frozen=True, slots=True)
 class Permutation:
     """A permutation stored as its one-line notation.
 
@@ -212,14 +197,23 @@ class Permutation:
                 out.append(i)
         return frozenset(out)
 
-    def support_stats(self, i: int) -> SupportStats:
+    def support_stats(self, i: int) -> tuple[int, int]:
+        """(prefix_max, suffix_min): the largest of the first i values and
+        the smallest of the rest.
+
+        The letter i occurs in reduced words exactly when
+        prefix_max > suffix_min (equivalently prefix_max > i, or
+        suffix_min < i + 1).
+
+        >>> w = Permutation.from_text("41623785")
+        >>> w.support_stats(5), 5 in w.support()
+        ((6, 5), True)
+        >>> Permutation.identity(4).support_stats(2)
+        (2, 3)
+        """
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"reflection index {i} out of range 1..{self.n - 1}")
-        return SupportStats(
-            index=i,
-            prefix_max=max(self.image[:i]),
-            suffix_min=min(self.image[i:]),
-        )
+        return max(self.image[:i]), min(self.image[i:])
 
     # -- plumbing -------------------------------------------------------------
 

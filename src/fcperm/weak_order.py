@@ -133,23 +133,21 @@ def require_degree_within(n: int, bound: int) -> None:
         raise ValueError("a permutation needs degree at least 1")
 
 
-def _tails(j: int, m: int) -> list[tuple[int, ...]]:
-    """Every 321-avoiding completion of a prefix with j free values, m of
-    them below its maximum, as indices into the sorted free values, in
-    lexicographic order.
-
-    The next index is 0 while m > 0 (the least free value, below the
-    maximum), or any k >= m (a new maximum, leaving k free values below
-    it); the rest then completes j - 1 values the same way.
+def _prefixes(
+    prefix: tuple[int, ...], free: tuple[int, ...], below: int, left: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Every 321-avoiding extension of ``prefix`` that leaves ``left`` values
+    free, as (prefix, free, below), in lexicographic order, by the rule
+    ``fc_elements`` states: ``free`` holds the values not yet placed,
+    sorted, and the first ``below`` of them lie under the prefix's maximum.
     """
-    if j == 0:
-        return [()]
-    out = []
-    if m:
-        out += [(0,) + tuple(i + 1 for i in t) for t in _tails(j - 1, m - 1)]
-    for k in range(m, j):
-        out += [(k,) + tuple(i + (i >= k) for i in t) for t in _tails(j - 1, k)]
-    return out
+    if len(free) == left:
+        yield prefix, free, below
+        return
+    if below:
+        yield from _prefixes(prefix + free[:1], free[1:], below - 1, left)
+    for i in range(below, len(free)):
+        yield from _prefixes(prefix + free[i : i + 1], free[:i] + free[i + 1 :], i, left)
 
 
 # how many free values fc_elements completes from a table instead of
@@ -165,13 +163,14 @@ _STAMPED_TAIL = 5
 
 @lru_cache(maxsize=None)
 def _stamps(j: int) -> tuple[tuple[itemgetter, ...], ...]:
-    """For m = 0..j, one getter per completion in ``_tails(j, m)``, each
-    picking its entries out of the sorted free values as a tuple.  Built
-    once per j, since it depends on nothing else."""
+    """For m = 0..j, one getter per completion of j free values, m of them
+    below the maximum, as the walk finds it on the indices 0..j-1; each
+    picks its entries out of the sorted free values as a tuple.  Built once
+    per j, since it depends on nothing else."""
     return tuple(
         tuple(
             itemgetter(*t) if len(t) > 1 else itemgetter(slice(t[0], t[0] + 1))
-            for t in _tails(j, m)
+            for t, _, _ in _prefixes((), tuple(range(j)), m, 0)
         )
         for m in range(j + 1)
     )
@@ -195,11 +194,12 @@ class fc_elements:
     free value while m > 0, leaving m - 1 below the maximum, or the i-th
     for some i >= m, a new maximum with i free values below it.  It extends
     prefixes one entry per call until j = min(n, 5) values are left, and
-    then stamps every completion at once: one ``itemgetter`` per index
-    tuple of ``_tails(j, m)``, applied to the free values, with no call per
-    position.  The getters are built once per process, and each leaf's
-    images become ``Permutation``s in one ``Permutation._trusted_many``
-    call, with no Python-level call per element.
+    then stamps every completion at once: one ``itemgetter`` per completion
+    that the same walk finds for the indices 0..j-1, applied to the free
+    values, with no call per position.  The getters are built once per
+    process, and each leaf's images become ``Permutation``s in one
+    ``Permutation._trusted_many`` call, with no Python-level call per
+    element.
 
     Like ``range``, this is a class, and calling it only checks the
     request: the degree and the bound, and the depth of the walk, which
@@ -239,29 +239,16 @@ class fc_elements:
         """The elements in order, as one list per leaf of the walk: the
         completions of one prefix with min(n, 5) values left.
 
-        Iterating the view chains these lists.  The walk is a public
-        method, so that perfbench's tracer, which wraps public functions
+        Iterating the view chains these lists.  This is a public method,
+        so that perfbench's tracer, which wraps public functions
         and methods, times it under ``weak_order``.
         """
         n = self.n
         tail = min(n, _STAMPED_TAIL)
         stamps = _stamps(tail)
         trusted_many = Permutation._trusted_many
-
-        def extend(
-            prefix: tuple[int, ...], free: tuple[int, ...], below: int
-        ) -> Iterator[list[Permutation]]:
-            # free: the values not yet placed, sorted; the first ``below`` of
-            # them lie under the prefix's maximum
-            if len(free) == tail:
-                yield trusted_many([prefix + stamp(free) for stamp in stamps[below]])
-                return
-            if below:
-                yield from extend(prefix + free[:1], free[1:], below - 1)
-            for i in range(below, len(free)):
-                yield from extend(prefix + free[i : i + 1], free[:i] + free[i + 1 :], i)
-
-        yield from extend((), tuple(range(1, n + 1)), 0)
+        for prefix, free, below in _prefixes((), tuple(range(1, n + 1)), 0, tail):
+            yield trusted_many([prefix + stamp(free) for stamp in stamps[below]])
 
 
 def crowding_census(n: int, bound: int = DEFAULT_POSET_BOUND) -> tuple[int, int]:
@@ -427,8 +414,10 @@ def minimal_crowded(
 def knuth_neighbors(w: Permutation) -> list[Permutation]:
     """Permutations one Knuth relation away.
 
-    A relation swaps the first two letters of a consecutive 312 or 132, or
-    the last two letters of a consecutive 231 or 213.
+    A relation swaps the first two of three consecutive letters when the
+    third lies strictly between them (a 312 or 132), or the last two when
+    the first does (a 231 or 213); see Knuth, *Permutations, matrices, and
+    generalized Young tableaux*, 1970.
 
     >>> knuth_neighbors(Permutation((3, 1, 2)))
     [Permutation('132')]
@@ -438,10 +427,9 @@ def knuth_neighbors(w: Permutation) -> list[Permutation]:
     out = set()
     for d in range(n - 2):
         a, b, c = image[d], image[d + 1], image[d + 2]
-        ranks = tuple(sorted((a, b, c)).index(v) + 1 for v in (a, b, c))
-        if ranks in ((3, 1, 2), (1, 3, 2)):
+        if min(a, b) < c < max(a, b):
             out.add(w.times(d + 1))
-        if ranks in ((2, 3, 1), (2, 1, 3)):
+        if min(b, c) < a < max(b, c):
             out.add(w.times(d + 2))
     return sorted(out, key=lambda v: v.image)
 

@@ -175,11 +175,11 @@ class TestProperties:
                 continue
             found += 1
             result = minimal_crowded_subset(subset)
-            elements = set(result.elements)
+            elements = set(result.window)
             assert elements <= subset and not is_uncrowded_set(elements)
             for drop in elements:
                 assert is_uncrowded_set(elements - {drop})
-            assert result.elements == minimal_crowded_window(result.x, result.y)
+            assert result.window == minimal_crowded_window(result.x, result.y)
         print("minimal crowded subsets on random inputs: pass")
 
     def test_bump_trace_on_large_random_permutations(self):

@@ -10,6 +10,8 @@ import pytest
 import fcperm
 import fcperm.checks
 import fcperm.crowding
+import fcperm.heaps
+import fcperm.weak_order
 from fcperm.checks import CHECKS, run_check
 
 SMALL_SCOPES = {
@@ -245,9 +247,7 @@ def test_cor_left_q_fails_when_rsk_swaps_its_tableaux(monkeypatch):
 
 def test_lemma_2_1_fails_when_the_suffix_starts_one_position_early(monkeypatch):
     def suffix_one_early(w, i):
-        return fcperm.SupportStats(
-            index=i, prefix_max=max(w.image[:i]), suffix_min=min(w.image[i - 1 :])
-        )
+        return max(w.image[:i]), min(w.image[i - 1 :])
 
     monkeypatch.setattr(fcperm.Permutation, "support_stats", suffix_one_early)
     result = run_check("lemma-2.1", 4)
@@ -385,6 +385,57 @@ def _row2_returns_row_1(monkeypatch):
     monkeypatch.setattr(fcperm.checks, "row2", lambda w: fcperm.rsk(w).p.row(1))
 
 
+def _reduced_words_lose_the_last(monkeypatch):
+    original = fcperm.checks.all_reduced_words
+
+    def without_the_last(w, bound):
+        words = original(w, bound=bound)
+        return words - {max(words)} if len(words) > 1 else words
+
+    monkeypatch.setattr(fcperm.checks, "all_reduced_words", without_the_last)
+
+
+def _heap_relates_equal_labels_only(monkeypatch):
+    # labels one apart no longer meet, so nothing lies between two equal ones
+    def build_heap(letters):
+        below = [
+            frozenset(x for x in range(1, y) if letters[x - 1] == u)
+            for y, u in enumerate(letters, start=1)
+        ]
+        return fcperm.Heap(tuple(letters), tuple(below))
+
+    monkeypatch.setattr(fcperm.heaps, "build_heap", build_heap)
+
+
+def _descents_lose_the_last(monkeypatch):
+    original = fcperm.Permutation.descents
+    monkeypatch.setattr(
+        fcperm.Permutation, "descents", lambda w: original(w) - {max(original(w), default=0)}
+    )
+
+
+def _frontier_row2_drops_its_largest_entry(monkeypatch):
+    # uncrowded_frontier then decides crowdedness on a short second row
+    original = fcperm.weak_order.row2
+    monkeypatch.setattr(fcperm.weak_order, "row2", lambda w: original(w)[:-1])
+
+
+def _bump_pairs_reversed(monkeypatch):
+    original = fcperm.checks.bump_pairs
+    monkeypatch.setattr(fcperm.checks, "bump_pairs", lambda w: original(w)[::-1])
+
+
+def _extractor_keeps_the_whole_set(monkeypatch):
+    # still a crowded witness with the right x and y, but not a minimal one
+    original = fcperm.checks.minimal_crowded_subset
+
+    def whole(values):
+        found = original(values)
+        return fcperm.CrowdedWitness(found.x, found.y, window=tuple(sorted(values)))
+
+    monkeypatch.setattr(fcperm.checks, "minimal_crowded_subset", whole)
+
+
 # id -> (check, the smallest degree at which the mutant makes it fail,
 # mutant, cases up to the failure, counterexample)
 VERDICT_TURNING_MUTANTS = {
@@ -414,6 +465,20 @@ VERDICT_TURNING_MUTANTS = {
     "lemma-2.5": ("lemma-2.5", 4, _covers_without_the_between_test, 13, "3,4,1,2 cover (1, 4)"),
     "cor-5.5-at-d": ("cor-5.5", 6, _bump_map_reversed, 1, "4,1,5,2,6,3 at 1"),
     "cor-5.5-value-z": ("cor-5.5", 6, _row2_returns_row_1, 1, "4,1,5,2,6,3 value 1"),
+    "prop-2.7": ("prop-2.7", 4, _reduced_words_lose_the_last, 6, "2,1,4,3"),
+    "cor-lis": ("cor-lis", 2, _rsk_reads_right_to_left, 1, "2,1 value 1"),
+    "lemma-3.1": (
+        "lemma-3.1", 4, _heap_relates_equal_labels_only, 1, "3,4,1,2 label 2 pair (1, 4)",
+    ),
+    "cor-5.6": ("cor-5.6", 6, _descents_lose_the_last, 1, "4,1,5,2,6,3"),
+    "lemma-5.7": (
+        "lemma-5.7", 9, _frontier_row2_drops_its_largest_entry, 3, "4,1,5,2,6,3,7,9,8",
+    ),
+    "lemma-5.8": ("lemma-5.8", 8, _bump_pairs_reversed, 1, "3,1,6,2,7,4,8,5 index 1"),
+    "cor-5.9-extractor-mismatch": (
+        "cor-5.9", 8, _extractor_keeps_the_whole_set, 3,
+        "3,1,6,2,7,4,8,5 (extractor mismatch)",
+    ),
 }
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import fcperm.checks
 import fcperm.cli
+import fcperm.crowding
 from fcperm import CoverEdge, Permutation, classify, fc_elements, rsk
 from fcperm.cli import FILTERS, main
 from fcperm.crowding import InvariantViolation
@@ -804,6 +805,18 @@ class TestInternalErrors:
         code, out, err = run(capsys, *argv)
         assert code == 3 and not out
         assert err.strip() == f"internal error: {error} (input: {' '.join(argv)})"
+
+    def test_a_transition_that_lands_uncrowded_exits_three(self, capsys, monkeypatch):
+        # the last deduction analyze_transition demands, which thm-4.11
+        # relies on instead of testing the target again
+        uncrowded = fcperm.crowding.Classification(crowded=False, row2=(), witness=None)
+        monkeypatch.setattr(fcperm.crowding, "classify", lambda w: uncrowded)
+        assert run(capsys, "verify", "7", "thm-4.11") == (
+            3,
+            "",
+            "internal error: 1,5,2,3,6,7,4@4: transition target is not crowded"
+            " (input: verify 7 thm-4.11)\n",
+        )
 
 
 _IMAGES = st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1)))

@@ -37,7 +37,7 @@ def _listed_pattern_consecutive(w):
         return False
     occurrences = list(iter_occurrences(w, P("415263")))
     return bool(occurrences) and all(
-        occ.positions[-1] - occ.positions[0] == 5 for occ in occurrences
+        occ[-1] - occ[0] == 5 for occ in occurrences
     )
 
 
@@ -144,9 +144,9 @@ class TestMinimalCrowdedSubset:
         assert minimal_crowded_window(3, 1) == (1, 2, 4, 6, 7)
 
     def test_goldens(self):
-        assert minimal_crowded_subset({4, 6, 7, 8}).elements == (6, 7, 8)
+        assert minimal_crowded_subset({4, 6, 7, 8}).window == (6, 7, 8)
         chosen = minimal_crowded_subset({4, 5, 6})
-        assert (chosen.x, chosen.y, chosen.elements) == (1, 4, (4, 5, 6))
+        assert (chosen.x, chosen.y, chosen.window) == (1, 4, (4, 5, 6))
 
     def test_rejects_uncrowded(self):
         with pytest.raises(ValueError):
@@ -159,9 +159,9 @@ class TestMinimalCrowdedSubset:
                 if is_uncrowded_set(subset):
                     continue
                 result = minimal_crowded_subset(subset)
-                assert set(result.elements) <= set(subset)
-                assert not is_uncrowded_set(result.elements)
-                assert result.elements == minimal_crowded_window(result.x, result.y)
+                assert set(result.window) <= set(subset)
+                assert not is_uncrowded_set(result.window)
+                assert result.window == minimal_crowded_window(result.x, result.y)
 
     def test_matches_the_candidates_and_filter_on_all_subsets_of_twelve(self):
         crowded = 0
@@ -171,7 +171,7 @@ class TestMinimalCrowdedSubset:
                     continue
                 crowded += 1
                 result = minimal_crowded_subset(subset)
-                found = (result.x, result.y, result.elements)
+                found = (result.x, result.y, result.window)
                 assert found == _candidates_and_filter_subset(subset), subset
         assert crowded == 2665  # of the 4,096 subsets
 
@@ -195,12 +195,12 @@ class TestMinimalCrowdedSubset:
                 continue
             found += 1
             result = minimal_crowded_subset(subset)
-            elements = set(result.elements)
+            elements = set(result.window)
             assert elements <= subset
             assert not is_uncrowded_set(elements)
             for drop in elements:
                 assert is_uncrowded_set(elements - {drop})
-            assert result.elements == minimal_crowded_window(result.x, result.y)
+            assert result.window == minimal_crowded_window(result.x, result.y)
 
 
 class TestClassify:
@@ -336,7 +336,7 @@ class TestMinimalCrowdedDirect:
 
         def recorded(w, p):
             for occurrence in iter_occurrences(w, p):
-                seen.append(occurrence.positions)
+                seen.append(occurrence)
                 yield occurrence
 
         monkeypatch.setattr(fcperm.crowding, "iter_occurrences", recorded)

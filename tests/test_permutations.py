@@ -143,24 +143,22 @@ class TestDescentsSupport:
             assert (w.support() == frozenset()) == w.is_identity()
 
     def test_support_stats_golden(self):
-        stats = Permutation.from_text("41623785").support_stats(5)
-        assert (stats.prefix_max, stats.suffix_min) == (6, 5)
+        assert Permutation.from_text("41623785").support_stats(5) == (6, 5)
         for i in range(1, 5):
-            idstats = Permutation.identity(5).support_stats(i)
-            assert (idstats.prefix_max, idstats.suffix_min) == (i, i + 1)
+            assert Permutation.identity(5).support_stats(i) == (i, i + 1)
 
     def test_support_stats_equivalences_exhaustive(self):
         for w in all_permutations(7):
             supp = w.support()
             for i in range(1, 7):
-                stats = w.support_stats(i)
+                prefix_max, suffix_min = w.support_stats(i)
                 verdicts = {
                     i in supp,
                     set(w.image[:i]) != set(range(1, i + 1)),
                     set(w.image[i:]) != set(range(i + 1, 8)),
-                    stats.prefix_max > i,
-                    stats.suffix_min < i + 1,
-                    stats.prefix_max > stats.suffix_min,
+                    prefix_max > i,
+                    suffix_min < i + 1,
+                    prefix_max > suffix_min,
                 }
                 assert len(verdicts) == 1, (w, i)
 

@@ -4,7 +4,7 @@ and the JSON that ``asdict`` feeds stay as they were."""
 
 import copy
 import pickle
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -78,9 +78,11 @@ def test_verify_json_is_unchanged(capsys, monkeypatch):
     assert capsys.readouterr().out == (
         '{"check": "thm-4.11", "n": 6, "passed": true, "cases": 1, "counterexample": null}\n'
     )
-    monkeypatch.setattr(fcperm.checks, "classify", lambda w: Classification(False, (), None))
+    # the check reads Q as P, so it sees P change on a cover where it does
+    # not, and analyze_transition refuses that cover
+    monkeypatch.setattr(fcperm.checks, "rsk", lambda w: replace(rsk(w), p=rsk(w).q))
     assert main(["verify", "7", "thm-4.11", "--json"]) == 1
     assert capsys.readouterr().out == (
-        '{"check": "thm-4.11", "n": 7, "passed": false, "cases": 1,'
-        ' "counterexample": "1,5,2,3,6,7,4 at 4"}\n'
+        '{"check": "thm-4.11", "n": 7, "passed": false, "cases": 1, "counterexample":'
+        ' "precondition failed: the insertion tableau does not change at index 5"}\n'
     )
