@@ -10,7 +10,12 @@ then spells out the five-condition test on each minimal element of S_8.
 Run:  python3 demos/minimal_crowded_census.py
 """
 
-from fcperm import classify, crowding_census, is_minimal_crowded_direct, minimal_crowded
+from fcperm import crowding_census, is_minimal_crowded_direct, minimal_crowded, row2
+
+CONDITIONS = (
+    "descent_form", "descent_values_crowded", "fixed_outside", "pattern_consecutive",
+    "window_patterns",
+)
 
 for n in range(3, 17):
     label = f"S_{n}:"
@@ -23,6 +28,5 @@ for n in range(3, 17):
 print("\nthe minimal crowded elements of S_8, with their condition reports:")
 for w in minimal_crowded(8):
     report = is_minimal_crowded_direct(w)
-    flags = report.to_json_dict()["conditions"]
-    row2 = list(classify(w).row2)
-    print(f"  {w.to_text(compact=True)}  row2 = {row2}  {flags}")
+    flags = {key: getattr(report, key) for key in CONDITIONS}
+    print(f"  {w.to_text(compact=True)}  row2 = {list(row2(w))}  {flags}")

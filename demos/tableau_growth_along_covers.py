@@ -17,7 +17,7 @@ w = Permutation.from_text("41627385")
 print("a chain core < v < w in the right weak order:")
 for name, u in (("core", core), ("v", v), ("w", w)):
     p = rsk(u).p
-    verdict = "crowded" if classify(u).crowded else "uncrowded"
+    verdict = "uncrowded" if classify(u) is None else "crowded"
     print(f"  {name:5} {u.to_text(compact=True)}   P = {p.to_text():18} {verdict}")
 
 print("\nP stays equal from core to v, then changes at the step v -> w = v*s_5.")
@@ -27,4 +27,4 @@ print(f"they straddle the swapped pair as a 3142 occurrence at positions {report
 print(f"value moved into row 2: {report.moved_value}")
 print(f"window {list(report.interval)} now holds "
       f"{report.chain_length + 3} second-row entries, one too many")
-print(f"witness window reported by classify: {list(classify(w).witness.window)}")
+print(f"witness window reported by classify: {list(classify(w).window)}")

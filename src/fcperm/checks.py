@@ -454,7 +454,7 @@ def _cor_4_12(n: int) -> Verdicts:
     """Uncrowded means sharing the insertion tableau with the core."""
     p_of = _insertion_tableaux()  # boolean cores are fully commutative too
     for w in fc_elements(n):
-        uncrowded = not classify(w).crowded
+        uncrowded = classify(w) is None
         same = p_of(boolean_core(w).core) == p_of(w)
         yield None if uncrowded == same else w.to_text()
 
@@ -477,7 +477,7 @@ def _prop_2_14(n: int) -> Verdicts:
 def _lemma_5_1(n: int) -> Verdicts:
     """Uncrowded elements form an order ideal, crowded ones a filter."""
     for v, w, _i in fc_covers(n):
-        if classify(v).crowded and not classify(w).crowded:
+        if classify(v) is not None and classify(w) is None:
             yield f"{v.to_text()} -> {w.to_text()}"
         else:
             yield None
@@ -588,10 +588,10 @@ def _lemma_5_7(n: int) -> Verdicts:
     notation of a minimal crowded element."""
     for w in uncrowded_frontier(n)[1]:
         pairs = bump_pairs(w)
-        interleaved = [x for b, z in pairs for x in (z, b)]
+        interleaved = tuple(x for b, z in pairs for x in (z, b))
         pos = {val: p for p, val in enumerate(w.image, start=1)}
         start = pos[interleaved[0]]
-        window = [w(p) for p in range(start, start + len(interleaved))]
+        window = w.image[start - 1 : start - 1 + len(interleaved)]
         yield None if window == interleaved else w.to_text()
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict
 from functools import cache
 
 from .checks import CHECKS, run_check
-from .crowding import classify, is_minimal_crowded_direct, is_uncrowded_set
+from .crowding import find_crowded_witness, is_minimal_crowded_direct, is_uncrowded_set
 from .heaps import boolean_core, build_heap, heap_of
 from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations
@@ -74,16 +74,34 @@ def _cmd_analyze(args) -> int:
     ]
     if fully_commutative:
         core = boolean_core(w)
-        classification = classify(w)
+        second = list(row2(w))
+        witness = find_crowded_witness(second)
         minimality = is_minimal_crowded_direct(w)
+        conditions = {
+            "descent_form": minimality.descent_form,
+            "descent_values_crowded": minimality.descent_values_crowded,
+            "fixed_outside": minimality.fixed_outside,
+            "pattern_consecutive": minimality.pattern_consecutive,
+            "window_patterns": minimality.window_patterns,
+        }
+        verdict = "uncrowded" if witness is None else "crowded"
         report["core"] = core.core.to_text()
         report["core_word"] = list(core.core_word)
-        report["row2"] = list(classification.row2)
-        report["classification"] = classification.to_json_dict()
-        report["minimal_crowded"] = minimality.to_json_dict()
-        verdict, witness = report["classification"]["verdict"], classification.witness
+        report["row2"] = second
+        report["classification"] = {"verdict": verdict, "row2": second}
         if witness is not None:
+            report["classification"]["witness"] = {
+                "x": witness.x, "y": witness.y, "window": list(witness.window),
+            }
             verdict += f" (window {list(witness.window)}, x={witness.x}, y={witness.y})"
+        report["minimal_crowded"] = {
+            "w": w.to_text(),
+            "minimal": minimality.minimal,
+            "conditions": conditions,
+            "descent_start": minimality.descent_start,
+            "descent_count": minimality.descent_count,
+            "row2": second,
+        }
         lines += [
             f"boolean core:       {report['core']}",
             f"core word:          {word_to_text(core.core_word)}",
@@ -91,7 +109,6 @@ def _cmd_analyze(args) -> int:
             f"classification:     {verdict}",
             f"minimal crowded:    {minimality.minimal}",
         ]
-        conditions = report["minimal_crowded"]["conditions"]
         lines += [f"  {key}: {value}" for key, value in conditions.items()]
     print(json.dumps(report, indent=2) if args.json else "\n".join(lines))
     return 0

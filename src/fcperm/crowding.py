@@ -3,8 +3,9 @@
 A set L of integers is *uncrowded* when every window [y, y+2x] (x positive)
 meets L in at most x+1 points, and *crowded* otherwise.  A fully commutative
 permutation inherits the adjective of the second row of its insertion
-tableau.  Crowdedness is exactly the obstruction to sharing an insertion
-tableau with a boolean permutation, and it appears along weak-order covers
+tableau, and ``classify`` returns that row's overfull window, or None.
+Crowdedness is exactly the obstruction to sharing an insertion tableau
+with a boolean permutation, and it appears along weak-order covers
 in a completely controlled way; ``analyze_transition`` extracts the full
 witness data for one cover step and checks every step of that control.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .heaps import boolean_core
 from .patterns import is_fully_commutative, iter_occurrences
 from .permutations import Permutation
 from .rsk import rsk, row2
@@ -123,51 +123,21 @@ def minimal_crowded_subset(values) -> CrowdedWitness:
     return CrowdedWitness(x, y, window=minimal_crowded_window(x, y))
 
 
-@dataclass(frozen=True, slots=True)
-class Classification:
-    crowded: bool
-    row2: tuple[int, ...]
-    witness: CrowdedWitness | None
+def classify(w: Permutation) -> CrowdedWitness | None:
+    """The crowding verdict for a fully commutative permutation: the
+    witness window in the second row of its insertion tableau when w is
+    crowded, None when it is uncrowded.  By Thm 4.12 (the ``cor-4.12``
+    check), w is uncrowded exactly when it shares that tableau with its
+    boolean core.
 
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "verdict": "crowded" if self.crowded else "uncrowded",
-            "row2": list(self.row2),
-        }
-        if self.witness is not None:
-            out["witness"] = {
-                "x": self.witness.x,
-                "y": self.witness.y,
-                "window": list(self.witness.window),
-            }
-        return out
-
-
-def classify(w: Permutation) -> Classification:
-    """Crowded/uncrowded verdict for a fully commutative permutation.
-
-    >>> classify(Permutation.from_text("41627385")).witness.window
+    >>> classify(Permutation.from_text("41627385")).window
     (6, 7, 8)
-    >>> classify(Permutation.from_text("41623785")).crowded
-    False
+    >>> classify(Permutation.from_text("41623785")) is None
+    True
     """
     if not is_fully_commutative(w):
         raise ValueError(f"{w.to_text()} is not fully commutative")
-    second = row2(w)
-    witness = find_crowded_witness(second)
-    return Classification(crowded=witness is not None, row2=second, witness=witness)
-
-
-def uncrowded_iff_core(w: Permutation) -> bool:
-    """True exactly when w is uncrowded; self-checks that this coincides
-    with sharing an insertion tableau with the boolean core."""
-    verdict = not classify(w).crowded
-    same_tableau = rsk(boolean_core(w).core).p == rsk(w).p
-    _demand(
-        verdict == same_tableau,
-        f"{w.to_text()}: uncrowded is {verdict} but core-tableau match is {same_tableau}",
-    )
-    return verdict
+    return find_crowded_witness(row2(w))
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,9 +152,6 @@ class TransitionReport:
     window that ends up overfull in the second row of P(v*s_i).
     """
 
-    v: Permutation
-    w: Permutation
-    index: int
     prefix_max: int
     suffix_min: int
     pattern_3142: tuple[int, int, int, int]
@@ -369,14 +336,11 @@ def analyze_transition(v: Permutation, i: int) -> TransitionReport:
         f"{v.to_text()}@{i}: second row of P(w) is not overfull on {interval}",
     )
     _demand(
-        classify(w).crowded,
+        classify(w) is not None,
         f"{v.to_text()}@{i}: transition target is not crowded",
     )
 
     return TransitionReport(
-        v=v,
-        w=w,
-        index=i,
         prefix_max=prefix_max,
         suffix_min=suffix_min,
         pattern_3142=pattern,
@@ -406,10 +370,8 @@ class MinimalityReport:
 
     ``descent_start``/``descent_count`` hold d and k when the descent set is
     {d, d+2, .., d+2k}; the window conditions are only meaningful then.
-    ``row2`` is the second row of w's insertion tableau.
     """
 
-    w: Permutation
     minimal: bool
     descent_form: bool
     descent_values_crowded: bool
@@ -418,23 +380,6 @@ class MinimalityReport:
     window_patterns: bool
     descent_start: int | None
     descent_count: int | None
-    row2: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "w": self.w.to_text(),
-            "minimal": self.minimal,
-            "conditions": {
-                "descent_form": self.descent_form,
-                "descent_values_crowded": self.descent_values_crowded,
-                "fixed_outside": self.fixed_outside,
-                "pattern_consecutive": self.pattern_consecutive,
-                "window_patterns": self.window_patterns,
-            },
-            "descent_start": self.descent_start,
-            "descent_count": self.descent_count,
-            "row2": list(self.row2),
-        }
 
 
 def is_minimal_crowded_direct(w: Permutation) -> MinimalityReport:
@@ -494,7 +439,6 @@ def is_minimal_crowded_direct(w: Permutation) -> MinimalityReport:
         and window_patterns
     )
     return MinimalityReport(
-        w=w,
         minimal=minimal,
         descent_form=descent_form,
         descent_values_crowded=descent_values_crowded,
@@ -503,5 +447,4 @@ def is_minimal_crowded_direct(w: Permutation) -> MinimalityReport:
         window_patterns=window_patterns,
         descent_start=d,
         descent_count=k,
-        row2=second,
     )

@@ -442,8 +442,7 @@ def poset_to_dot(poset: FcPoset) -> str:
     lines = ["digraph fc_poset {", "  rankdir=BT;", "  node [style=filled];"]
     for w in poset.elements:
         name = w.to_text(compact=True)
-        verdict = classify(w)
-        if not verdict.crowded:
+        if classify(w) is None:
             color = "white"
             extra = ""
         elif is_minimal_crowded_direct(w).minimal:

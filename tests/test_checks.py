@@ -474,6 +474,9 @@ VERDICT_TURNING_MUTANTS = {
     "lemma-5.7": (
         "lemma-5.7", 9, _frontier_row2_drops_its_largest_entry, 3, "4,1,5,2,6,3,7,9,8",
     ),
+    # the reversed word starts at the last bumped value, so its window runs
+    # past the end of the one-line notation: the element is the counterexample
+    "lemma-5.7-bump-pairs-reversed": ("lemma-5.7", 6, _bump_pairs_reversed, 1, "4,1,5,2,6,3"),
     "lemma-5.8": ("lemma-5.8", 8, _bump_pairs_reversed, 1, "3,1,6,2,7,4,8,5 index 1"),
     "cor-5.9-extractor-mismatch": (
         "cor-5.9", 8, _extractor_keeps_the_whole_set, 3,

@@ -32,8 +32,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# `analyze` output, exactly: minimal crowded, uncrowded, not fully
-# commutative, the identity of S_1, and degree 10 in comma form
+# `analyze` output, exactly: minimal crowded, uncrowded, crowded but not
+# minimal (a descent set of the wrong form, so the crowded-values condition
+# reads the second row), not fully commutative, the identity of S_1, and
+# degree 10 in comma form
 ANALYZE_TEXT = {
     "41627385": (
         "permutation:        4,1,6,2,7,3,8,5",
@@ -71,6 +73,26 @@ ANALYZE_TEXT = {
         "minimal crowded:    False",
         "  descent_form: False",
         "  descent_values_crowded: False",
+        "  fixed_outside: False",
+        "  pattern_consecutive: False",
+        "  window_patterns: False",
+    ),
+    "41527836": (
+        "permutation:        4,1,5,2,7,8,3,6",
+        "length:             9",
+        "descents:           [1, 3, 6]",
+        "support:            [1, 2, 3, 4, 5, 6, 7]",
+        "fully commutative:  True",
+        "boolean:            False",
+        "P tableau:          1,2,3,6/4,5,7,8",
+        "Q tableau:          1,3,5,6/2,4,7,8",
+        "boolean core:       4,1,2,5,7,3,8,6",
+        "core word:          3214657",
+        "row 2:              [4, 5, 7, 8]",
+        "classification:     crowded (window [4, 5, 7, 8], x=2, y=4)",
+        "minimal crowded:    False",
+        "  descent_form: False",
+        "  descent_values_crowded: True",
         "  fixed_outside: False",
         "  pattern_consecutive: False",
         "  window_patterns: False",
@@ -187,6 +209,39 @@ ANALYZE_JSON = {
             "descent_start": None,
             "descent_count": None,
             "row2": [4, 6, 7],
+        },
+    },
+    "41527836": {
+        "permutation": "4,1,5,2,7,8,3,6",
+        "n": 8,
+        "length": 9,
+        "descents": [1, 3, 6],
+        "support": [1, 2, 3, 4, 5, 6, 7],
+        "fully_commutative": True,
+        "boolean": False,
+        "p_tableau": {"rows": [[1, 2, 3, 6], [4, 5, 7, 8]]},
+        "q_tableau": {"rows": [[1, 3, 5, 6], [2, 4, 7, 8]]},
+        "core": "4,1,2,5,7,3,8,6",
+        "core_word": [3, 2, 1, 4, 6, 5, 7],
+        "row2": [4, 5, 7, 8],
+        "classification": {
+            "verdict": "crowded",
+            "row2": [4, 5, 7, 8],
+            "witness": {"x": 2, "y": 4, "window": [4, 5, 7, 8]},
+        },
+        "minimal_crowded": {
+            "w": "4,1,5,2,7,8,3,6",
+            "minimal": False,
+            "conditions": {
+                "descent_form": False,
+                "descent_values_crowded": True,
+                "fixed_outside": False,
+                "pattern_consecutive": False,
+                "window_patterns": False,
+            },
+            "descent_start": None,
+            "descent_count": None,
+            "row2": [4, 5, 7, 8],
         },
     },
     "4321": {
@@ -337,10 +392,14 @@ class TestAnalyze:
             calls.append(w)
             return original(w)
 
-        original = fcperm.crowding.row2
-        monkeypatch.setattr(fcperm.crowding, "row2", counted)
+        original = fcperm.row2
+        layers = ("rsk", "crowding", "weak_order", "checks", "cli")
+        for name in ["fcperm"] + [f"fcperm.{m}" for m in layers]:
+            module = importlib.import_module(name)
+            if getattr(module, "row2", None) is original:
+                monkeypatch.setattr(module, "row2", counted)
         code, _, _ = run(capsys, "analyze", permutation, *form)
-        # classify and the minimality test, once each; none for non-FC input
+        # the report and the minimality test, once each; none for non-FC input
         w = Permutation.from_text(permutation)
         assert code == 0
         assert calls == ([w, w] if brute_avoids_321(w.image) else [])
@@ -435,7 +494,7 @@ class TestEnumerate:
 
     def test_crowded_counts_match_classify(self, capsys):
         elements = tuple(fc_elements(10, bound=10))
-        crowded = sum(classify(w).crowded for w in elements)
+        crowded = sum(classify(w) is not None for w in elements)
         for which, expected in (("crowded", crowded), ("uncrowded", len(elements) - crowded)):
             code, out, _ = run(
                 capsys, "enumerate", "10", "--filter", which, "--bound", "10", "--count"
@@ -445,8 +504,8 @@ class TestEnumerate:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_crowded_listings_match_classify(self, capsys, n):
         elements = fc_elements(n, bound=10)
-        crowded = [w.to_text(compact=True) for w in elements if classify(w).crowded]
-        uncrowded = [w.to_text(compact=True) for w in elements if not classify(w).crowded]
+        crowded = [w.to_text(compact=True) for w in elements if classify(w) is not None]
+        uncrowded = [w.to_text(compact=True) for w in elements if classify(w) is None]
         for which, expected in (("crowded", crowded), ("uncrowded", uncrowded)):
             code, out, err = run(
                 capsys, "enumerate", str(n), "--filter", which, "--bound", "10", "--compact"
@@ -776,7 +835,7 @@ class TestInternalErrors:
             ),
             (
                 fcperm.cli,
-                "classify",
+                "find_crowded_witness",
                 ["analyze", "41627385"],
                 InvariantViolation("row 2 lost a value"),
             ),
@@ -791,7 +850,7 @@ class TestInternalErrors:
         # pytest's default ids, minus the namespace that each target implies
         ids=[
             "boolean_core-argv0-error0",
-            "classify-argv1-error1",
+            "find_crowded_witness-argv1-error1",
             "analyze_transition-argv2-error2",
         ],
     )
@@ -809,8 +868,7 @@ class TestInternalErrors:
     def test_a_transition_that_lands_uncrowded_exits_three(self, capsys, monkeypatch):
         # the last deduction analyze_transition demands, which thm-4.11
         # relies on instead of testing the target again
-        uncrowded = fcperm.crowding.Classification(crowded=False, row2=(), witness=None)
-        monkeypatch.setattr(fcperm.crowding, "classify", lambda w: uncrowded)
+        monkeypatch.setattr(fcperm.crowding, "classify", lambda w: None)
         assert run(capsys, "verify", "7", "thm-4.11") == (
             3,
             "",

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from fcperm import (
     Tableau,
     analyze_transition,
     boolean_core,
+    CrowdedWitness,
     classify,
     find_crowded_witness,
     is_minimal_crowded_direct,
@@ -18,9 +20,9 @@ from fcperm import (
     minimal_crowded_window,
     row2,
     rsk,
-    uncrowded_iff_core,
 )
 import fcperm.crowding
+from fcperm.cli import main
 from fcperm.weak_order import fc_covers, fc_elements
 from fcperm.patterns import iter_occurrences
 
@@ -205,44 +207,55 @@ class TestMinimalCrowdedSubset:
 
 class TestClassify:
     def test_goldens(self):
-        assert not classify(P("41623785")).crowded
-        verdict = classify(P("41627385"))
-        assert verdict.crowded and verdict.witness.window == (6, 7, 8)
-        assert not classify(Permutation.identity(5)).crowded
+        assert classify(P("41623785")) is None
+        assert classify(P("41627385")) == CrowdedWitness(x=1, y=6, window=(6, 7, 8))
+        assert classify(Permutation.identity(5)) is None
 
     def test_rejects_non_fully_commutative(self):
         with pytest.raises(ValueError):
             classify(Permutation((3, 2, 1)))
 
-    def test_json_report(self):
-        report = classify(P("41627385")).to_json_dict()
-        assert report["verdict"] == "crowded"
-        assert report["witness"]["window"] == [6, 7, 8]
-        assert report["row2"] == [4, 6, 7, 8]
+    def test_json_report(self, capsys):
+        # `analyze --json` writes the verdict that classify returns
+        for w in fc_elements(7):
+            assert main(["analyze", w.to_text(), "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)["classification"]
+            witness = classify(w)
+            assert report["verdict"] == ("uncrowded" if witness is None else "crowded")
+            assert report["row2"] == list(row2(w))
+            if witness is None:
+                assert "witness" not in report
+            else:
+                assert report["witness"] == {
+                    "x": witness.x, "y": witness.y, "window": list(witness.window),
+                }
 
 
 class TestUncrowdedIffCore:
+    # cor-4.12 compares the two sides over every FC element of S_8
     def test_goldens(self):
         v = P("41623785")
-        assert uncrowded_iff_core(v)
-        assert rsk(boolean_core(v).core).p == Tableau(((1, 2, 3, 5, 8), (4, 6, 7)))
-        assert not uncrowded_iff_core(P("41627385"))
+        assert classify(v) is None
+        assert rsk(boolean_core(v).core).p == rsk(v).p == Tableau(((1, 2, 3, 5, 8), (4, 6, 7)))
+        w = P("41627385")
+        assert classify(w) is not None
+        assert rsk(boolean_core(w).core).p != rsk(w).p
 
     def test_boolean_elements_are_uncrowded(self):
         from fcperm import is_boolean
 
         for w in fc_elements(6):
             if is_boolean(w):
-                assert uncrowded_iff_core(w)
+                assert classify(w) is None
 
 
 class TestAnalyzeTransition:
     def test_worked_example(self):
-        report = analyze_transition(P("41623785"), 5)
-        assert report.w == P("41627385")
+        v = P("41623785")
+        report = analyze_transition(v, 5)
         assert (report.prefix_max, report.suffix_min) == (6, 5)
         assert report.pattern_3142 == (3, 5, 6, 8)
-        assert report.v(report.pattern_3142[0]) == 6
+        assert v(report.pattern_3142[0]) == 6
         assert report.run_before == (2,)
         assert report.run_after == (8,)
         assert report.moved_value == 8
@@ -250,7 +263,7 @@ class TestAnalyzeTransition:
         assert report.column_chain == (7, 8)
         assert report.bumpers == (5,)
         assert report.interval == (6, 8)
-        inside = [z for z in row2(report.w) if 6 <= z <= 8]
+        inside = [z for z in row2(P("41627385")) if 6 <= z <= 8]
         assert len(inside) == report.chain_length + 3
 
     def test_precondition_errors(self):
@@ -272,8 +285,8 @@ class TestAnalyzeTransition:
             if i not in v.support() or rsk(v).p == rsk(w).p:
                 continue
             seen += 1
-            report = analyze_transition(v, i)
-            assert classify(report.w).crowded
+            analyze_transition(v, i)
+            assert classify(w) is not None
         assert seen >= 1
 
 
@@ -290,7 +303,7 @@ class TestMinimalCrowdedDirect:
 
     def test_uncrowded_fails_crowdedness_condition(self):
         for w in fc_elements(6):
-            if classify(w).crowded:
+            if classify(w) is not None:
                 continue
             report = is_minimal_crowded_direct(w)
             assert not report.minimal
@@ -344,9 +357,26 @@ class TestMinimalCrowdedDirect:
         assert not report.pattern_consecutive
         assert seen == [(1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 8)]
 
-    def test_report_keeps_the_second_row(self):
+    def test_report_keeps_the_second_row(self, capsys):
+        # `analyze --json` writes the minimality report next to w's second row
         for w in fc_elements(7):
-            assert is_minimal_crowded_direct(w).row2 == row2(w)
+            assert main(["analyze", w.to_text(), "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)["minimal_crowded"]
+            direct = is_minimal_crowded_direct(w)
+            assert report == {
+                "w": w.to_text(),
+                "minimal": direct.minimal,
+                "conditions": {
+                    key: getattr(direct, key)
+                    for key in (
+                        "descent_form", "descent_values_crowded", "fixed_outside",
+                        "pattern_consecutive", "window_patterns",
+                    )
+                },
+                "descent_start": direct.descent_start,
+                "descent_count": direct.descent_count,
+                "row2": list(row2(w)),
+            }
 
     def test_three_conditions_imply_the_descent_conditions(self):
         # fixed_outside, pattern_consecutive and window_patterns already force
@@ -370,7 +400,7 @@ class TestMinimalCrowdedDirect:
         from fcperm.weak_order import build_fc_poset
 
         poset = build_fc_poset(7)
-        crowded = {w: classify(w).crowded for w in poset.elements}
+        crowded = {w: classify(w) is not None for w in poset.elements}
         down = {w: [] for w in poset.elements}
         for v, w, _ in poset.edges:
             down[w].append(v)

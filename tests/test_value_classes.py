@@ -4,12 +4,16 @@ and the JSON that ``asdict`` feeds stay as they were."""
 
 import copy
 import pickle
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import pytest
 
+import fcperm
 import fcperm.checks
-from fcperm import Classification, Permutation, Tableau, build_heap, classify, rsk, run_check
+from fcperm import (
+    Permutation, Tableau, analyze_transition, boolean_core, build_fc_poset, build_heap,
+    classify, is_minimal_crowded_direct, rsk, run_check,
+)
 from fcperm.cli import main
 
 VALUES = {
@@ -30,12 +34,44 @@ VALUES = {
         build_heap((2, 1, 3)),
         "Heap(labels=(2, 1, 3), below=(frozenset(), frozenset({1}), frozenset({1})))",
     ),
-    "Classification": (
+    "CrowdedWitness": (
         classify(Permutation.from_text("41627385")),
-        "Classification(crowded=True, row2=(4, 6, 7, 8),"
-        " witness=CrowdedWitness(x=1, y=6, window=(6, 7, 8)))",
+        "CrowdedWitness(x=1, y=6, window=(6, 7, 8))",
+    ),
+    "MinimalityReport": (
+        is_minimal_crowded_direct(Permutation.from_text("41627385")),
+        "MinimalityReport(minimal=True, descent_form=True, descent_values_crowded=True,"
+        " fixed_outside=True, pattern_consecutive=True, window_patterns=True,"
+        " descent_start=1, descent_count=3)",
+    ),
+    "TransitionReport": (
+        analyze_transition(Permutation.from_text("41623785"), 5),
+        "TransitionReport(prefix_max=6, suffix_min=5, pattern_3142=(3, 5, 6, 8),"
+        " run_before=(2,), run_after=(8,), moved_value=8, column_chain=(7, 8), bumpers=(5,),"
+        " chain_length=0, interval=(6, 8))",
+    ),
+    "CoreDecomposition": (
+        boolean_core(Permutation.from_text("41627385")),
+        "CoreDecomposition(core=Permutation('41263785'), remainder=Permutation('12436578'),"
+        " core_word=(3, 2, 1, 5, 4, 6, 7), remainder_word=(3, 5))",
+    ),
+    "FcPoset": (
+        build_fc_poset(3),
+        "FcPoset(n=3, elements=(Permutation('123'), Permutation('132'), Permutation('213'),"
+        " Permutation('231'), Permutation('312')),"
+        " edges=(CoverEdge(lower=Permutation('123'), upper=Permutation('213'), index=1),"
+        " CoverEdge(lower=Permutation('123'), upper=Permutation('132'), index=2),"
+        " CoverEdge(lower=Permutation('132'), upper=Permutation('312'), index=1),"
+        " CoverEdge(lower=Permutation('213'), upper=Permutation('231'), index=2)))",
     ),
 }
+# BumpTrace holds a dict, so it has no hash; RskResult's repr pins it
+UNLISTED = {"BumpTrace"}
+
+
+def test_every_exported_value_class_is_listed():
+    exported = {name for name in fcperm.__all__ if is_dataclass(getattr(fcperm, name))}
+    assert exported - UNLISTED == set(VALUES)
 
 
 @pytest.fixture(params=sorted(VALUES))
