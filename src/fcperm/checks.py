@@ -26,7 +26,7 @@ from .heaps import (
     boolean_core, build_heap, count_linear_extensions, heap_of, labeled_linear_extensions,
 )
 from .patterns import is_boolean, is_fully_commutative
-from .permutations import Permutation, all_permutations
+from .permutations import Permutation, all_permutations, descent_swaps
 from .rsk import Tableau, bump_pairs, row2, rsk
 from .weak_order import (
     DEFAULT_POSET_BOUND, fc_covers, fc_elements, knuth_neighbors, principal_ideal,
@@ -161,11 +161,6 @@ def _lemma_2_1(n: int) -> Verdicts:
             yield None if len(verdicts) == 1 else f"{w.to_text()} at {i}"
 
 
-def _peel(image: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """The image of w * s_d."""
-    return image[: d - 1] + (image[d], image[d - 1]) + image[d + 1 :]
-
-
 def _prop_2_2_verdicts(n: int) -> Iterator[tuple[Permutation, bool, bool, bool]]:
     """(w, fc, braid_free, single) for every w in S_n, listing no words.
 
@@ -176,13 +171,14 @@ def _prop_2_2_verdicts(n: int) -> Iterator[tuple[Permutation, bool, bool, bool]]
     @cache
     def has_braid(image: tuple[int, ...], older: int, newer: int) -> bool:
         return any(
-            (d == older and abs(newer - d) == 1) or has_braid(_peel(image, d), newer, d)
-            for d in range(1, n)
-            if image[d - 1] > image[d]
+            (d == older and abs(newer - d) == 1) or has_braid(lower, newer, d)
+            for d, lower in descent_swaps(image)
         )
 
     counts = reduced_word_counts(n)
     for w in all_permutations(n):
+        if w.image not in counts:
+            raise ValueError(f"{w.to_text()}: no reduced-word count")
         class_size = count_linear_extensions(build_heap(canonical_reduced_word(w)))
         single = class_size == counts[w.image]
         yield w, is_fully_commutative(w), not has_braid(w.image, 0, 0), single
@@ -207,15 +203,13 @@ def _prop_2_3_verdicts(n: int) -> Iterator[tuple[Permutation, bool, bool, bool]]
 
     @cache
     def letter_use(image: tuple[int, ...], used: int) -> tuple[bool, bool]:
-        some_distinct = some_repeated = False
-        descents = [d for d in range(1, n) if image[d - 1] > image[d]]
-        if not descents:
-            some_distinct = True
-        for d in descents:
+        lower_covers = list(descent_swaps(image))
+        some_distinct, some_repeated = not lower_covers, False
+        for d, lower in lower_covers:
             if used >> d & 1:
                 some_repeated = True
             else:
-                distinct, repeated = letter_use(_peel(image, d), used | 1 << d)
+                distinct, repeated = letter_use(lower, used | 1 << d)
                 some_distinct |= distinct
                 some_repeated |= repeated
         return some_distinct, some_repeated

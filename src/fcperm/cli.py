@@ -74,7 +74,7 @@ def _cmd_analyze(args) -> int:
     ]
     if fully_commutative:
         core = boolean_core(w)
-        second = list(row2(w))
+        second = list(tableaux.p.row(2))
         witness = find_crowded_witness(second)
         minimality = is_minimal_crowded_direct(w)
         conditions = {

@@ -401,7 +401,6 @@ def is_minimal_crowded_direct(w: Permutation) -> MinimalityReport:
         and all(b - a == 2 for a, b in zip(descents, descents[1:]))
     )
 
-    second = row2(w)
     if descent_form:
         d, k = descents[0], len(descents) - 1
         descent_values = {w(p) for p in descents}
@@ -416,7 +415,7 @@ def is_minimal_crowded_direct(w: Permutation) -> MinimalityReport:
         )
     else:
         d = k = None
-        descent_values = set(second)
+        descent_values = set(row2(w))
         fixed_outside = window_patterns = False
     descent_values_crowded = find_crowded_witness(descent_values) is not None
 

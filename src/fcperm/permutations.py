@@ -235,3 +235,28 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     if n < 1:
         raise ValueError("a permutation needs degree at least 1")
     yield from map(Permutation._trusted, permutations(range(1, n + 1)))
+
+
+def descent_swaps(image: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(d, image of w*s_d)`` for each right descent d of the image w, d
+    ascending: one step down the right weak order per descent, swapping
+    positions d and d+1 of a bare image.
+
+    >>> list(descent_swaps((3, 1, 2)))
+    [(1, (1, 3, 2))]
+    """
+    for d in range(1, len(image)):
+        if image[d - 1] > image[d]:
+            yield d, image[: d - 1] + (image[d], image[d - 1]) + image[d + 1 :]
+
+
+def ascent_swaps(image: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(d, image of w*s_d)`` for each right ascent d of the image w, d
+    ascending: one step up the right weak order per ascent.
+
+    >>> list(ascent_swaps((3, 1, 2)))
+    [(2, (3, 2, 1))]
+    """
+    for d in range(1, len(image)):
+        if image[d - 1] < image[d]:
+            yield d, image[: d - 1] + (image[d], image[d - 1]) + image[d + 1 :]

@@ -1,28 +1,29 @@
 """Right weak order on S_n and its fully commutative subposet.
 
-Covers go up by one right multiplication at an ascent.  The fully
-commutative permutations are exactly the 321-avoiding ones, and
-``fc_elements`` generates them directly, in lexicographic order, by
-extending prefixes until five values are left, and then stamping every
-completion of the prefix at once from a table.  It is a lazy view, like
-``range``: the call checks the degree, the bound and the depth of the
-walk, and each pass over the view walks again, holding one prefix's
-completions at a time; indexing walks once and lists everything.  A
-reader that needs the elements twice takes a ``tuple``.  Crowdedness
-depends on the second row of the insertion tableau alone:
+Covers go up by one right multiplication at an ascent, and down by one at
+a descent; the walks below take the downward step, on bare images, from
+``descent_swaps`` in ``permutations``.  The fully commutative permutations
+are exactly the 321-avoiding ones, and ``fc_elements`` generates them
+directly, in lexicographic order, by extending prefixes until five values
+are left, and then stamping every completion of the prefix at once from a
+table.  It is a lazy view, like ``range``: the call checks the degree, the
+bound and the depth of the walk, and each pass over the view walks again,
+holding one prefix's completions at a time; indexing walks once and lists
+everything.  A reader that needs the elements twice takes a ``tuple``.
+Crowdedness depends on the second row of the insertion tableau alone:
 ``uncrowded_frontier`` decides each element by its ``row2``, and
 ``crowding_census`` counts the crowded and uncrowded elements without
-visiting any, summing over the possible second rows instead.
-``fc_covers`` generates the subposet's covers by a local rule at each
-ascent, with no membership set and no 321 test, and ``build_fc_poset`` is
-the elements plus those covers.  The elements are downward closed under
-covers (sorting an adjacent descent removes an inversion pair and cannot
-create a decreasing triple), so every lower cover of a fully commutative
+visiting any, summing over the possible second rows instead.  ``fc_covers``
+generates the subposet's covers by a local rule at each ascent, with no
+membership set and no 321 test, and ``build_fc_poset`` is the elements
+plus those covers.  The elements are downward closed under covers (sorting
+an adjacent descent removes an inversion pair and cannot create a
+decreasing triple), so every lower cover of a fully commutative
 permutation is again one; ``uncrowded_frontier`` relies on this to read
-each element's covers downward, by sorting its descents, without
-materializing the poset's edges.  ``minimal_crowded`` builds the
-frontier's minimal crowded half block by block instead, from the paper's
-characterization, with no walk at all.
+each element's lower covers from ``descent_swaps``, without materializing
+the poset's edges.  ``minimal_crowded`` builds the frontier's minimal
+crowded half block by block instead, from the paper's characterization,
+with no walk at all.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .crowding import classify, is_minimal_crowded_direct, is_uncrowded_set
-from .permutations import Permutation
+from .permutations import Permutation, descent_swaps
 from .rsk import row2
 from .words import BoundExceeded, require_length_within
 
@@ -55,52 +56,25 @@ class CoverEdge(NamedTuple):
     index: int
 
 
-def _inversion_pairs(w: Permutation) -> frozenset[tuple[int, int]]:
-    """Value pairs (a, b), a < b, appearing out of order in w."""
-    image = w.image
-    n = len(image)
-    out = set()
-    for p in range(n):
-        for q in range(p + 1, n):
-            if image[p] > image[q]:
-                out.add((image[q], image[p]))
-    return frozenset(out)
-
-
-def right_weak_leq(v: Permutation, w: Permutation) -> bool:
-    """Right weak order, as containment of inversion-pair sets.
-
-    Covers add exactly one value pair, so reachability downward is the same
-    as set containment.
-    """
-    if v.n != w.n:
-        raise ValueError(f"degree mismatch: {v.n} vs {w.n}")
-    return _inversion_pairs(v) <= _inversion_pairs(w)
-
-
 def principal_ideal(
     w: Permutation, bound: int = DEFAULT_IDEAL_LENGTH_BOUND
 ) -> set[Permutation]:
     """Everything below w in the right weak order, by downward search.
 
-    The search walks bare images, sorting one descent at a time, and wraps
-    what it found as ``Permutation``s once, at the end.
+    The search walks bare images, one ``descent_swaps`` step at a time,
+    and wraps what it found as ``Permutation``s once, at the end.
 
     >>> len(principal_ideal(Permutation((4, 3, 2, 1))))
     24
     """
     require_length_within(w, bound)
-    n = w.n
     seen = {w.image}
     pending = [w.image]
     while pending:
-        image = pending.pop()
-        for d in range(1, n):
-            if image[d - 1] > image[d]:
-                lower = image[: d - 1] + (image[d], image[d - 1]) + image[d + 1 :]
-                if lower not in seen:
-                    seen.add(lower)
-                    pending.append(lower)
+        for _, lower in descent_swaps(pending.pop()):
+            if lower not in seen:
+                seen.add(lower)
+                pending.append(lower)
     return set(Permutation._trusted_many(list(seen)))
 
 
@@ -316,10 +290,11 @@ def uncrowded_frontier(
 ) -> tuple[tuple[Permutation, ...], tuple[Permutation, ...]]:
     """Maximal uncrowded and minimal crowded elements of the subposet.
 
-    Covers are read downward only: a lower cover sorts a descent and is
-    always fully commutative.  So an uncrowded element is maximal unless it
-    is a lower cover of an uncrowded element, and a crowded element is
-    minimal unless one of its lower covers is crowded.
+    Covers are read downward only, from ``descent_swaps``: a lower cover
+    sorts a descent and is always fully commutative.  So an uncrowded
+    element is maximal unless it is a lower cover of an uncrowded element,
+    and a crowded element is minimal unless one of its lower covers is
+    crowded.
 
     >>> uncrowded_frontier(5)[1]
     ()
@@ -330,11 +305,7 @@ def uncrowded_frontier(
     minimal_crowded = []
     for w in elements:
         image = w.image
-        lower = [
-            image[: d - 1] + (image[d], image[d - 1]) + image[d + 1 :]
-            for d in range(1, n)
-            if image[d - 1] > image[d]
-        ]
+        lower = [v for _, v in descent_swaps(image)]
         if not crowded[image]:
             covered_by_uncrowded.update(lower)
         elif not any(crowded[v] for v in lower):

@@ -8,14 +8,15 @@ Enumeration of a full reduced-word set grows explosively with length, so the
 enumerating operations take a ``bound`` argument and refuse (with
 ``BoundExceeded``) rather than silently truncate.  ``count_reduced_words``
 counts the set without listing it, and ``reduced_word_counts`` counts it for
-every element of S_n at once.
+every element of S_n at once; the two step through the weak order by
+``descent_swaps`` and ``ascent_swaps`` of ``permutations``.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .permutations import Permutation, _numbers_from_text
+from .permutations import Permutation, _numbers_from_text, ascent_swaps, descent_swaps
 
 DEFAULT_WORD_BOUND = 12
 
@@ -165,15 +166,12 @@ def count_reduced_words(w: Permutation) -> int:
     >>> count_reduced_words(Permutation((1, 2, 3)))
     1
     """
-    n = w.n
     level = {w.image: 1}
     while True:
         below: dict[tuple[int, ...], int] = {}
         for image, paths in level.items():
-            for d in range(1, n):
-                if image[d - 1] > image[d]:
-                    lower = image[: d - 1] + (image[d], image[d - 1]) + image[d + 1 :]
-                    below[lower] = below.get(lower, 0) + paths
+            for _, lower in descent_swaps(image):
+                below[lower] = below.get(lower, 0) + paths
         if not below:
             (paths,) = level.values()  # the identity alone
             return paths
@@ -202,10 +200,8 @@ def reduced_word_counts(n: int) -> dict[tuple[int, ...], int]:
     while level:
         above: dict[tuple[int, ...], int] = {}
         for image, paths in level.items():
-            for d in range(1, n):
-                if image[d - 1] < image[d]:
-                    upper = image[: d - 1] + (image[d], image[d - 1]) + image[d + 1 :]
-                    above[upper] = above.get(upper, 0) + paths
+            for _, upper in ascent_swaps(image):
+                above[upper] = above.get(upper, 0) + paths
         counts.update(above)
         level = above
     return counts

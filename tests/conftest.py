@@ -172,6 +172,58 @@ def braid_closure_words(w: Permutation) -> set[tuple[int, ...]]:
     return seen
 
 
+def least_reduced_words(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The lexicographically least reduced word of every element of S_n,
+    keyed by image, filled upward from the identity.
+
+    Every reduced word of w ends in a right descent d of w and is a reduced
+    word of w*s_d followed by d.  The words of w*s_d all have the same
+    length, so least(w) is the least of least(w*s_d) + (d,) over the lower
+    covers of w.  One length level at a time, each image offers its word
+    plus d to the image one ascent d above it, which keeps the least offer.
+    No descent is peeled, so this checks ``canonical_reduced_word``
+    independently of ``iter_reduced_words``.
+    """
+    level = {tuple(range(1, n + 1)): ()}
+    least = dict(level)
+    while level:
+        above: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for image, word in level.items():
+            for d in range(1, n):
+                if image[d - 1] < image[d]:
+                    raised = list(image)
+                    raised[d - 1], raised[d] = raised[d], raised[d - 1]
+                    upper, offer = tuple(raised), word + (d,)
+                    if upper not in above or offer < above[upper]:
+                        above[upper] = offer
+        least.update(above)
+        level = above
+    return least
+
+
+def inversion_pairs(w: Permutation) -> frozenset[tuple[int, int]]:
+    """Value pairs (a, b), a < b, appearing out of order in w."""
+    image = w.image
+    n = len(image)
+    out = set()
+    for p in range(n):
+        for q in range(p + 1, n):
+            if image[p] > image[q]:
+                out.add((image[q], image[p]))
+    return frozenset(out)
+
+
+def right_weak_leq(v: Permutation, w: Permutation) -> bool:
+    """Right weak order, as containment of inversion-pair sets.
+
+    Covers add exactly one value pair, so reachability downward is the same
+    as set containment.
+    """
+    if v.n != w.n:
+        raise ValueError(f"degree mismatch: {v.n} vs {w.n}")
+    return inversion_pairs(v) <= inversion_pairs(w)
+
+
 def count_reduced_words(w: Permutation) -> int:
     """Memoized count of reduced words, without materializing any."""
 

@@ -11,7 +11,9 @@ import fcperm
 import fcperm.checks
 import fcperm.crowding
 import fcperm.heaps
+import fcperm.permutations
 import fcperm.weak_order
+import fcperm.words
 from fcperm.checks import CHECKS, run_check
 
 SMALL_SCOPES = {
@@ -436,6 +438,21 @@ def _extractor_keeps_the_whole_set(monkeypatch):
     monkeypatch.setattr(fcperm.checks, "minimal_crowded_subset", whole)
 
 
+def _swaps_lose_the_last(name):
+    # the weak-order step of permutations, short of its highest index
+    def patch(monkeypatch):
+        original = getattr(fcperm.permutations, name)
+
+        def without_the_last(image):
+            yield from list(original(image))[:-1]
+
+        for module in (fcperm.permutations, fcperm.words, fcperm.weak_order, fcperm.checks):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, without_the_last)
+
+    return patch
+
+
 # id -> (check, the smallest degree at which the mutant makes it fail,
 # mutant, cases up to the failure, counterexample)
 VERDICT_TURNING_MUTANTS = {
@@ -481,6 +498,19 @@ VERDICT_TURNING_MUTANTS = {
     "cor-5.9-extractor-mismatch": (
         "cor-5.9", 8, _extractor_keeps_the_whole_set, 3,
         "3,1,6,2,7,4,8,5 (extractor mismatch)",
+    ),
+    "prop-2.2-descent-swaps": (
+        "prop-2.2", 3, _swaps_lose_the_last("descent_swaps"), 6,
+        "3,2,1: fc=False braid_free=True single=False",
+    ),
+    "thm-3.2-descent-swaps": (
+        "thm-3.2", 4, _swaps_lose_the_last("descent_swaps"), 13, "3,4,1,2 (uniqueness)",
+    ),
+    "thm-5.10-descent-swaps": (
+        "thm-5.10", 6, _swaps_lose_the_last("descent_swaps"), 120, "4,1,5,6,2,3",
+    ),
+    "prop-2.2-ascent-swaps": (
+        "prop-2.2", 2, _swaps_lose_the_last("ascent_swaps"), 2, "2,1: no reduced-word count",
     ),
 }
 

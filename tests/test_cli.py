@@ -399,10 +399,11 @@ class TestAnalyze:
             if getattr(module, "row2", None) is original:
                 monkeypatch.setattr(module, "row2", counted)
         code, _, _ = run(capsys, "analyze", permutation, *form)
-        # the report and the minimality test, once each; none for non-FC input
-        w = Permutation.from_text(permutation)
+        # the report reads row 2 off P; the minimality test inserts again
+        # only off the descent form, whose condition reads the row
+        expected = {"41627385": [], "41623785": [Permutation.from_text("41623785")], "4321": []}
         assert code == 0
-        assert calls == ([w, w] if brute_avoids_321(w.image) else [])
+        assert calls == expected[permutation]
 
 
 class TestEnumerate:
@@ -605,6 +606,20 @@ class TestVerify:
 
         monkeypatch.setattr(fcperm.checks, "fc_covers", loose_covers)
         assert run(capsys, "verify", "7", check) == (1, summary + "\n", "")
+
+    def test_missing_reduced_word_count_is_a_counterexample(self, capsys, monkeypatch):
+        # a count table that misses an element decides that element's case;
+        # no KeyError escapes main
+        original = fcperm.checks.reduced_word_counts
+
+        def without_the_longest(n):
+            table = original(n)
+            del table[tuple(range(n, 0, -1))]
+            return table
+
+        monkeypatch.setattr(fcperm.checks, "reduced_word_counts", without_the_longest)
+        summary = "prop-2.2 @ S_3: FAIL (6 cases) counterexample: 3,2,1: no reduced-word count"
+        assert run(capsys, "verify", "3", "prop-2.2") == (1, summary + "\n", "")
 
 
 class TestDot:

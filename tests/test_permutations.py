@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fcperm import Permutation, all_permutations
+from fcperm.permutations import ascent_swaps, descent_swaps
 
 from conftest import bfs_reduced_word
 
@@ -129,6 +130,14 @@ class TestDescentsSupport:
         assert sorted(Permutation.from_text("41627385").descents()) == [1, 3, 5, 7]
         assert Permutation.identity(5).descents() == frozenset()
         assert sorted(Permutation((4, 3, 2, 1)).descents()) == [1, 2, 3]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_swaps_step_at_each_descent_and_each_ascent(self, n):
+        for w in all_permutations(n):
+            descents = sorted(w.descents())
+            ascents = [d for d in range(1, n) if d not in descents]
+            assert list(descent_swaps(w.image)) == [(d, w.times(d).image) for d in descents]
+            assert list(ascent_swaps(w.image)) == [(d, w.times(d).image) for d in ascents]
 
     def test_support_goldens(self):
         assert sorted(Permutation.from_text("51342").support()) == [1, 2, 3, 4]

@@ -26,7 +26,6 @@ from fcperm import (
     minimal_crowded,
     poset_to_dot,
     principal_ideal,
-    right_weak_leq,
     rsk,
     uncrowded_frontier,
 )
@@ -36,6 +35,7 @@ from conftest import (
     crowding_census_by_dp,
     minimal_crowded_count,
     prefix_walk_fc,
+    right_weak_leq,
     wide_scan_is_uncrowded,
 )
 
