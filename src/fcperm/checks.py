@@ -27,7 +27,7 @@ from .heaps import (
 )
 from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations, descent_swaps
-from .rsk import Tableau, bump_pairs, row2, rsk
+from .rsk import bump_pairs, row2, rsk
 from .weak_order import (
     DEFAULT_POSET_BOUND, fc_covers, fc_elements, knuth_neighbors, principal_ideal,
     require_degree_within, uncrowded_frontier,
@@ -117,12 +117,6 @@ def _per_image(compute: Callable[[Permutation], T]) -> Callable[[Permutation], T
         return found
 
     return lookup
-
-
-def _insertion_tableaux() -> Callable[[Permutation], Tableau]:
-    """P of each element, built once per sweep over fully commutative
-    elements (at most Catalan(n) entries)."""
-    return _per_image(lambda w: rsk(w).p)
 
 
 def _two_row_standard_tableaux(n: int) -> set[tuple[tuple[int, ...], ...]]:
@@ -317,16 +311,19 @@ def _lemma_2_12(n: int) -> Verdicts:
 
 def _cor_lis(n: int) -> Verdicts:
     """A value alone in its first-insertion column lies on every longest
-    increasing subsequence."""
+    increasing subsequence.  Its column is also compared with the longest
+    increasing run ending at it, so columns that are all off by the same
+    amount cannot pass."""
     for w in all_permutations(n):
         trace = rsk(w).trace
         counts: dict[int, int] = {}
         for q, col in trace.first_column.items():
             counts[col] = counts.get(col, 0) + 1
+        lis_ending = dict(zip(w.image, _lis_ending(w.image)))
         longest = _longest_increasing(w.image)
         for q, col in trace.first_column.items():
             if counts[col] == 1:
-                ok = all(q in subseq for subseq in longest)
+                ok = col == lis_ending[q] and all(q in subseq for subseq in longest)
                 yield None if ok else f"{w.to_text()} value {q}"
 
 
@@ -398,7 +395,7 @@ def _thm_3_2(n: int) -> Verdicts:
 
 def _thm_3_4(n: int) -> Verdicts:
     """Second rows only grow along fully commutative covers."""
-    p_of = _insertion_tableaux()
+    p_of = _per_image(lambda w: rsk(w).p)
     for v, w, _i in fc_covers(n):
         pv, pw = p_of(v), p_of(w)
         if not set(pv.row(2)) <= set(pw.row(2)):
@@ -412,7 +409,7 @@ def _thm_3_4(n: int) -> Verdicts:
 def _cor_3_5(n: int) -> Verdicts:
     """The tableau changes along a cover exactly when every longest
     increasing run uses both swapped letters, and then row 2 grows by one."""
-    p_of = _insertion_tableaux()
+    p_of = _per_image(lambda w: rsk(w).p)
     longest = _per_image(lambda v: _longest_increasing(v.image))  # once per lower end
     for v, w, i in fc_covers(n):
         changed = p_of(v) != p_of(w)
@@ -436,7 +433,7 @@ def _thm_4_11(n: int) -> Verdicts:
     """Tableau-changing, support-preserving covers always land crowded,
     with every intermediate deduction intact: ``analyze_transition``
     raises on a broken one, the crowded target last among them."""
-    p_of = _insertion_tableaux()
+    p_of = _per_image(lambda w: rsk(w).p)
     for v, w, i in fc_covers(n):
         if i not in v.support() or p_of(v) == p_of(w):
             continue
@@ -446,7 +443,7 @@ def _thm_4_11(n: int) -> Verdicts:
 
 def _cor_4_12(n: int) -> Verdicts:
     """Uncrowded means sharing the insertion tableau with the core."""
-    p_of = _insertion_tableaux()  # boolean cores are fully commutative too
+    p_of = _per_image(lambda w: rsk(w).p)  # boolean cores are fully commutative too
     for w in fc_elements(n):
         uncrowded = classify(w) is None
         same = p_of(boolean_core(w).core) == p_of(w)
@@ -492,7 +489,7 @@ def _lemma_5_2(n: int) -> Verdicts:
 
 def _lemma_5_4(n: int) -> Verdicts:
     """A descent followed by a smaller letter leaves the tableau unchanged."""
-    p_of = _insertion_tableaux()  # lower covers are fully commutative too
+    p_of = _per_image(lambda w: rsk(w).p)  # lower covers are fully commutative too
     for w in fc_elements(n):
         for d in w.descents():
             if d + 2 > n or w(d + 2) >= w(d):

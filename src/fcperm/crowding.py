@@ -82,13 +82,11 @@ def is_uncrowded_set(values) -> bool:
 def minimal_crowded_window(x: int, y: int) -> tuple[int, ...]:
     """The inclusion-minimal crowded set with window [y, y+2x].
 
-    {y, y+1, y+2} for x = 1; otherwise y, y+1, then every second value up
-    to y+2x-1, then y+2x.
+    y, y+1, then every second value up to y+2x-1, then y+2x; that is
+    {y, y+1, y+2} for x = 1.
     """
     if x < 1:
         raise ValueError("window radius must be positive")
-    if x == 1:
-        return (y, y + 1, y + 2)
     return (y, y + 1) + tuple(range(y + 3, y + 2 * x, 2)) + (y + 2 * x,)
 
 

@@ -1,4 +1,4 @@
-"""Reduced words: evaluation, enumeration, counting, and commutation classes.
+"""Reduced words: evaluation, enumeration, counting, and text form.
 
 A word is a plain tuple of reflection indices.  ``evaluate_word`` applies the
 letters left to right as right multiplications, so the word ``(3, 2, 1)``
@@ -230,27 +230,6 @@ def all_reduced_words(
     """
     require_length_within(w, bound)
     return set(iter_reduced_words(w))
-
-
-def commutation_moves(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Words obtained by one swap of adjacent letters that commute."""
-    for k in range(len(word) - 1):
-        if abs(word[k] - word[k + 1]) > 1:
-            yield word[:k] + (word[k + 1], word[k]) + word[k + 2 :]
-
-
-def commutation_class(word: Sequence[int]) -> set[tuple[int, ...]]:
-    """Closure of one word under commutation moves."""
-    start = tuple(word)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        for neighbor in commutation_moves(current):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append(neighbor)
-    return seen
 
 
 _DIGIT_TEXT = {i: str(i) for i in range(10)}

@@ -2,6 +2,8 @@
 
 Everything here recomputes facts by the most naive route available so the
 library implementations are checked against genuinely independent code.
+``loose_fc_covers`` is the one deliberately wrong function here: a mutant
+of ``fc_covers`` shared by the kill matrix and a CLI test.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from fcperm import Permutation
+from fcperm import CoverEdge, Permutation, fc_elements
 
 
 def brute_has_pattern(host: tuple[int, ...], pattern: tuple[int, ...]) -> bool:
@@ -169,6 +171,27 @@ def braid_closure_words(w: Permutation) -> set[tuple[int, ...]]:
             if other not in seen:
                 seen.add(other)
                 frontier.append(other)
+    return seen
+
+
+def commutation_moves(word: tuple[int, ...]):
+    """Words obtained by one swap of adjacent letters that commute."""
+    for k in range(len(word) - 1):
+        if abs(word[k] - word[k + 1]) > 1:
+            yield word[:k] + (word[k + 1], word[k]) + word[k + 2 :]
+
+
+def commutation_class(word) -> set[tuple[int, ...]]:
+    """Closure of one word under commutation moves."""
+    start = tuple(word)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        current = frontier.pop()
+        for neighbor in commutation_moves(current):
+            if neighbor not in seen:
+                seen.add(neighbor)
+                frontier.append(neighbor)
     return seen
 
 
@@ -388,3 +411,14 @@ def minimality_conditions(host: tuple[int, ...]) -> dict:
         and conditions["window_patterns"]
     )
     return conditions
+
+
+def loose_fc_covers(n: int, bound: int = 9):
+    """``fc_covers`` without the rule "no entry right of i+1 below v(i)", so
+    some upper ends are not fully commutative."""
+    for v in fc_elements(n, bound=bound):
+        high = 0
+        for i in range(1, n):
+            if v(i) < v(i + 1) and high < v(i + 1):
+                yield CoverEdge(v, v.times(i), i)
+            high = max(high, v(i))

@@ -16,6 +16,8 @@ import fcperm.weak_order
 import fcperm.words
 from fcperm.checks import CHECKS, run_check
 
+from conftest import loose_fc_covers
+
 SMALL_SCOPES = {
     "lemma-2.1": 5,
     "prop-2.2": 5,
@@ -98,127 +100,23 @@ def test_default_scope_case_count_golden(name):
     assert (result.n, result.cases, result.passed) == (n, cases, True)
 
 
-def test_narrow_witness_mutation_is_caught(monkeypatch):
-    original = fcperm.crowding.find_crowded_witness
+def _narrowed(find):
+    """``find_crowded_witness`` blind to windows wider than x = 1."""
 
     def narrow(values):
-        witness = original(values)
+        witness = find(values)
         return witness if witness is None or witness.x == 1 else None
 
+    return narrow
+
+
+def test_narrow_witness_mutation_is_caught(monkeypatch):
+    narrow = _narrowed(fcperm.crowding.find_crowded_witness)
     for namespace in (fcperm, fcperm.crowding, fcperm.checks):
         monkeypatch.setattr(namespace, "find_crowded_witness", narrow)
     for name, (_n, cases) in DEFAULT_SCOPE_CASES.items():
         result = run_check(name)
         assert not result.passed or result.cases != cases, result.summary()
-
-
-def _off_by_one_table(table):
-    """The reduced-word count table with every count above the identity's
-    one too high."""
-    return lambda n: {
-        image: count + (image != tuple(sorted(image))) for image, count in table(n).items()
-    }
-
-
-@pytest.mark.parametrize(
-    "counter, off_by_one",
-    [
-        ("reduced_word_counts", _off_by_one_table),
-        ("count_linear_extensions", lambda count: lambda heap: count(heap) + (heap.size > 0)),
-    ],
-)
-def test_prop_2_2_fails_under_an_off_by_one_counter(monkeypatch, counter, off_by_one):
-    monkeypatch.setattr(fcperm.checks, counter, off_by_one(getattr(fcperm.checks, counter)))
-    result = run_check("prop-2.2", 4)
-    assert not result.passed
-    assert result.counterexample
-
-
-def test_thm_5_10_fails_when_minimality_skips_the_fixed_points(monkeypatch):
-    original = fcperm.checks.is_minimal_crowded_direct
-
-    def without_fixed_outside(w):
-        report = original(w)
-        minimal = (
-            report.descent_form
-            and report.descent_values_crowded
-            and report.pattern_consecutive
-            and report.window_patterns
-        )
-        return dataclasses.replace(report, minimal=minimal)
-
-    monkeypatch.setattr(fcperm.checks, "is_minimal_crowded_direct", without_fixed_outside)
-    result = run_check("thm-5.10", 8)
-    assert not result.passed
-    assert result.counterexample
-
-
-def test_thm_5_10_fails_when_the_walk_loses_a_minimal_element(monkeypatch):
-    original = fcperm.checks.uncrowded_frontier
-
-    def drop_last_minimal(n):
-        maximal_uncrowded, minimal_crowded = original(n)
-        return maximal_uncrowded, minimal_crowded[:-1]
-
-    monkeypatch.setattr(fcperm.checks, "uncrowded_frontier", drop_last_minimal)
-    result = run_check("thm-5.10", 8)
-    assert not result.passed
-    assert result.counterexample == "4,1,6,2,7,3,8,5"  # the last of the six
-
-
-@pytest.mark.parametrize("name, n", [("lemma-row2", 7), ("cor-3.5", 7), ("cor-5.9", 8)])
-def test_checks_fail_when_row2_drops_its_largest_entry(monkeypatch, name, n):
-    original = fcperm.checks.row2
-    monkeypatch.setattr(fcperm.checks, "row2", lambda w: original(w)[:-1])
-    result = run_check(name, n)
-    assert not result.passed
-    assert result.counterexample
-
-
-@pytest.mark.parametrize(
-    "name, counterexample",
-    [
-        ("prop-2.3", "3,4,1,2: boolean=True some=False all=False"),
-        ("thm-3.2", "3,4,1,2 (uniqueness)"),
-    ],
-)
-def test_checks_fail_when_boolean_means_fully_commutative(monkeypatch, name, counterexample):
-    monkeypatch.setattr(fcperm.checks, "is_boolean", fcperm.checks.is_fully_commutative)
-    result = run_check(name, 4)
-    assert not result.passed
-    assert result.counterexample == counterexample
-
-
-def test_knuth_classes_fails_without_knuth_moves(monkeypatch):
-    monkeypatch.setattr(fcperm.checks, "knuth_neighbors", lambda w: [])
-    result = run_check("knuth-classes", 4)
-    assert not result.passed
-    assert result.counterexample == "fiber of 1,2,4,3"
-
-
-# The first counterexample at S_6 when rsk gives Q in place of P: checks
-# that read P through a memo must still call the patched rsk.
-RECORDING_AS_INSERTION = {
-    "thm-3.4": "1,2,3,4,6,5 -> 1,2,3,6,4,5",
-    "cor-3.5": "1,2,3,4,6,5 at 4",
-    "cor-4.12": "1,2,5,6,3,4",
-    "lemma-5.4": "1,2,3,6,4,5 at 4",
-    "lemma-5.2": "1,2,3,5,6,4 at 5",
-    "thm-4.11": "precondition failed: the insertion tableau does not change at index 4",
-}
-
-
-@pytest.mark.parametrize("name", sorted(RECORDING_AS_INSERTION))
-def test_cover_checks_fail_when_rsk_returns_the_recording_tableau(monkeypatch, name):
-    original = fcperm.checks.rsk
-
-    def recording_as_insertion(w):
-        return dataclasses.replace(original(w), p=original(w).q)
-
-    monkeypatch.setattr(fcperm.checks, "rsk", recording_as_insertion)
-    result = run_check(name, 6)
-    assert not result.passed
-    assert result.counterexample == RECORDING_AS_INSERTION[name]
 
 
 def test_lemma_5_2_inserts_each_element_once(monkeypatch):
@@ -233,90 +131,6 @@ def test_lemma_5_2_inserts_each_element_once(monkeypatch):
     result = run_check("lemma-5.2", 7)
     assert (result.passed, result.cases) == (True, 396)
     assert len(inserted) == len(set(inserted)) == 429
-
-
-def test_cor_left_q_fails_when_rsk_swaps_its_tableaux(monkeypatch):
-    original = fcperm.checks.rsk
-
-    def swapped(w):
-        result = original(w)
-        return dataclasses.replace(result, p=result.q, q=result.p)
-
-    monkeypatch.setattr(fcperm.checks, "rsk", swapped)
-    result = run_check("cor-left-q", 6)
-    assert (result.passed, result.counterexample) == (False, "1,2,3,4,6,5 at 4")
-
-
-def test_lemma_2_1_fails_when_the_suffix_starts_one_position_early(monkeypatch):
-    def suffix_one_early(w, i):
-        return max(w.image[:i]), min(w.image[i - 1 :])
-
-    monkeypatch.setattr(fcperm.Permutation, "support_stats", suffix_one_early)
-    result = run_check("lemma-2.1", 4)
-    assert (result.passed, result.counterexample) == (False, "1,2,3,4 at 1")
-
-
-def test_prop_2_9_fails_when_rsk_returns_the_recording_tableau(monkeypatch):
-    original = fcperm.checks.rsk
-
-    def recording_as_insertion(w):
-        return dataclasses.replace(original(w), p=original(w).q)
-
-    monkeypatch.setattr(fcperm.checks, "rsk", recording_as_insertion)
-    result = run_check("prop-2.9", 4)
-    assert (result.passed, result.cases, result.counterexample) == (False, 4, "1,3,4,2")
-
-
-def test_prop_2_9_fails_on_a_verdict_kept_for_the_inverse(monkeypatch):
-    # 231 comes first in S_3, so the verdict of its inverse 312 is decided
-    # there and read back when the sweep reaches 312, the fifth case
-    original = fcperm.checks.rsk
-
-    def wrong_recording_of_312(w):
-        result = original(w)
-        if w.image == (3, 1, 2):
-            return dataclasses.replace(result, q=fcperm.Tableau(((1, 2), (3,))))
-        return result
-
-    monkeypatch.setattr(fcperm.checks, "rsk", wrong_recording_of_312)
-    result = run_check("prop-2.9", 3)
-    assert (result.passed, result.cases, result.counterexample) == (False, 5, "3,1,2")
-
-
-def test_prop_2_14_fails_under_a_narrowed_witness(monkeypatch):
-    # windows wider than x = 1 are missed, so a crowded tableau reads as
-    # uncrowded; the first one that no boolean element has turns up at S_8
-    original = fcperm.checks.find_crowded_witness
-
-    def narrow(values):
-        witness = original(values)
-        return witness if witness is None or witness.x == 1 else None
-
-    monkeypatch.setattr(fcperm.checks, "find_crowded_witness", narrow)
-    result = run_check("prop-2.14", 8)
-    assert (result.passed, result.cases, result.counterexample) == (
-        False, 21, "tableau ((1, 2, 3, 6), (4, 5, 7, 8)): boolean=False uncrowded=True",
-    )
-
-
-@pytest.mark.parametrize(
-    "name, n, cases, counterexample",
-    [("cor-3.7", 6, 13, "1,2,5,6,3,4"), ("thm-3.2", 4, 13, "3,4,1,2")],
-    ids=["cor-3.7", "thm-3.2"],
-)
-def test_checks_fail_when_the_core_keeps_the_last_occurrences(
-    monkeypatch, name, n, cases, counterexample
-):
-    def last_occurrences(w):
-        word = fcperm.canonical_reduced_word(w)
-        last = [j for i, j in enumerate(word) if j not in word[i + 1 :]]
-        return dataclasses.replace(
-            fcperm.boolean_core(w), core=fcperm.evaluate_word(last, w.n)
-        )
-
-    monkeypatch.setattr(fcperm.checks, "boolean_core", last_occurrences)
-    result = run_check(name, n)
-    assert (result.passed, result.cases, result.counterexample) == (False, cases, counterexample)
 
 
 # -- one-function mutants, each named for what it gets wrong -------------------
@@ -416,10 +230,13 @@ def _descents_lose_the_last(monkeypatch):
     )
 
 
-def _frontier_row2_drops_its_largest_entry(monkeypatch):
-    # uncrowded_frontier then decides crowdedness on a short second row
-    original = fcperm.weak_order.row2
-    monkeypatch.setattr(fcperm.weak_order, "row2", lambda w: original(w)[:-1])
+def _row2_drops_its_largest_entry(module):
+    # in weak_order, uncrowded_frontier decides crowdedness on a short row
+    def patch(monkeypatch):
+        original = module.row2
+        monkeypatch.setattr(module, "row2", lambda w: original(w)[:-1])
+
+    return patch
 
 
 def _bump_pairs_reversed(monkeypatch):
@@ -453,16 +270,150 @@ def _swaps_lose_the_last(name):
     return patch
 
 
+def _word_counts_one_too_high(monkeypatch):
+    # every count above the identity's
+    original = fcperm.checks.reduced_word_counts
+
+    def one_too_high(n):
+        return {image: c + (image != tuple(sorted(image))) for image, c in original(n).items()}
+
+    monkeypatch.setattr(fcperm.checks, "reduced_word_counts", one_too_high)
+
+
+def _class_sizes_one_too_high(monkeypatch):
+    original = fcperm.checks.count_linear_extensions
+    monkeypatch.setattr(
+        fcperm.checks, "count_linear_extensions", lambda heap: original(heap) + (heap.size > 0)
+    )
+
+
+def _minimality_skips_the_fixed_points(monkeypatch):
+    original = fcperm.checks.is_minimal_crowded_direct
+
+    def without_fixed_outside(w):
+        report = original(w)
+        minimal = (
+            report.descent_form
+            and report.descent_values_crowded
+            and report.pattern_consecutive
+            and report.window_patterns
+        )
+        return dataclasses.replace(report, minimal=minimal)
+
+    monkeypatch.setattr(fcperm.checks, "is_minimal_crowded_direct", without_fixed_outside)
+
+
+def _frontier_loses_the_last_minimal(monkeypatch):
+    original = fcperm.checks.uncrowded_frontier
+
+    def drop_last_minimal(n):
+        maximal_uncrowded, minimal_crowded = original(n)
+        return maximal_uncrowded, minimal_crowded[:-1]
+
+    monkeypatch.setattr(fcperm.checks, "uncrowded_frontier", drop_last_minimal)
+
+
+def _boolean_means_fully_commutative(monkeypatch):
+    monkeypatch.setattr(fcperm.checks, "is_boolean", fcperm.checks.is_fully_commutative)
+
+
+def _no_knuth_moves(monkeypatch):
+    monkeypatch.setattr(fcperm.checks, "knuth_neighbors", lambda w: [])
+
+
+def _rsk_rewrites_its_tableaux(tableaux):
+    """A mutant of rsk whose (p, q) becomes ``tableaux(p, q)``."""
+
+    def patch(monkeypatch):
+        original = fcperm.checks.rsk
+
+        def rewritten(w):
+            result = original(w)
+            p, q = tableaux(result.p, result.q)
+            return dataclasses.replace(result, p=p, q=q)
+
+        monkeypatch.setattr(fcperm.checks, "rsk", rewritten)
+
+    return patch
+
+
+def _rsk_miswrites_the_recording_of_312(monkeypatch):
+    original = fcperm.checks.rsk
+
+    def wrong_recording_of_312(w):
+        result = original(w)
+        if w.image == (3, 1, 2):
+            return dataclasses.replace(result, q=fcperm.Tableau(((1, 2), (3,))))
+        return result
+
+    monkeypatch.setattr(fcperm.checks, "rsk", wrong_recording_of_312)
+
+
+def _suffix_starts_one_position_early(monkeypatch):
+    def suffix_one_early(w, i):
+        return max(w.image[:i]), min(w.image[i - 1 :])
+
+    monkeypatch.setattr(fcperm.Permutation, "support_stats", suffix_one_early)
+
+
+def _witness_narrowed(monkeypatch):
+    narrow = _narrowed(fcperm.checks.find_crowded_witness)
+    monkeypatch.setattr(fcperm.checks, "find_crowded_witness", narrow)
+
+
+def _core_keeps_the_last_occurrences(monkeypatch):
+    def last_occurrences(w):
+        word = fcperm.canonical_reduced_word(w)
+        last = [j for i, j in enumerate(word) if j not in word[i + 1 :]]
+        return dataclasses.replace(
+            fcperm.boolean_core(w), core=fcperm.evaluate_word(last, w.n)
+        )
+
+    monkeypatch.setattr(fcperm.checks, "boolean_core", last_occurrences)
+
+
+def _covers_reach_past_the_fc_elements(monkeypatch):
+    monkeypatch.setattr(fcperm.checks, "fc_covers", loose_fc_covers)
+
+
+# the cover checks read P through a memo, which must still call the patched rsk
+_recording_as_insertion = _rsk_rewrites_its_tableaux(lambda p, q: (q, q))
+_rsk_swaps_its_tableaux = _rsk_rewrites_its_tableaux(lambda p, q: (q, p))
+
+
 # id -> (check, the smallest degree at which the mutant makes it fail,
 # mutant, cases up to the failure, counterexample)
 VERDICT_TURNING_MUTANTS = {
+    "lemma-2.1": ("lemma-2.1", 2, _suffix_starts_one_position_early, 1, "1,2 at 1"),
+    "prop-2.2-word-counts-one-too-high": (
+        "prop-2.2", 2, _word_counts_one_too_high, 2, "2,1: fc=True braid_free=True single=False",
+    ),
+    "prop-2.2-class-sizes-one-too-high": (
+        "prop-2.2", 2, _class_sizes_one_too_high, 2, "2,1: fc=True braid_free=True single=False",
+    ),
+    "prop-2.2-descent-swaps": (
+        "prop-2.2", 3, _swaps_lose_the_last("descent_swaps"), 6,
+        "3,2,1: fc=False braid_free=True single=False",
+    ),
+    "prop-2.2-ascent-swaps": (
+        "prop-2.2", 2, _swaps_lose_the_last("ascent_swaps"), 2, "2,1: no reduced-word count",
+    ),
+    "prop-2.3": (
+        "prop-2.3", 4, _boolean_means_fully_commutative, 17,
+        "3,4,1,2: boolean=True some=False all=False",
+    ),
+    "lemma-2.5": ("lemma-2.5", 4, _covers_without_the_between_test, 13, "3,4,1,2 cover (1, 4)"),
+    "prop-2.7": ("prop-2.7", 4, _reduced_words_lose_the_last, 6, "2,1,4,3"),
+    "prop-2.9-recording-as-insertion": ("prop-2.9", 3, _recording_as_insertion, 4, "2,3,1"),
+    # 231 comes first in S_3, so the verdict of its inverse 312 is decided
+    # there and read back when the sweep reaches 312, the fifth case
+    "prop-2.9-kept-inverse-verdict": (
+        "prop-2.9", 3, _rsk_miswrites_the_recording_of_312, 5, "3,1,2",
+    ),
     "thm-2.10-row": ("thm-2.10", 2, _rsk_reads_right_to_left, 1, "1,2 (row)"),
     "thm-2.10-column": ("thm-2.10", 3, _rsk_keeps_two_rows, 6, "3,2,1 (column)"),
     "thm-2.10-two-row-test": (
         "thm-2.10", 4, _fully_commutative_means_boolean, 17, "3,4,1,2 (two-row test)",
-    ),
-    "downward-closure": (
-        "downward-closure", 5, _fully_commutative_means_boolean, 47, "3,4,1,5,2 at 4",
     ),
     "lemma-2.11-bump": (
         "lemma-2.11", 2,
@@ -479,38 +430,76 @@ VERDICT_TURNING_MUTANTS = {
     "lemma-2.12": (
         "lemma-2.12", 1, _rsk_rewrites_its_trace(column=lambda col: col - 1), 1, "1 value 1",
     ),
-    "lemma-2.5": ("lemma-2.5", 4, _covers_without_the_between_test, 13, "3,4,1,2 cover (1, 4)"),
-    "cor-5.5-at-d": ("cor-5.5", 6, _bump_map_reversed, 1, "4,1,5,2,6,3 at 1"),
-    "cor-5.5-value-z": ("cor-5.5", 6, _row2_returns_row_1, 1, "4,1,5,2,6,3 value 1"),
-    "prop-2.7": ("prop-2.7", 4, _reduced_words_lose_the_last, 6, "2,1,4,3"),
     "cor-lis": ("cor-lis", 2, _rsk_reads_right_to_left, 1, "2,1 value 1"),
+    "cor-lis-column": (
+        "cor-lis", 1, _rsk_rewrites_its_trace(column=lambda col: col - 1), 1, "1 value 1",
+    ),
+    "lemma-row2": ("lemma-row2", 2, _row2_drops_its_largest_entry(fcperm.checks), 2, "2,1"),
     "lemma-3.1": (
         "lemma-3.1", 4, _heap_relates_equal_labels_only, 1, "3,4,1,2 label 2 pair (1, 4)",
     ),
+    "thm-3.2-boolean-means-fc": (
+        "thm-3.2", 4, _boolean_means_fully_commutative, 13, "3,4,1,2 (uniqueness)",
+    ),
+    "thm-3.2-core-keeps-the-last": (
+        "thm-3.2", 4, _core_keeps_the_last_occurrences, 13, "3,4,1,2",
+    ),
+    "thm-3.2-descent-swaps": (
+        "thm-3.2", 4, _swaps_lose_the_last("descent_swaps"), 13, "3,4,1,2 (uniqueness)",
+    ),
+    "thm-3.4": ("thm-3.4", 3, _recording_as_insertion, 3, "1,3,2 -> 3,1,2"),
+    "cor-3.5-recording-as-insertion": ("cor-3.5", 3, _recording_as_insertion, 3, "1,3,2 at 1"),
+    "cor-3.5-row2-short": (
+        "cor-3.5", 2, _row2_drops_its_largest_entry(fcperm.checks), 1, "1,2 at 1 (row growth)",
+    ),
+    "cor-3.7": ("cor-3.7", 4, _core_keeps_the_last_occurrences, 13, "3,4,1,2"),
+    "thm-4.11": (
+        "thm-4.11", 4, _recording_as_insertion, 1,
+        "precondition failed: the insertion tableau does not change at index 2",
+    ),
+    "cor-4.12": ("cor-4.12", 4, _recording_as_insertion, 13, "3,4,1,2"),
+    # windows wider than x = 1 are missed, so a crowded tableau reads as
+    # uncrowded; the first one that no boolean element has turns up at S_8
+    "prop-2.14": (
+        "prop-2.14", 8, _witness_narrowed, 21,
+        "tableau ((1, 2, 3, 6), (4, 5, 7, 8)): boolean=False uncrowded=True",
+    ),
+    "lemma-5.1": (
+        "lemma-5.1", 6, _covers_reach_past_the_fc_elements, 315,
+        "4,1,6,5,2,3 is not fully commutative",
+    ),
+    "lemma-5.2": ("lemma-5.2", 3, _recording_as_insertion, 1, "2,3,1 at 2"),
+    "lemma-5.4": ("lemma-5.4", 3, _recording_as_insertion, 1, "3,1,2 at 1"),
+    "knuth-classes": ("knuth-classes", 3, _no_knuth_moves, 2, "fiber of 1,3,2"),
+    "cor-left-q": ("cor-left-q", 3, _rsk_swaps_its_tableaux, 3, "1,3,2 at 1"),
+    "downward-closure": (
+        "downward-closure", 5, _fully_commutative_means_boolean, 47, "3,4,1,5,2 at 4",
+    ),
+    "cor-5.5-at-d": ("cor-5.5", 6, _bump_map_reversed, 1, "4,1,5,2,6,3 at 1"),
+    "cor-5.5-value-z": ("cor-5.5", 6, _row2_returns_row_1, 1, "4,1,5,2,6,3 value 1"),
     "cor-5.6": ("cor-5.6", 6, _descents_lose_the_last, 1, "4,1,5,2,6,3"),
     "lemma-5.7": (
-        "lemma-5.7", 9, _frontier_row2_drops_its_largest_entry, 3, "4,1,5,2,6,3,7,9,8",
+        "lemma-5.7", 9, _row2_drops_its_largest_entry(fcperm.weak_order), 3, "4,1,5,2,6,3,7,9,8",
     ),
     # the reversed word starts at the last bumped value, so its window runs
     # past the end of the one-line notation: the element is the counterexample
     "lemma-5.7-bump-pairs-reversed": ("lemma-5.7", 6, _bump_pairs_reversed, 1, "4,1,5,2,6,3"),
     "lemma-5.8": ("lemma-5.8", 8, _bump_pairs_reversed, 1, "3,1,6,2,7,4,8,5 index 1"),
+    "cor-5.9-row2-short": (
+        "cor-5.9", 6, _row2_drops_its_largest_entry(fcperm.checks), 1, "4,1,5,2,6,3",
+    ),
     "cor-5.9-extractor-mismatch": (
         "cor-5.9", 8, _extractor_keeps_the_whole_set, 3,
         "3,1,6,2,7,4,8,5 (extractor mismatch)",
     ),
-    "prop-2.2-descent-swaps": (
-        "prop-2.2", 3, _swaps_lose_the_last("descent_swaps"), 6,
-        "3,2,1: fc=False braid_free=True single=False",
+    "thm-5.10-skips-the-fixed-points": (
+        "thm-5.10", 7, _minimality_skips_the_fixed_points, 251, "2,5,1,6,3,7,4",
     ),
-    "thm-3.2-descent-swaps": (
-        "thm-3.2", 4, _swaps_lose_the_last("descent_swaps"), 13, "3,4,1,2 (uniqueness)",
+    "thm-5.10-walk-loses-a-minimal": (
+        "thm-5.10", 6, _frontier_loses_the_last_minimal, 119, "4,1,5,2,6,3",
     ),
     "thm-5.10-descent-swaps": (
         "thm-5.10", 6, _swaps_lose_the_last("descent_swaps"), 120, "4,1,5,6,2,3",
-    ),
-    "prop-2.2-ascent-swaps": (
-        "prop-2.2", 2, _swaps_lose_the_last("ascent_swaps"), 2, "2,1: no reduced-word count",
     ),
 }
 
@@ -523,3 +512,7 @@ def test_check_fails_under_a_one_function_mutant(monkeypatch, mutant_id):
     assert (result.passed, result.cases, result.counterexample) == (False, cases, counterexample)
     if n > 1:
         assert run_check(name, n - 1).passed  # n is the smallest failing degree
+
+
+def test_every_registered_check_has_a_kill():
+    assert {name for name, *_ in VERDICT_TURNING_MUTANTS.values()} == set(CHECKS)

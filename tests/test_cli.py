@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 import fcperm.checks
 import fcperm.cli
 import fcperm.crowding
-from fcperm import CoverEdge, Permutation, classify, fc_elements, rsk
+from fcperm import Permutation, classify, fc_elements, rsk
 from fcperm.cli import FILTERS, main
 from fcperm.crowding import InvariantViolation
 from fcperm.weak_order import DEFAULT_POSET_BOUND
 from fcperm.words import evaluate_word, word_from_text
 
 from conftest import (
-    brute_avoids_321, brute_has_pattern, crowding_census_by_dp, wide_scan_is_uncrowded,
+    brute_avoids_321, brute_has_pattern, crowding_census_by_dp, loose_fc_covers,
+    wide_scan_is_uncrowded,
 )
 
 
@@ -593,18 +594,10 @@ class TestVerify:
         ids=["thm-4.11", "lemma-5.1"],
     )
     def test_refused_precondition_is_a_counterexample(self, capsys, monkeypatch, check, summary):
-        # covers that forget "no entry right of i+1 below v(i)" reach upper
-        # ends that are not fully commutative; the library call that refuses
-        # one with a ValueError decides that case, it is not a usage error
-        def loose_covers(n, bound=9):
-            for v in fc_elements(n, bound=bound):
-                high = 0
-                for i in range(1, n):
-                    if v(i) < v(i + 1) and high < v(i + 1):
-                        yield CoverEdge(v, v.times(i), i)
-                    high = max(high, v(i))
-
-        monkeypatch.setattr(fcperm.checks, "fc_covers", loose_covers)
+        # loose covers reach upper ends that are not fully commutative; the
+        # library call that refuses one with a ValueError decides that case,
+        # it is not a usage error
+        monkeypatch.setattr(fcperm.checks, "fc_covers", loose_fc_covers)
         assert run(capsys, "verify", "7", check) == (1, summary + "\n", "")
 
     def test_missing_reduced_word_count_is_a_counterexample(self, capsys, monkeypatch):

@@ -9,7 +9,6 @@ from fcperm import (
     boolean_core,
     build_heap,
     canonical_reduced_word,
-    commutation_class,
     count_linear_extensions,
     heap_of,
     is_boolean,
@@ -18,6 +17,8 @@ from fcperm import (
     word_from_text,
 )
 from fcperm.weak_order import fc_elements
+
+from conftest import commutation_class
 
 
 P = Permutation.from_text

@@ -45,3 +45,26 @@ def test_checks_import_no_private_name():
         if alias.name.startswith("_")
     ]
     assert not private, private
+
+
+def test_modules_read_every_name_they_import():
+    # no linter runs here, and a removal can leave an import behind
+    unread = []
+    for path in sorted(Path(fcperm.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [
+            f"{path.name}:{node.lineno} {bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (bound := (alias.asname or alias.name).partition(".")[0]) not in read
+        ]
+    assert not unread, unread

@@ -11,7 +11,6 @@ from fcperm import (
     all_permutations,
     all_reduced_words,
     canonical_reduced_word,
-    commutation_class,
     count_reduced_words,
     evaluate_word,
     is_boolean,
@@ -25,7 +24,7 @@ from fcperm import (
 
 from fcperm.checks import _prop_2_2_verdicts, _prop_2_3_verdicts
 
-from conftest import braid_closure_words, least_reduced_words
+from conftest import braid_closure_words, commutation_class, least_reduced_words
 from conftest import count_reduced_words as oracle_count_reduced_words
 
 
