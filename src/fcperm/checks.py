@@ -23,7 +23,7 @@ from .crowding import (
     minimal_crowded_subset,
 )
 from .heaps import (
-    boolean_core, build_heap, count_linear_extensions, heap_of, labeled_linear_extensions,
+    boolean_core, count_linear_extensions, heap_of, heap_of_reduced, labeled_linear_extensions,
 )
 from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations, descent_swaps
@@ -75,14 +75,18 @@ def _lis_ending(seq: tuple[int, ...]) -> list[int]:
     return best
 
 
-def _longest_increasing(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _longest_increasing(
+    seq: tuple[int, ...], best: list[int] | None = None
+) -> list[tuple[int, ...]]:
     """Every longest increasing subsequence of ``seq``, as value tuples,
-    traced back through ``_lis_ending``.
+    traced back through ``best``, its ``_lis_ending`` table, which is
+    computed here when the caller does not already hold it.
 
     >>> sorted(_longest_increasing((2, 1, 3)))
     [(1, 3), (2, 3)]
     """
-    best = _lis_ending(seq)
+    if best is None:
+        best = _lis_ending(seq)
     out: list[tuple[int, ...]] = []
 
     def extend(k: int, tail: tuple[int, ...]) -> None:
@@ -173,7 +177,7 @@ def _prop_2_2_verdicts(n: int) -> Iterator[tuple[Permutation, bool, bool, bool]]
     for w in all_permutations(n):
         if w.image not in counts:
             raise ValueError(f"{w.to_text()}: no reduced-word count")
-        class_size = count_linear_extensions(build_heap(canonical_reduced_word(w)))
+        class_size = count_linear_extensions(heap_of_reduced(canonical_reduced_word(w)))
         single = class_size == counts[w.image]
         yield w, is_fully_commutative(w), not has_braid(w.image, 0, 0), single
 
@@ -319,8 +323,9 @@ def _cor_lis(n: int) -> Verdicts:
         counts: dict[int, int] = {}
         for q, col in trace.first_column.items():
             counts[col] = counts.get(col, 0) + 1
-        lis_ending = dict(zip(w.image, _lis_ending(w.image)))
-        longest = _longest_increasing(w.image)
+        best = _lis_ending(w.image)
+        lis_ending = dict(zip(w.image, best))
+        longest = _longest_increasing(w.image, best)
         for q, col in trace.first_column.items():
             if counts[col] == 1:
                 ok = col == lis_ending[q] and all(q in subseq for subseq in longest)

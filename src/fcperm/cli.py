@@ -119,9 +119,14 @@ def _all_within(n: int, bound: int):
     return all_permutations(n)
 
 
-def _fc_where(keep):
+def _boolean_within(n: int, bound: int):
+    return (w for w in fc_elements(n, bound=bound) if is_boolean(w))
+
+
+def _by_second_row(crowded: bool):
     def matches(n: int, bound: int):
-        return (w for w in fc_elements(n, bound=bound) if keep(w))
+        uncrowded = cache(is_uncrowded_set)  # one verdict per second row, for this call
+        return (w for w in fc_elements(n, bound=bound) if uncrowded(row2(w)) != crowded)
 
     return matches
 
@@ -135,9 +140,9 @@ def _fc_where(keep):
 _MATCHES = {
     "all": _all_within,
     "fc": lambda n, bound: fc_elements(n, bound=bound),
-    "boolean": _fc_where(lambda w: is_boolean(w)),
-    "uncrowded": _fc_where(lambda w: is_uncrowded_set(row2(w))),
-    "crowded": _fc_where(lambda w: not is_uncrowded_set(row2(w))),
+    "boolean": _boolean_within,
+    "uncrowded": _by_second_row(crowded=False),
+    "crowded": _by_second_row(crowded=True),
     "minimal-crowded": lambda n, bound: minimal_crowded(n, bound=bound),
 }
 FILTERS = tuple(_MATCHES)
@@ -163,7 +168,8 @@ def _cmd_enumerate(args) -> int:
         return 0
     matches = _MATCHES[args.filter](args.n, bound)
     if args.count:
-        print(sum(1 for _ in matches))
+        # the fc view counts the leaves of its walk and builds no element
+        print(len(matches) if args.filter == "fc" else sum(1 for _ in matches))
         return 0
     for w in matches:
         print(w.to_text(compact=args.compact))

@@ -88,11 +88,19 @@ def build_heap(letters: tuple[int, ...] | list[int]) -> Heap:
     ((1, 2), (1, 3))
     """
     letters = tuple(letters)
-    if not letters:
-        return Heap(labels=(), below=())
-    n = max(letters) + 1
-    if not is_reduced(letters, n):
+    if letters and not is_reduced(letters, max(letters) + 1):
         raise ValueError(f"word {word_to_text(letters)} is not reduced")
+    return heap_of_reduced(letters)
+
+
+def heap_of_reduced(letters: tuple[int, ...]) -> Heap:
+    """Heap of a word that is reduced by construction, such as a
+    ``canonical_reduced_word``: ``build_heap`` without its ``is_reduced``
+    test, for callers that never hold an unchecked word.
+
+    >>> heap_of_reduced((1, 2, 1)).below
+    (frozenset(), frozenset({1}), frozenset({1, 2}))
+    """
     size = len(letters)
     below: list[frozenset[int]] = []
     for y in range(1, size + 1):

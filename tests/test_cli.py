@@ -23,7 +23,7 @@ from fcperm.words import evaluate_word, word_from_text
 
 from conftest import (
     brute_avoids_321, brute_has_pattern, crowding_census_by_dp, loose_fc_covers,
-    wide_scan_is_uncrowded,
+    prefix_walk_fc, wide_scan_is_uncrowded,
 )
 
 
@@ -411,6 +411,27 @@ class TestEnumerate:
     def test_fc_count(self, capsys):
         code, out, _ = run(capsys, "enumerate", "5", "--filter", "fc", "--count")
         assert code == 0 and out.strip() == "42"
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_fc_count_matches_the_prefix_walk(self, capsys, n):
+        argv = ["enumerate", str(n), "--filter", "fc", "--bound", str(n), "--count"]
+        assert run(capsys, *argv) == (0, f"{len(prefix_walk_fc(n))}\n", "")
+
+    def test_fc_count_builds_no_permutation(self, capsys, monkeypatch):
+        calls = []
+        original = Permutation._trusted_many.__func__
+
+        def counted(cls, images):
+            calls.append(len(images))
+            return original(cls, images)
+
+        monkeypatch.setattr(Permutation, "_trusted_many", classmethod(counted))
+        code, out, _ = run(capsys, "enumerate", "11", "--filter", "fc", "--bound", "11", "--count")
+        assert (code, out, calls) == (0, "58786\n", [])
+        # the listing builds its elements through the patched method, one
+        # call per leaf of the walk: the six prefixes of one entry at n = 6
+        code, out, _ = run(capsys, "enumerate", "6", "--filter", "fc")
+        assert (code, len(out.split()), calls) == (0, 132, [42, 42, 28, 14, 5, 1])
 
     def test_no_crowded_at_degree_three(self, capsys):
         code, out, _ = run(capsys, "enumerate", "3", "--filter", "crowded", "--count")

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from fcperm import cli
+from fcperm import cli, weak_order
 from fcperm import (
     BoundExceeded,
     Permutation,
@@ -276,6 +276,29 @@ class TestFcElementsView:
         view = fc_elements(7)
         first = list(view)
         assert len(first) == 429 and list(view) == first
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_length_counts_the_prefix_walk(self, monkeypatch, n):
+        walks = _count_walks(monkeypatch)
+        assert len(fc_elements(n, bound=n)) == len(prefix_walk_fc(n))
+        assert walks == []  # the length is summed over the leaves, not iterated
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_a_lost_stamp_shows_in_the_length_and_the_listing(self, monkeypatch, n):
+        # the count and the listing read the same table, so a completion
+        # missing from it is missing from both
+        original = weak_order._stamps
+
+        def without_the_last_of_row_zero(j):
+            table = original(j)
+            return (table[0][:-1],) + table[1:]
+
+        monkeypatch.setattr(weak_order, "_stamps", without_the_last_of_row_zero)
+        view = fc_elements(n, bound=n)
+        walked = prefix_walk_fc(n)
+        listed = [w.image for w in view]
+        assert len(view) == len(listed) < len(walked)
+        assert listed != walked and set(listed) < set(walked)
 
     def test_indexing_reads_the_listed_elements(self):
         view = fc_elements(6)
