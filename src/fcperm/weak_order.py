@@ -12,7 +12,7 @@ holding one prefix's completions at a time; indexing walks once and lists
 everything.  A reader that needs the elements twice takes a ``tuple``.
 Its length walks the prefixes alone and adds up how many completions the
 table holds for each, so counting builds no element; ``list`` and
-``tuple`` read it as a length hint, which adds about a tenth to a pass.
+``tuple`` read it as a length hint, which adds 6-10% to a pass.
 Crowdedness depends on the second row of the insertion tableau alone:
 ``uncrowded_frontier`` decides each distinct ``row2`` once, and
 ``crowding_census`` counts the crowded and uncrowded elements without
@@ -190,13 +190,14 @@ class fc_elements:
 
     ``len(view)`` walks the prefixes to the same leaves and adds up the
     sizes of their rows of the table, so it stamps no completion and
-    builds no ``Permutation``: 1.7 ms at n = 10 and 8 ms at n = 11, where
-    iterating takes 14 and 70 ms (2-CPU Xeon, Python 3.11).  ``list`` and
+    builds no ``Permutation``: 1.7 ms at n = 10 and 7 ms at n = 11, where
+    iterating takes 15 and 63 ms (2-CPU Xeon, Python 3.11).  ``list`` and
     ``tuple`` call it for a length hint, which walks the prefixes once
-    more and makes ``tuple(view)`` about 10% slower for n = 8..11; in
-    ``uncrowded_frontier(11)`` that is 8 ms of about 0.5 s.  Having both
-    ``__len__`` and ``__getitem__``, the view would let ``reversed`` list
-    it once per element; nothing reverses it, and nothing should.
+    more and makes ``tuple(view)`` 6-10% slower for n = 8..11; in
+    ``uncrowded_frontier(11)`` that is 7 ms of about 0.5 s, well inside
+    its run-to-run spread.  Having both ``__len__`` and ``__getitem__``,
+    the view would let ``reversed`` list it once per element; nothing
+    reverses it, and nothing should.
 
     >>> [w.to_text(compact=True) for w in fc_elements(3)]
     ['123', '132', '213', '231', '312']
