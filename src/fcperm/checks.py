@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator
 
 from .crowding import (
     analyze_transition, classify, find_crowded_witness, is_minimal_crowded_direct,
@@ -36,7 +36,6 @@ from .words import all_reduced_words, canonical_reduced_word, reduced_word_count
 
 # one verdict per case: None when it holds, else the counterexample
 Verdicts = Iterator[str | None]
-T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,25 +101,6 @@ def _longest_increasing(
         if best[k] == target:
             extend(k, ())
     return out
-
-
-def _per_image(compute: Callable[[Permutation], T]) -> Callable[[Permutation], T]:
-    """``compute`` (which never returns None), worked out once per image.
-
-    A sweep builds its memos when it starts and drops them when it ends, so
-    nothing outlives one check.  The checks pass a lambda that names a
-    module-global function, so the name is looked up on each miss and a
-    patched function takes effect.
-    """
-    memo: dict[tuple[int, ...], T] = {}
-
-    def lookup(w: Permutation) -> T:
-        found = memo.get(w.image)
-        if found is None:
-            found = memo[w.image] = compute(w)
-        return found
-
-    return lookup
 
 
 def _two_row_standard_tableaux(n: int) -> set[tuple[tuple[int, ...], ...]]:
@@ -379,8 +359,8 @@ def _thm_3_2(n: int) -> Verdicts:
     and then c, having w's support, is the core.  Ideals overlap, so the
     boolean test and the support are worked out once per element.
     """
-    boolean = _per_image(lambda b: is_boolean(b))
-    support = _per_image(lambda b: b.support())
+    boolean = cache(is_boolean)
+    support = cache(Permutation.support)
     for w in fc_elements(n):
         dec = boolean_core(w)
         supp = support(w)
@@ -400,7 +380,7 @@ def _thm_3_2(n: int) -> Verdicts:
 
 def _thm_3_4(n: int) -> Verdicts:
     """Second rows only grow along fully commutative covers."""
-    p_of = _per_image(lambda w: rsk(w).p)
+    p_of = cache(lambda w: rsk(w).p)
     for v, w, _i in fc_covers(n):
         pv, pw = p_of(v), p_of(w)
         if not set(pv.row(2)) <= set(pw.row(2)):
@@ -414,8 +394,8 @@ def _thm_3_4(n: int) -> Verdicts:
 def _cor_3_5(n: int) -> Verdicts:
     """The tableau changes along a cover exactly when every longest
     increasing run uses both swapped letters, and then row 2 grows by one."""
-    p_of = _per_image(lambda w: rsk(w).p)
-    longest = _per_image(lambda v: _longest_increasing(v.image))  # once per lower end
+    p_of = cache(lambda w: rsk(w).p)
+    longest = cache(lambda v: _longest_increasing(v.image))  # once per lower end
     for v, w, i in fc_covers(n):
         changed = p_of(v) != p_of(w)
         both = all(v(i) in subseq and v(i + 1) in subseq for subseq in longest(v))
@@ -438,7 +418,7 @@ def _thm_4_11(n: int) -> Verdicts:
     """Tableau-changing, support-preserving covers always land crowded,
     with every intermediate deduction intact: ``analyze_transition``
     raises on a broken one, the crowded target last among them."""
-    p_of = _per_image(lambda w: rsk(w).p)
+    p_of = cache(lambda w: rsk(w).p)
     for v, w, i in fc_covers(n):
         if i not in v.support() or p_of(v) == p_of(w):
             continue
@@ -448,7 +428,7 @@ def _thm_4_11(n: int) -> Verdicts:
 
 def _cor_4_12(n: int) -> Verdicts:
     """Uncrowded means sharing the insertion tableau with the core."""
-    p_of = _per_image(lambda w: rsk(w).p)  # boolean cores are fully commutative too
+    p_of = cache(lambda w: rsk(w).p)  # boolean cores are fully commutative too
     for w in fc_elements(n):
         uncrowded = classify(w) is None
         same = p_of(boolean_core(w).core) == p_of(w)
@@ -482,7 +462,7 @@ def _lemma_5_1(n: int) -> Verdicts:
 def _lemma_5_2(n: int) -> Verdicts:
     """A descent whose right letter does not bump its left letter leaves
     the insertion tableau unchanged."""
-    rsk_of = _per_image(lambda w: rsk(w))  # lower covers are fully commutative too
+    rsk_of = cache(rsk)  # lower covers are fully commutative too
     for w in fc_elements(n):
         result = rsk_of(w)
         bumped_by = result.trace.row_bump_map()
@@ -494,7 +474,7 @@ def _lemma_5_2(n: int) -> Verdicts:
 
 def _lemma_5_4(n: int) -> Verdicts:
     """A descent followed by a smaller letter leaves the tableau unchanged."""
-    p_of = _per_image(lambda w: rsk(w).p)  # lower covers are fully commutative too
+    p_of = cache(lambda w: rsk(w).p)  # lower covers are fully commutative too
     for w in fc_elements(n):
         for d in w.descents():
             if d + 2 > n or w(d + 2) >= w(d):
@@ -533,7 +513,7 @@ def _knuth_classes(n: int) -> Verdicts:
 def _cor_left_q(n: int) -> Verdicts:
     """Along left-order covers of fully commutative elements, the second
     rows of the recording tableaux grow."""
-    q_of = _per_image(lambda w: rsk(w).q)  # each upper end is also some v of the sweep
+    q_of = cache(lambda w: rsk(w).q)  # each upper end is also some v of the sweep
     for v in fc_elements(n):
         inverse, length = v.inverse(), v.length()
         for i in range(1, n):
@@ -554,7 +534,7 @@ def _downward_closure(n: int) -> Verdicts:
 
 def _cor_5_5(n: int) -> Verdicts:
     """In a minimal crowded element, descents and adjacent bumps coincide."""
-    for w in uncrowded_frontier(n)[1]:
+    for w in uncrowded_frontier(n):
         bumped_by = rsk(w).trace.row_bump_map()
         descents = w.descents()
         pos = {val: p for p, val in enumerate(w.image, start=1)}
@@ -571,9 +551,17 @@ def _cor_5_5(n: int) -> Verdicts:
 
 
 def _cor_5_6(n: int) -> Verdicts:
-    """A minimal crowded element fixes everything outside its descent span."""
-    for w in uncrowded_frontier(n)[1]:
+    """A minimal crowded element fixes everything outside its descent span.
+
+    Each element the frontier returns is first confirmed through
+    ``classify`` to be crowded with no crowded lower cover, so a frontier
+    that decides on a wrong second row cannot pass on vacuous descents.
+    """
+    for w in uncrowded_frontier(n):
         descents = sorted(w.descents())
+        if classify(w) is None or any(classify(w.times(d)) is not None for d in descents):
+            yield f"{w.to_text()} (not minimal crowded)"
+            continue
         d, last = descents[0], descents[-1]
         outside = list(range(1, d)) + list(range(last + 2, n + 1))
         yield None if all(w(p) == p for p in outside) else w.to_text()
@@ -582,7 +570,7 @@ def _cor_5_6(n: int) -> Verdicts:
 def _lemma_5_7(n: int) -> Verdicts:
     """The interleaved bumped/bumper word is consecutive in the one-line
     notation of a minimal crowded element."""
-    for w in uncrowded_frontier(n)[1]:
+    for w in uncrowded_frontier(n):
         pairs = bump_pairs(w)
         interleaved = tuple(x for b, z in pairs for x in (z, b))
         pos = {val: p for p, val in enumerate(w.image, start=1)}
@@ -593,7 +581,7 @@ def _lemma_5_7(n: int) -> Verdicts:
 
 def _lemma_5_8(n: int) -> Verdicts:
     """Bumpers eventually overtake earlier bumped values: z_i < b_{i+3}."""
-    for w in uncrowded_frontier(n)[1]:
+    for w in uncrowded_frontier(n):
         pairs = bump_pairs(w)
         for i in range(len(pairs) - 3):
             yield None if pairs[i][1] < pairs[i + 3][0] else f"{w.to_text()} index {i + 1}"
@@ -602,7 +590,7 @@ def _lemma_5_8(n: int) -> Verdicts:
 def _cor_5_9(n: int) -> Verdicts:
     """A minimal crowded element has exactly one inclusion-minimal crowded
     subset of its second row, and it contains the largest entry."""
-    for w in uncrowded_frontier(n)[1]:
+    for w in uncrowded_frontier(n):
         second = row2(w)
         crowded_subsets = [
             frozenset(s)
@@ -622,7 +610,7 @@ def _cor_5_9(n: int) -> Verdicts:
 def _thm_5_10(n: int) -> Verdicts:
     """The five-condition test agrees with poset minimality, as the walk in
     ``uncrowded_frontier`` finds it."""
-    by_poset = set(uncrowded_frontier(n)[1])
+    by_poset = set(uncrowded_frontier(n))
     for w in fc_elements(n):
         by_conditions = is_minimal_crowded_direct(w).minimal
         yield None if (w in by_poset) == by_conditions else w.to_text()

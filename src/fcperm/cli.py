@@ -18,16 +18,17 @@ from dataclasses import asdict
 from functools import cache
 
 from .checks import CHECKS, run_check
-from .crowding import find_crowded_witness, is_minimal_crowded_direct, is_uncrowded_set
+from .crowding import find_crowded_witness, is_minimal_crowded_direct
 from .heaps import boolean_core, build_heap, heap_of
 from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations
-from .rsk import row2, rsk
+from .rsk import rsk
 from .weak_order import (
     DEFAULT_MINIMAL_CROWDED_BOUND,
     DEFAULT_POSET_BOUND,
     build_fc_poset,
     crowding_census,
+    fc_crowding,
     fc_elements,
     minimal_crowded,
     poset_to_dot,
@@ -123,26 +124,18 @@ def _boolean_within(n: int, bound: int):
     return (w for w in fc_elements(n, bound=bound) if is_boolean(w))
 
 
-def _by_second_row(crowded: bool):
-    def matches(n: int, bound: int):
-        uncrowded = cache(is_uncrowded_set)  # one verdict per second row, for this call
-        return (w for w in fc_elements(n, bound=bound) if uncrowded(row2(w)) != crowded)
-
-    return matches
-
-
 # filter -> (n, bound) -> the matching permutations of S_n, lexicographically.
 # Library functions are looked up by name on each call, so that a patched
 # one takes effect; "fc", "boolean", "uncrowded" and "crowded" draw on
-# fc_elements, the last two deciding each element by its row2 (though
-# --count on them reads crowding_census), while "minimal-crowded" builds
-# its elements without visiting the rest of S_n.
+# fc_elements, the last two through fc_crowding's verdicts (though --count
+# on them reads crowding_census), while "minimal-crowded" builds its
+# elements without visiting the rest of S_n.
 _MATCHES = {
     "all": _all_within,
     "fc": lambda n, bound: fc_elements(n, bound=bound),
     "boolean": _boolean_within,
-    "uncrowded": _by_second_row(crowded=False),
-    "crowded": _by_second_row(crowded=True),
+    "uncrowded": lambda n, bound: (w for w, crowded in fc_crowding(n, bound) if not crowded),
+    "crowded": lambda n, bound: (w for w, crowded in fc_crowding(n, bound) if crowded),
     "minimal-crowded": lambda n, bound: minimal_crowded(n, bound=bound),
 }
 FILTERS = tuple(_MATCHES)

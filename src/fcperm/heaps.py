@@ -114,12 +114,14 @@ def heap_of_reduced(letters: tuple[int, ...]) -> Heap:
 
 
 def heap_of(w: Permutation) -> Heap:
-    """The heap of a fully commutative permutation (word-independent)."""
+    """The heap of a fully commutative permutation (word-independent),
+    built from its canonical reduced word, which needs no ``is_reduced``
+    test."""
     if not is_fully_commutative(w):
         raise ValueError(
             f"{w.to_text()} is not fully commutative; build a heap from an explicit word"
         )
-    return build_heap(canonical_reduced_word(w))
+    return heap_of_reduced(canonical_reduced_word(w))
 
 
 def labeled_linear_extensions(

@@ -9,31 +9,29 @@ are left, and then stamping every completion of the prefix at once from a
 table.  It is a lazy view, like ``range``: the call checks the degree, the
 bound and the depth of the walk, and each pass over the view walks again,
 holding one prefix's completions at a time; indexing walks once and lists
-everything.  A reader that needs the elements twice takes a ``tuple``.
-Its length walks the prefixes alone and adds up how many completions the
-table holds for each, so counting builds no element; ``list`` and
-``tuple`` read it as a length hint, which adds 6-10% to a pass.
+everything.  Its length adds up how many completions the table holds for
+each prefix, so counting builds no element.
 Crowdedness depends on the second row of the insertion tableau alone:
-``uncrowded_frontier`` decides each distinct ``row2`` once, and
-``crowding_census`` counts the crowded and uncrowded elements without
-visiting any, summing over the possible second rows instead.
-``fc_covers`` generates the subposet's covers by a local rule at each
-ascent, with no membership set and no 321 test, and ``build_fc_poset`` is
-the elements plus those covers.  The elements are downward closed under covers (sorting
-an adjacent descent removes an inversion pair and cannot create a
-decreasing triple), so every lower cover of a fully commutative
-permutation is again one; ``uncrowded_frontier`` relies on this to read
-each element's lower covers from ``descent_swaps``, without materializing
-the poset's edges.  ``minimal_crowded`` builds the frontier's minimal
-crowded half block by block instead, from the paper's characterization,
-with no walk at all.
+``fc_crowding`` pairs each element with its verdict, deciding each
+distinct ``row2`` once, and ``crowding_census`` counts the crowded and
+uncrowded elements without visiting any, summing over the possible second
+rows instead.  ``fc_covers`` generates the subposet's covers by a local
+rule at each ascent, with no membership set and no 321 test, and
+``build_fc_poset`` is the elements plus those covers.  The elements are
+downward closed under covers (sorting an adjacent descent removes an
+inversion pair and cannot create a decreasing triple), so every lower
+cover of a fully commutative permutation is again one;
+``uncrowded_frontier`` relies on this to read the lower covers of each
+crowded element from ``descent_swaps``, without materializing the poset's
+edges.  ``minimal_crowded`` builds the same minimal crowded elements block
+by block instead, from the paper's characterization, with no walk at all.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import chain, product
 from math import comb
 from operator import itemgetter
@@ -138,7 +136,7 @@ def _prefixes(
 _STAMPED_TAIL = 5
 
 
-@lru_cache(maxsize=None)
+@cache
 def _stamps(j: int) -> tuple[tuple[itemgetter, ...], ...]:
     """For m = 0..j, one getter per completion of j free values, m of them
     below the maximum, as the walk finds it on the indices 0..j-1; each
@@ -190,14 +188,11 @@ class fc_elements:
 
     ``len(view)`` walks the prefixes to the same leaves and adds up the
     sizes of their rows of the table, so it stamps no completion and
-    builds no ``Permutation``: 1.7 ms at n = 10 and 7 ms at n = 11, where
-    iterating takes 15 and 63 ms (2-CPU Xeon, Python 3.11).  ``list`` and
-    ``tuple`` call it for a length hint, which walks the prefixes once
-    more and makes ``tuple(view)`` 6-10% slower for n = 8..11; in
-    ``uncrowded_frontier(11)`` that is 7 ms of about 0.5 s, well inside
-    its run-to-run spread.  Having both ``__len__`` and ``__getitem__``,
-    the view would let ``reversed`` list it once per element; nothing
-    reverses it, and nothing should.
+    builds no ``Permutation``.  ``list`` and ``tuple`` call it for a length
+    hint, so they walk the prefixes twice; the second walk stamps nothing
+    and costs a small part of the pass.  Having both ``__len__`` and
+    ``__getitem__``, the view would let ``reversed`` list it once per
+    element; nothing reverses it, and nothing should.
 
     >>> [w.to_text(compact=True) for w in fc_elements(3)]
     ['123', '132', '213', '231', '312']
@@ -309,37 +304,46 @@ def build_fc_poset(n: int, bound: int = DEFAULT_POSET_BOUND) -> FcPoset:
     return FcPoset(n, elements, tuple(fc_covers(n, bound=bound)))
 
 
-def uncrowded_frontier(
+def fc_crowding(
     n: int, bound: int = DEFAULT_POSET_BOUND
-) -> tuple[tuple[Permutation, ...], tuple[Permutation, ...]]:
-    """Maximal uncrowded and minimal crowded elements of the subposet.
+) -> Iterator[tuple[Permutation, bool]]:
+    """Each element of ``fc_elements(n)``, in order, with True when it is
+    crowded.
 
-    Covers are read downward only, from ``descent_swaps``: a lower cover
-    sorts a descent and is always fully commutative.  So an uncrowded
-    element is maximal unless it is a lower cover of an uncrowded element,
-    and a crowded element is minimal unless one of its lower covers is
-    crowded.  Crowdedness reads the second row alone, and S_11's 58,786
-    elements share 462 second rows, so each row is decided once per call.
+    Crowdedness reads the second row alone, and S_11's 58,786 elements
+    share 462 second rows, so each row is decided once per call.  The call
+    checks the degree and the bound as ``fc_elements`` does; ``row2`` and
+    ``is_uncrowded_set`` are looked up when it runs, so a patched one takes
+    effect.
 
-    >>> uncrowded_frontier(5)[1]
+    >>> [w.to_text(compact=True) for w, crowded in fc_crowding(6) if crowded]
+    ['415263', '415623', '451263', '451623', '456123']
+    """
+    uncrowded = cache(is_uncrowded_set)  # one verdict per second row, for this call
+    return ((w, not uncrowded(row2(w))) for w in fc_elements(n, bound=bound))
+
+
+def uncrowded_frontier(n: int, bound: int = DEFAULT_POSET_BOUND) -> tuple[Permutation, ...]:
+    """The minimal crowded elements of the subposet, sorted
+    lexicographically: the frontier of the uncrowded order ideal.
+
+    A crowded element is minimal unless one of its lower covers is crowded.
+    Lower covers are read from ``descent_swaps``, for crowded elements
+    only: sorting a descent lowers the entry at its position, so every
+    lower cover comes earlier in ``fc_crowding``'s order, and the crowded
+    images seen so far hold its verdict.
+
+    >>> uncrowded_frontier(5)
     ()
     """
-    elements = tuple(fc_elements(n, bound=bound))
-    uncrowded = cache(is_uncrowded_set)  # one verdict per second row, for this call
-    crowded = {w.image: not uncrowded(row2(w)) for w in elements}
-    covered_by_uncrowded: set[tuple[int, ...]] = set()
-    minimal_crowded = []
-    for w in elements:
-        image = w.image
-        lower = [v for _, v in descent_swaps(image)]
-        if not crowded[image]:
-            covered_by_uncrowded.update(lower)
-        elif not any(crowded[v] for v in lower):
-            minimal_crowded.append(w)
-    maximal_uncrowded = tuple(
-        w for w in elements if not crowded[w.image] and w.image not in covered_by_uncrowded
-    )
-    return maximal_uncrowded, tuple(minimal_crowded)
+    crowded: set[tuple[int, ...]] = set()
+    minimal = []
+    for w, is_crowded in fc_crowding(n, bound=bound):
+        if is_crowded:
+            if not any(v in crowded for _, v in descent_swaps(w.image)):
+                minimal.append(w)
+            crowded.add(w.image)
+    return tuple(minimal)
 
 
 def _primitive_block(letters: tuple[str, ...]) -> tuple[int, ...]:
@@ -386,7 +390,7 @@ def minimal_crowded(
     outside it fixed, so S_n has sum over k of (2^(k-1) - 1)(n - 2k - 1)
     minimal crowded elements.  No poset is built and no fully commutative
     element is visited, so this stays an independent computation of what
-    ``uncrowded_frontier(n)[1]`` finds by a walk.
+    ``uncrowded_frontier(n)`` finds by a walk.
 
     >>> [w.to_text(compact=True) for w in minimal_crowded(8)]
     ['12637485', '15263748', '31627485', '41526378', '41527386', '41627385']

@@ -213,14 +213,14 @@ def _reduced_words_lose_the_last(monkeypatch):
 
 def _heap_relates_equal_labels_only(monkeypatch):
     # labels one apart no longer meet, so nothing lies between two equal ones
-    def build_heap(letters):
+    def heap_of_reduced(letters):
         below = [
             frozenset(x for x in range(1, y) if letters[x - 1] == u)
             for y, u in enumerate(letters, start=1)
         ]
         return fcperm.Heap(tuple(letters), tuple(below))
 
-    monkeypatch.setattr(fcperm.heaps, "build_heap", build_heap)
+    monkeypatch.setattr(fcperm.heaps, "heap_of_reduced", heap_of_reduced)
 
 
 def _descents_lose_the_last(monkeypatch):
@@ -231,7 +231,7 @@ def _descents_lose_the_last(monkeypatch):
 
 
 def _row2_drops_its_largest_entry(module):
-    # in weak_order, uncrowded_frontier decides crowdedness on a short row
+    # in weak_order, fc_crowding decides crowdedness on a short row
     def patch(monkeypatch):
         original = module.row2
         monkeypatch.setattr(module, "row2", lambda w: original(w)[:-1])
@@ -307,8 +307,7 @@ def _frontier_loses_the_last_minimal(monkeypatch):
     original = fcperm.checks.uncrowded_frontier
 
     def drop_last_minimal(n):
-        maximal_uncrowded, minimal_crowded = original(n)
-        return maximal_uncrowded, minimal_crowded[:-1]
+        return original(n)[:-1]
 
     monkeypatch.setattr(fcperm.checks, "uncrowded_frontier", drop_last_minimal)
 
@@ -478,6 +477,12 @@ VERDICT_TURNING_MUTANTS = {
     "cor-5.5-at-d": ("cor-5.5", 6, _bump_map_reversed, 1, "4,1,5,2,6,3 at 1"),
     "cor-5.5-value-z": ("cor-5.5", 6, _row2_returns_row_1, 1, "4,1,5,2,6,3 value 1"),
     "cor-5.6": ("cor-5.6", 6, _descents_lose_the_last, 1, "4,1,5,2,6,3"),
+    # the short-row frontier is empty below S_8; at S_8 its first element
+    # sits above the minimal crowded 41526378
+    "cor-5.6-row2-short": (
+        "cor-5.6", 8, _row2_drops_its_largest_entry(fcperm.weak_order), 1,
+        "4,1,5,2,6,3,8,7 (not minimal crowded)",
+    ),
     "lemma-5.7": (
         "lemma-5.7", 9, _row2_drops_its_largest_entry(fcperm.weak_order), 3, "4,1,5,2,6,3,7,9,8",
     ),

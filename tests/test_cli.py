@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import fcperm.checks
 import fcperm.cli
 import fcperm.crowding
+import fcperm.heaps
+import fcperm.weak_order
 from fcperm import Permutation, classify, fc_elements, rsk
 from fcperm.cli import FILTERS, main
 from fcperm.crowding import InvariantViolation
@@ -535,6 +537,20 @@ class TestEnumerate:
             )
             assert (code, out.split(), err) == (0, expected, ""), which
 
+    def test_crowded_listing_decides_each_second_row_once(self, capsys, monkeypatch):
+        # S_10 has 16,796 fully commutative elements and 252 second rows
+        rows = []
+        original = fcperm.weak_order.is_uncrowded_set
+
+        def counted(values):
+            rows.append(values)
+            return original(values)
+
+        monkeypatch.setattr(fcperm.weak_order, "is_uncrowded_set", counted)
+        code, out, _ = run(capsys, "enumerate", "10", "--filter", "crowded", "--bound", "10")
+        assert (code, len(out.split())) == (0, crowding_census_by_dp(10)[1])
+        assert len(rows) == len(set(rows)) == 252
+
     def test_crowded_count_reaches_a_narrowed_witness(self, capsys, monkeypatch):
         # the perfbench "witness-narrow" mutant: windows wider than x = 1 missed
         original = fcperm.crowding.find_crowded_witness
@@ -675,6 +691,24 @@ class TestDot:
         code, out, err = run(capsys, "dot", "heap", "--word", "40720,5")
         assert code == 0 and not err
         assert out.count("[label=") == 2 and "->" not in out
+
+    def test_heap_of_a_permutation_tests_no_word(self, capsys, monkeypatch):
+        # the canonical reduced word is reduced by construction; a word the
+        # user gives is still tested
+        calls = []
+        original = fcperm.heaps.is_reduced
+
+        def counted(letters, n):
+            calls.append(tuple(letters))
+            return original(letters, n)
+
+        monkeypatch.setattr(fcperm.heaps, "is_reduced", counted)
+        code, out, err = run(capsys, "dot", "heap", "41627385")
+        assert (code, err, calls) == (0, "", []) and out.startswith("digraph heap {")
+        assert run(capsys, "dot", "heap", "--word", "11") == (
+            2, "", "error: word 11 is not reduced\n"
+        )
+        assert calls == [(1, 1)]
 
     @pytest.mark.parametrize("option", [["--json"], ["--bound", "-5"], ["--bound", "9"]])
     @pytest.mark.parametrize("source", [["312"], ["--word", "12"]])

@@ -68,3 +68,46 @@ def test_modules_read_every_name_they_import():
             if (bound := (alias.asname or alias.name).partition(".")[0]) not in read
         ]
     assert not unread, unread
+
+
+# the memos that live as long as the process, each a table built from its
+# arguments alone; every other memo is made inside the call that reads it
+PROCESS_MEMOS = {
+    ("weak_order.py", "_stamps"): "one stamp table per tail length, read by every walk",
+    ("cli.py", "_parser"): "building the parser costs some thirty times what parsing does",
+}
+
+
+def _is_memo(node) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def _outside_function_bodies(node):
+    """Every node under ``node`` that runs when its module or class body
+    does, down to the function definitions, whose bodies run later."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _outside_function_bodies(child)
+
+
+def test_no_memo_outlives_the_call():
+    # a cache made at import time keeps every answer for the whole process
+    process_memos, outliving = set(), []
+    for path in sorted(Path(fcperm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _outside_function_bodies(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _is_memo(decorator) for decorator in node.decorator_list
+            ):
+                if (path.name, node.name) in PROCESS_MEMOS:
+                    process_memos.add((path.name, node.name))
+                else:
+                    outliving.append(f"{path.name}:{node.lineno} @{node.name}")
+            elif isinstance(node, ast.Call) and _is_memo(node.func):
+                outliving.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not outliving, outliving
+    assert process_memos == set(PROCESS_MEMOS)

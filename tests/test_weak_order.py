@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 from fcperm import cli, weak_order
+from fcperm.weak_order import fc_crowding
 from fcperm import (
     BoundExceeded,
     Permutation,
@@ -221,7 +222,7 @@ class TestFcElements:
         assert sum(1 for _ in fc_elements(11, bound=11)) == 58786
 
     def test_bound_guard(self):
-        for enumerate_ in (fc_elements, crowding_census):
+        for enumerate_ in (fc_elements, fc_crowding, crowding_census):
             with pytest.raises(BoundExceeded, match="degree 10 exceeds bound 9"):
                 enumerate_(10)
         with pytest.raises(BoundExceeded, match="degree 25 exceeds bound 24"):
@@ -233,6 +234,7 @@ class TestFcElements:
     def test_degree_below_one(self, n):
         for enumerate_ in (
             fc_elements,
+            fc_crowding,
             crowding_census,
             uncrowded_frontier,
             build_fc_poset,
@@ -363,24 +365,44 @@ class TestCrowdingCensus:
 
 
 def _frontier_from_poset_edges(n):
-    """Both frontiers read off build_fc_poset's cover edges, with verdicts
-    from a wide window scan of the tableau's second row."""
+    """The minimal crowded elements read off build_fc_poset's cover edges,
+    with verdicts from a wide window scan of the tableau's second row."""
     poset = build_fc_poset(n)
     crowded = {
         w: not wide_scan_is_uncrowded(rsk(w).p.row(2)) for w in poset.elements
     }
-    up = {w: [] for w in poset.elements}
     down = {w: [] for w in poset.elements}
     for v, w, _ in poset.edges:
-        up[v].append(w)
         down[w].append(v)
-    maximal_uncrowded = tuple(
-        w for w in poset.elements if not crowded[w] and all(crowded[u] for u in up[w])
-    )
-    minimal_crowded = tuple(
+    return tuple(
         w for w in poset.elements if crowded[w] and not any(crowded[d] for d in down[w])
     )
-    return maximal_uncrowded, minimal_crowded
+
+
+def _count_second_row_verdicts(monkeypatch) -> list:
+    """Record every second row that weak_order hands to is_uncrowded_set."""
+    rows = []
+    original = weak_order.is_uncrowded_set
+
+    def counted(values):
+        rows.append(values)
+        return original(values)
+
+    monkeypatch.setattr(weak_order, "is_uncrowded_set", counted)
+    return rows
+
+
+class TestFcCrowding:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_pairs_each_element_with_classify(self, n):
+        expected = [(w, classify(w) is not None) for w in fc_elements(n)]
+        assert list(fc_crowding(n)) == expected
+
+    def test_each_second_row_is_decided_once(self, monkeypatch):
+        # S_11 has 58,786 fully commutative elements and 462 second rows
+        rows = _count_second_row_verdicts(monkeypatch)
+        uncrowded_frontier(11, bound=11)
+        assert len(rows) == len(set(rows)) == 462
 
 
 class TestFrontier:
@@ -389,35 +411,31 @@ class TestFrontier:
         assert uncrowded_frontier(n) == _frontier_from_poset_edges(n)
 
     def test_minimal_crowded_counts(self):
-        counts = [len(uncrowded_frontier(n, bound=11)[1]) for n in range(5, 12)]
+        counts = [len(uncrowded_frontier(n, bound=11)) for n in range(5, 12)]
         assert counts == [0, 1, 2, 6, 10, 21, 32]
 
     def test_no_crowded_elements_below_degree_six(self):
         for n in range(1, 6):
-            maximal_uncrowded, minimal_crowded = uncrowded_frontier(n)
-            assert minimal_crowded == ()
-            if n >= 2:
-                assert maximal_uncrowded  # the poset has tops
+            assert uncrowded_frontier(n) == ()
+            assert not any(crowded for _, crowded in fc_crowding(n))
 
     def test_golden_member(self):
-        _, minimal_crowded = uncrowded_frontier(8)
-        assert P("41627385") in minimal_crowded
+        assert P("41627385") in uncrowded_frontier(8)
 
     def test_frontier_matches_direct_test(self):
         for n in (6, 7):
-            _, minimal_crowded = uncrowded_frontier(n)
             direct = {
                 w
                 for w in fc_elements(n)
                 if is_minimal_crowded_direct(w).minimal
             }
-            assert set(minimal_crowded) == direct
+            assert set(uncrowded_frontier(n)) == direct
 
 
 class TestMinimalCrowded:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_the_frontier(self, n):
-        assert minimal_crowded(n, bound=12) == uncrowded_frontier(n, bound=12)[1]
+        assert minimal_crowded(n, bound=12) == uncrowded_frontier(n, bound=12)
 
     def test_every_element_passes_the_direct_test(self):
         for n in range(1, 17):
