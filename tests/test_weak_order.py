@@ -379,36 +379,23 @@ def _frontier_from_poset_edges(n):
     )
 
 
-def _count_second_row_verdicts(monkeypatch) -> list:
-    """Record every second row that weak_order hands to is_uncrowded_set."""
-    rows = []
-    original = weak_order.is_uncrowded_set
-
-    def counted(values):
-        rows.append(values)
-        return original(values)
-
-    monkeypatch.setattr(weak_order, "is_uncrowded_set", counted)
-    return rows
-
-
-class TestFcCrowding:
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_pairs_each_element_with_classify(self, n):
-        expected = [(w, classify(w) is not None) for w in fc_elements(n)]
-        assert list(fc_crowding(n)) == expected
-
-    def test_each_second_row_is_decided_once(self, monkeypatch):
-        # S_11 has 58,786 fully commutative elements and 462 second rows
-        rows = _count_second_row_verdicts(monkeypatch)
-        uncrowded_frontier(11, bound=11)
-        assert len(rows) == len(set(rows)) == 462
-
-
 class TestFrontier:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_frontier_from_poset_edges(self, n):
         assert uncrowded_frontier(n) == _frontier_from_poset_edges(n)
+
+    def test_each_second_row_is_decided_once(self, monkeypatch):
+        # S_11 has 58,786 fully commutative elements and 462 second rows
+        rows = []
+        original = weak_order.is_uncrowded_set
+
+        def counted(values):
+            rows.append(values)
+            return original(values)
+
+        monkeypatch.setattr(weak_order, "is_uncrowded_set", counted)
+        uncrowded_frontier(11, bound=11)
+        assert len(rows) == len(set(rows)) == 462
 
     def test_minimal_crowded_counts(self):
         counts = [len(uncrowded_frontier(n, bound=11)) for n in range(5, 12)]
