@@ -266,18 +266,19 @@ def _thm_2_10(n: int) -> Verdicts:
 def _lemma_2_11(n: int) -> Verdicts:
     """An inserted letter evicts a larger, earlier letter from row 1.
 
-    Down-cascade displacements keep b < z but can sit either way around in
-    the one-line notation, so the position claim is only about row 1.
+    The whole bumping route increases, but its later displacements can sit
+    either way around in the one-line notation, so the position claim is
+    only about row 1.
     """
     for w in all_permutations(n):
         pos = {val: p for p, val in enumerate(w.image, start=1)}
-        for step in rsk(w).trace.events:
-            if not step.bumps:
+        for path in rsk(w).trace.paths:
+            if len(path) == 1:
                 continue
-            b, z, row = step.bumps[0]
-            if not (row == 1 and b == step.value and b < z and pos[b] > pos[z]):
+            b, z = path[:2]
+            if not (b < z and pos[b] > pos[z]):
                 yield f"{w.to_text()} bump {(b, z)}"
-            elif any(bb >= zz for bb, zz, _ in step.bumps):
+            elif any(a >= c for a, c in zip(path, path[1:])):
                 yield f"{w.to_text()} cascade"
             else:
                 yield None
@@ -333,9 +334,14 @@ def _lemma_row2(n: int) -> Verdicts:
 
 
 def _lemma_3_1(n: int) -> Verdicts:
-    """Equal-label heap elements are separated by both adjacent labels."""
+    """Equal-label heap elements are separated by both adjacent labels.
+
+    "Between" reads the order ``below``, so each pair also requires that
+    order to be transitive; a heap of direct relations only passes the
+    label test."""
     for w in fc_elements(n):
         heap = heap_of(w)
+        transitive = all(heap.below[x - 1] <= below for below in heap.below for x in below)
         for j in set(heap.labels):
             chain = heap.elements_with_label(j)
             for x, y in combinations(chain, 2):
@@ -345,8 +351,12 @@ def _lemma_3_1(n: int) -> Verdicts:
                     for z in range(1, heap.size + 1)
                     if heap.less(lo, z) and heap.less(z, hi)
                 }
-                ok = {j - 1, j + 1} <= between
-                yield None if ok else f"{w.to_text()} label {j} pair {(lo, hi)}"
+                if not {j - 1, j + 1} <= between:
+                    yield f"{w.to_text()} label {j} pair {(lo, hi)}"
+                elif not transitive:
+                    yield f"{w.to_text()} (order not transitive)"
+                else:
+                    yield None
 
 
 def _thm_3_2(n: int) -> Verdicts:

@@ -196,6 +196,8 @@ def _cmd_dot(args) -> int:
             heap = heap_of(Permutation.from_text(args.argument))
         print(heap.to_dot())
         return 0
+    if args.word is not None:
+        raise ValueError("dot poset takes no --word; it applies to dot heap")
     if args.argument is None:
         raise ValueError("dot poset needs a degree argument")
     bound = DEFAULT_POSET_BOUND if args.bound is None else args.bound

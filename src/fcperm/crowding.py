@@ -245,9 +245,8 @@ def analyze_transition(v: Permutation, i: int) -> TransitionReport:
         pos[moved_value] > i + 1,
         f"{v.to_text()}@{i}: moved value appears before the swap",
     )
-    step = rv.trace.events[pos[moved_value] - 1]
     _demand(
-        step.value == moved_value and not step.bumps,
+        rv.trace.paths[pos[moved_value] - 1] == (moved_value,),
         f"{v.to_text()}@{i}: moved value displaces something in P(v)",
     )
 

@@ -6,12 +6,13 @@ world (``bump_pairs``) enforce full commutativity at their boundary.
 
 ``rsk`` runs the insertion once per call and keeps only its own lists: the
 rows, the recording rows, each letter's first-row column and each letter's
-bump cascade.  The insertion tableau, the recording tableau and the
+bumping route.  The insertion tableau, the recording tableau and the
 trace are each built from those lists when first read, and cached; every
 tableau read is still validated by the one ``Tableau`` constructor.
 
-The trace records, for each inserted letter, the whole bump cascade and the
-first-row column where the letter landed.  That column always equals the
+The trace records, for each inserted letter, its bumping route (the letter,
+then the value it displaced from each row in turn) and the first-row column
+where the letter landed.  That column always equals the
 length of a longest increasing subsequence ending at the letter, which is
 the bridge between tableau shape and one-line combinatorics used throughout
 this library.
@@ -21,9 +22,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import lt
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .patterns import is_fully_commutative
 from .permutations import Permutation
@@ -78,31 +78,22 @@ class Tableau:
         return {"rows": [list(row) for row in self.rows]}
 
 
-class InsertionStep(NamedTuple):
-    """What happened when one letter entered the tableau: a named tuple
-    ``(value, bumps)``.
-
-    ``bumps`` lists the cascade as (incoming, displaced, row) triples; it is
-    empty when the letter was appended to row 1.
-    """
-
-    value: int
-    bumps: tuple[tuple[int, int, int], ...]
-
-
 @dataclass(frozen=True, slots=True)
 class BumpTrace:
-    events: tuple[InsertionStep, ...]
+    """Each letter's bumping route, and the row-1 column where it landed.
+
+    ``paths[k]`` is the route of the letter w(k+1): the letter, then the
+    value it displaced from row 1, then the value that one displaced from
+    row 2, and so on.  It is ``(w(k+1),)`` when the letter was appended to
+    row 1.  ``first_column[v]`` is that row-1 column of v, from 1.
+    """
+
+    paths: tuple[tuple[int, ...], ...]
     first_column: Mapping[int, int]
 
     def row_bump_map(self) -> dict[int, int]:
         """displaced value -> the value that pushed it out of row 1."""
-        out = {}
-        for step in self.events:
-            if step.bumps:
-                b, z, _ = step.bumps[0]  # every cascade starts in row 1
-                out[z] = b
-        return out
+        return {path[1]: path[0] for path in self.paths if len(path) > 1}
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,19 +122,12 @@ class RskResult:
         return value
 
 
-def _build_trace(raw) -> BumpTrace:
-    _, _, image, cascades, first_column = raw
-    # tuple.__new__ is what InsertionStep's own constructor calls
-    steps = map(tuple.__new__, repeat(InsertionStep), zip(image, map(tuple, cascades)))
-    return BumpTrace(events=tuple(steps), first_column=first_column)
-
-
 # field name -> builder from RskResult._raw, which is
-# (rows of P, rows of Q, the letters, their bump cascades, first_column)
+# (rows of P, rows of Q, the letters' bumping routes, first_column)
 _BUILDERS = {
     "p": lambda raw: Tableau(raw[0]),
     "q": lambda raw: Tableau(raw[1]),
-    "trace": _build_trace,
+    "trace": lambda raw: BumpTrace(tuple(map(tuple, raw[2])), raw[3]),
 }
 
 
@@ -163,7 +147,7 @@ def rsk(w: Permutation) -> RskResult:
     rows: list[list[int]] = [first]
     qfirst: list[int] = []
     qrows: list[list[int]] = [qfirst]
-    cascades: list = []  # per letter: its bump triples, () when none
+    paths: list = []  # per letter: its bumping route
     first_column: dict[int, int] = {}
     for step_index, value in enumerate(w.image, start=1):
         # every letter lands in row 1; only a bumped one cascades further
@@ -172,29 +156,25 @@ def rsk(w: Permutation) -> RskResult:
         if col == len(first):
             first.append(value)
             qfirst.append(step_index)
-            cascades.append(())
+            paths.append((value,))
             continue
         incoming, first[col] = first[col], value
-        cascade = [(value, incoming, 1)]
-        r = 1
-        while True:
-            if r == len(rows):  # fell off the bottom: a new row holds it
-                rows.append([incoming])
-                qrows.append([step_index])
-                break
+        path = [value, incoming]
+        for r in range(1, len(rows)):
             row = rows[r]
             col = bisect_right(row, incoming)
             if col == len(row):
                 row.append(incoming)
                 qrows[r].append(step_index)
                 break
-            displaced, row[col] = row[col], incoming
-            r += 1
-            cascade.append((incoming, displaced, r))
-            incoming = displaced
-        cascades.append(cascade)
+            incoming, row[col] = row[col], incoming
+            path.append(incoming)
+        else:  # fell off the bottom: a new row holds it
+            rows.append([incoming])
+            qrows.append([step_index])
+        paths.append(path)
     result = object.__new__(RskResult)
-    object.__setattr__(result, "_raw", (rows, qrows, w.image, cascades, first_column))
+    object.__setattr__(result, "_raw", (rows, qrows, paths, first_column))
     return result
 
 
@@ -237,11 +217,9 @@ def bump_pairs(w: Permutation) -> list[tuple[int, int]]:
     if not is_fully_commutative(w):
         raise ValueError(f"{w.to_text()} is not fully commutative")
     pairs = []
-    for step in rsk(w).trace.events:
-        if step.bumps:
-            if len(step.bumps) > 1:
-                raise RuntimeError(f"two-row insertion of {w.to_text()} cascaded past row 1")
-            b, z, _ = step.bumps[0]
-            pairs.append((b, z))
+    for path in rsk(w).trace.paths:
+        if len(path) > 2:
+            raise RuntimeError(f"two-row insertion of {w.to_text()} cascaded past row 1")
+        if len(path) == 2:
+            pairs.append(path)
     return pairs
-

@@ -67,16 +67,16 @@ def brute_lis_ending_at(host: tuple[int, ...], q: int) -> int:
 def list_row_insertion(host: tuple[int, ...]):
     """Row insertion by linear scans over plain lists.
 
-    Returns the rows of P and Q as tuples, each step as (value, bumps) with
-    bumps as (incoming, displaced, row) triples, and the first-row column
-    (1-based) where each value landed.
+    Returns the rows of P and Q as tuples, each letter's bumping route as a
+    tuple (the letter, then the value displaced from each row in turn), and
+    the first-row column (1-based) where each value landed.
     """
     p: list[list[int]] = []
     q: list[list[int]] = []
-    steps = []
+    paths = []
     first_column = {}
     for index, value in enumerate(host, start=1):
-        incoming, bumps, r = value, [], 0
+        incoming, path, r = value, [value], 0
         while True:
             if r == len(p):
                 p.append([])
@@ -89,14 +89,14 @@ def list_row_insertion(host: tuple[int, ...]):
                 q[r].append(index)
                 break
             c = larger[0]
-            bumps.append((incoming, p[r][c], r + 1))
+            path.append(p[r][c])
             p[r][c], incoming = incoming, p[r][c]
             r += 1
-        steps.append((value, tuple(bumps)))
+        paths.append(tuple(path))
     return (
         tuple(tuple(row) for row in p),
         tuple(tuple(row) for row in q),
-        steps,
+        tuple(paths),
         first_column,
     )
 

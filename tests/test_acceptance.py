@@ -188,11 +188,11 @@ class TestProperties:
             rng.shuffle(image)
             w = Permutation(tuple(image))
             pos = {val: p for p, val in enumerate(w.image, start=1)}
-            for step in rsk(w).trace.events:
-                if not step.bumps:
+            for letter, path in zip(w.image, rsk(w).trace.paths):
+                assert path[0] == letter
+                if len(path) == 1:
                     continue
-                b, z, row = step.bumps[0]
-                assert row == 1 and b == step.value
+                b, z = path[:2]
                 assert b < z and pos[b] > pos[z]
-                assert all(bb < zz for bb, zz, _ in step.bumps)
+                assert all(a < c for a, c in zip(path, path[1:]))
         print("bump trace on 10^4 random permutations: pass")

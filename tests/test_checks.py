@@ -156,9 +156,9 @@ def _fully_commutative_means_boolean(monkeypatch):
     monkeypatch.setattr(fcperm.checks, "is_fully_commutative", fcperm.checks.is_boolean)
 
 
-def _rsk_rewrites_its_trace(bumps=lambda bumps: bumps, column=lambda col: col):
-    """A mutant of rsk whose trace has each step's bump triples and each
-    letter's first-row column rewritten."""
+def _rsk_rewrites_its_trace(paths=lambda path: path, column=lambda col: col):
+    """A mutant of rsk whose trace has each letter's bumping route and
+    first-row column rewritten."""
 
     def patch(monkeypatch):
         original = fcperm.checks.rsk
@@ -166,7 +166,7 @@ def _rsk_rewrites_its_trace(bumps=lambda bumps: bumps, column=lambda col: col):
         def rewritten(w):
             result = original(w)
             trace = fcperm.BumpTrace(
-                tuple(fcperm.InsertionStep(s.value, bumps(s.bumps)) for s in result.trace.events),
+                tuple(map(paths, result.trace.paths)),
                 {v: column(c) for v, c in result.trace.first_column.items()},
             )
             return dataclasses.replace(result, trace=trace)
@@ -216,6 +216,18 @@ def _heap_relates_equal_labels_only(monkeypatch):
     def heap_of_reduced(letters):
         below = [
             frozenset(x for x in range(1, y) if letters[x - 1] == u)
+            for y, u in enumerate(letters, start=1)
+        ]
+        return fcperm.Heap(tuple(letters), tuple(below))
+
+    monkeypatch.setattr(fcperm.heaps, "heap_of_reduced", heap_of_reduced)
+
+
+def _heap_keeps_direct_relations_only(monkeypatch):
+    # x below y only when their labels are within one: no transitive closure
+    def heap_of_reduced(letters):
+        below = [
+            frozenset(x for x in range(1, y) if abs(letters[x - 1] - u) <= 1)
             for y, u in enumerate(letters, start=1)
         ]
         return fcperm.Heap(tuple(letters), tuple(below))
@@ -416,14 +428,14 @@ VERDICT_TURNING_MUTANTS = {
     ),
     "lemma-2.11-bump": (
         "lemma-2.11", 2,
-        _rsk_rewrites_its_trace(bumps=lambda bumps: tuple((z, b, r) for b, z, r in bumps)),
+        # each route's first two entries swapped
+        _rsk_rewrites_its_trace(paths=lambda path: path[1::-1] + path[2:]),
         1, "2,1 bump (2, 1)",
     ),
     "lemma-2.11-cascade": (
         "lemma-2.11", 3,
-        _rsk_rewrites_its_trace(
-            bumps=lambda bumps: tuple((b, z, r) if r == 1 else (z, b, r) for b, z, r in bumps)
-        ),
+        # each route's displaced values reversed
+        _rsk_rewrites_its_trace(paths=lambda path: path[:1] + path[:0:-1]),
         6, "3,2,1 cascade",
     ),
     "lemma-2.12": (
@@ -436,6 +448,9 @@ VERDICT_TURNING_MUTANTS = {
     "lemma-row2": ("lemma-row2", 2, _row2_drops_its_largest_entry(fcperm.checks), 2, "2,1"),
     "lemma-3.1": (
         "lemma-3.1", 4, _heap_relates_equal_labels_only, 1, "3,4,1,2 label 2 pair (1, 4)",
+    ),
+    "lemma-3.1-direct-relations-only": (
+        "lemma-3.1", 5, _heap_keeps_direct_relations_only, 2, "2,4,5,1,3 (order not transitive)",
     ),
     "thm-3.2-boolean-means-fc": (
         "thm-3.2", 4, _boolean_means_fully_commutative, 13, "3,4,1,2 (uniqueness)",

@@ -716,6 +716,10 @@ class TestDot:
         message = f"error: dot heap takes no {option[0]}; it applies to dot poset\n"
         assert run(capsys, "dot", "heap", *source, *option) == (2, "", message)
 
+    def test_poset_refuses_the_heap_word(self, capsys):
+        message = "error: dot poset takes no --word; it applies to dot heap\n"
+        assert run(capsys, "dot", "poset", "3", "--word", "121") == (2, "", message)
+
     def test_poset_bound_defaults_to_the_poset_bound(self, capsys):
         expected = run(capsys, "dot", "poset", "9", "--bound", str(DEFAULT_POSET_BOUND))
         assert expected[0] == 0 and run(capsys, "dot", "poset", "9") == expected

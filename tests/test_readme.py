@@ -1,9 +1,13 @@
 """The README's library tour runs as written, so a documented name cannot
-disappear from the package unnoticed, and it uses every name it imports."""
+disappear from the package unnoticed, and it uses every name it imports.
+Its table of verification checks names every registered check at its
+default degree."""
 
 import ast
 import re
 from pathlib import Path
+
+from fcperm.checks import CHECKS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +32,8 @@ def test_library_tour_uses_every_name_it_imports():
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_checks_table_lists_every_check_at_its_default_degree():
+    rows = re.findall(r"^\| `([^`]+)` \| (\d+) \|", README.read_text(), re.MULTILINE)
+    assert rows == [(name, str(degree)) for name, (degree, _) in CHECKS.items()]

@@ -21,7 +21,7 @@ from fcperm import (
 )
 from fcperm.checks import _lis_ending, _longest_increasing
 from fcperm.cli import main
-from fcperm.rsk import BumpTrace, InsertionStep
+from fcperm.rsk import BumpTrace
 
 from conftest import brute_lis_ending_at, list_row_insertion
 
@@ -120,19 +120,35 @@ class TestAgainstListInsertion:
     def test_tableaux_and_trace_match(self, n):
         for w in all_permutations(n):
             result = rsk(w)
-            p, q, steps, first_column = list_row_insertion(w.image)
+            p, q, paths, first_column = list_row_insertion(w.image)
             assert result.p.rows == p
             assert result.q.rows == q
-            assert [(s.value, s.bumps) for s in result.trace.events] == steps
+            assert result.trace.paths == paths
             assert dict(result.trace.first_column) == first_column
 
     def test_steps_are_immutable(self):
-        step = rsk(P("41627385")).trace.events[1]
-        assert (step.value, step.bumps) == (1, ((1, 4, 1),))
+        trace = rsk(P("41627385")).trace
+        assert trace.paths[:2] == ((4,), (1, 4))
+        assert all(type(path) is tuple for path in trace.paths)
         with pytest.raises(AttributeError):
-            step.value = 2
-        with pytest.raises(AttributeError):
-            step.bumps = ()
+            trace.paths = ()
+
+
+class TestPaths:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_each_route_starts_with_its_letter_and_increases(self, n):
+        for w in all_permutations(n):
+            result = rsk(w)
+            assert len(result.trace.paths) == n
+            for letter, path in zip(w.image, result.trace.paths):
+                assert path[0] == letter
+                assert all(a < b for a, b in zip(path, path[1:]))
+                assert len(path) <= len(result.p.rows)
+
+    def test_row_bump_map_reads_the_first_step_of_each_route(self):
+        trace = rsk(P("4321")).trace
+        assert trace.paths == ((4,), (3, 4), (2, 3, 4), (1, 2, 3, 4))
+        assert trace.row_bump_map() == {4: 3, 3: 2, 2: 1}
 
 
 class TestClassicalFacts:
@@ -160,7 +176,7 @@ def _read_matches_list_insertion(w, order):
     """Read the fields of a fresh rsk(w) in the given order and compare each
     with the list-scan insertion."""
     result = rsk(w)
-    p, q, steps, first_column = list_row_insertion(w.image)
+    p, q, paths, first_column = list_row_insertion(w.image)
     for name in order:
         value = getattr(result, name)
         if name == "p":
@@ -168,9 +184,9 @@ def _read_matches_list_insertion(w, order):
         elif name == "q":
             assert value.rows == q
         else:
-            assert [(s.value, s.bumps) for s in value.events] == steps
+            assert value.paths == paths
             assert dict(value.first_column) == first_column
-            assert all(type(s) is InsertionStep for s in value.events)
+            assert all(type(path) is tuple for path in value.paths)
 
 
 class TestLazyResult:
@@ -280,18 +296,18 @@ class TestBumpPairs:
     @staticmethod
     def _cascade_past_row_1(monkeypatch):
         """Patch rsk so that the first bump of every trace cascades on into
-        row 2, which two-row insertion never does."""
+        row 2, which two-row insertion never does: a third entry on the
+        first route that has a second."""
         original = RSK_MODULE.rsk
 
         def two_step_cascade(w):
             result = original(w)
-            events = list(result.trace.events)
-            for i, step in enumerate(events):
-                if step.bumps:
-                    b, z, _ = step.bumps[0]
-                    events[i] = InsertionStep(step.value, ((b, z, 1), (z, z + 1, 2)))
+            paths = list(result.trace.paths)
+            for i, path in enumerate(paths):
+                if len(path) == 2:
+                    paths[i] = path + (path[1] + 1,)
                     break
-            trace = BumpTrace(tuple(events), result.trace.first_column)
+            trace = BumpTrace(tuple(paths), result.trace.first_column)
             return dataclasses.replace(result, trace=trace)
 
         monkeypatch.setattr(RSK_MODULE, "rsk", two_step_cascade)

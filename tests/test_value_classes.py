@@ -22,9 +22,8 @@ VALUES = {
     "RskResult": (
         rsk(Permutation.from_text("3142")),
         "RskResult(p=Tableau(rows=((1, 2), (3, 4))), q=Tableau(rows=((1, 3), (2, 4))),"
-        " trace=BumpTrace(events=(InsertionStep(value=3, bumps=()),"
-        " InsertionStep(value=1, bumps=((1, 3, 1),)), InsertionStep(value=4, bumps=()),"
-        " InsertionStep(value=2, bumps=((2, 4, 1),))), first_column={3: 1, 1: 1, 4: 2, 2: 2}))",
+        " trace=BumpTrace(paths=((3,), (1, 3), (4,), (2, 4)),"
+        " first_column={3: 1, 1: 1, 4: 2, 2: 2}))",
     ),
     "CheckResult": (
         run_check("thm-4.11", 6),
