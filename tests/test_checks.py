@@ -15,6 +15,7 @@ import fcperm.permutations
 import fcperm.weak_order
 import fcperm.words
 from fcperm.checks import CHECKS, run_check
+from fcperm.crowding import InvariantViolation
 
 from conftest import loose_fc_covers
 
@@ -156,12 +157,14 @@ def _fully_commutative_means_boolean(monkeypatch):
     monkeypatch.setattr(fcperm.checks, "is_fully_commutative", fcperm.checks.is_boolean)
 
 
-def _rsk_rewrites_its_trace(paths=lambda path: path, column=lambda col: col):
-    """A mutant of rsk whose trace has each letter's bumping route and
-    first-row column rewritten."""
+def _rsk_rewrites_its_trace(
+    paths=lambda path: path, column=lambda col: col, module=fcperm.checks
+):
+    """A mutant of ``module``'s rsk whose trace has each letter's bumping
+    route and first-row column rewritten."""
 
     def patch(monkeypatch):
-        original = fcperm.checks.rsk
+        original = module.rsk
 
         def rewritten(w):
             result = original(w)
@@ -171,7 +174,7 @@ def _rsk_rewrites_its_trace(paths=lambda path: path, column=lambda col: col):
             )
             return dataclasses.replace(result, trace=trace)
 
-        monkeypatch.setattr(fcperm.checks, "rsk", rewritten)
+        monkeypatch.setattr(module, "rsk", rewritten)
 
     return patch
 
@@ -332,18 +335,18 @@ def _no_knuth_moves(monkeypatch):
     monkeypatch.setattr(fcperm.checks, "knuth_neighbors", lambda w: [])
 
 
-def _rsk_rewrites_its_tableaux(tableaux):
-    """A mutant of rsk whose (p, q) becomes ``tableaux(p, q)``."""
+def _rsk_rewrites_its_tableaux(tableaux, module=fcperm.checks):
+    """A mutant of ``module``'s rsk whose (p, q) becomes ``tableaux(p, q)``."""
 
     def patch(monkeypatch):
-        original = fcperm.checks.rsk
+        original = module.rsk
 
         def rewritten(w):
             result = original(w)
             p, q = tableaux(result.p, result.q)
             return dataclasses.replace(result, p=p, q=q)
 
-        monkeypatch.setattr(fcperm.checks, "rsk", rewritten)
+        monkeypatch.setattr(module, "rsk", rewritten)
 
     return patch
 
@@ -536,3 +539,55 @@ def test_check_fails_under_a_one_function_mutant(monkeypatch, mutant_id):
 
 def test_every_registered_check_has_a_kill():
     assert {name for name, *_ in VERDICT_TURNING_MUTANTS.values()} == set(CHECKS)
+
+
+def _bump_map_drops_its_last_pair(monkeypatch):
+    original = fcperm.BumpTrace.row_bump_map
+    monkeypatch.setattr(
+        fcperm.BumpTrace, "row_bump_map", lambda trace: dict(list(original(trace).items())[:-1])
+    )
+
+
+def _nothing_is_crowded(monkeypatch):
+    monkeypatch.setattr(fcperm.crowding, "classify", lambda w: None)
+
+
+# group of analyze_transition's deductions -> (mutant, the InvariantViolation
+# message that thm-4.11 raises at S_6, where the first tableau-changing cover
+# that keeps the support appears; S_5 has none, so the check passes there)
+DEDUCTION_BREAKING_MUTANTS = {
+    "3142-occurrence": (
+        _suffix_starts_one_position_early,
+        "4,1,2,5,6,3@3: expected v(i) < suffix_min < prefix_max < v(i+1)",
+    ),
+    "unique-moved-value": (
+        # P keeps only its first row
+        _rsk_rewrites_its_tableaux(lambda p, q: (fcperm.Tableau(p.rows[:1]), q), fcperm.crowding),
+        "4,1,2,5,6,3@3: expected a unique value moving to row 2, got []",
+    ),
+    "prefix-max-bump": (
+        # each route's first two entries swapped
+        _rsk_rewrites_its_trace(paths=lambda path: path[1::-1] + path[2:], module=fcperm.crowding),
+        "4,1,2,5,6,3@3: prefix_max not bumped by the run before the swap",
+    ),
+    "suffix-min-bump": (
+        _bump_map_drops_its_last_pair, "4,1,2,5,6,3@3: v(i+1) is not bumped by suffix_min",
+    ),
+    # a uniform shift of every column is invisible here, since the chain
+    # compares only differences; lemma-2.12 and cor-lis catch that one
+    "column-chain": (
+        _rsk_rewrites_its_trace(column=lambda col: col + col % 2, module=fcperm.crowding),
+        "4,1,2,5,6,3@3: run column drifts at 6",
+    ),
+    "crowded-target": (_nothing_is_crowded, "4,1,2,5,6,3@3: transition target is not crowded"),
+}
+
+
+@pytest.mark.parametrize("mutant_id", sorted(DEDUCTION_BREAKING_MUTANTS))
+def test_thm_4_11_deduction_breaks_under_a_one_function_mutant(monkeypatch, mutant_id):
+    mutate, message = DEDUCTION_BREAKING_MUTANTS[mutant_id]
+    mutate(monkeypatch)
+    with pytest.raises(InvariantViolation) as info:
+        run_check("thm-4.11", 6)
+    assert str(info.value) == message
+    assert run_check("thm-4.11", 5).passed

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from fcperm import (
+    BumpTrace,
     InvariantViolation,
     Permutation,
     Tableau,
@@ -16,17 +17,21 @@ from fcperm import (
     find_crowded_witness,
     is_minimal_crowded_direct,
     is_uncrowded_set,
+    minimal_crowded,
     minimal_crowded_subset,
     minimal_crowded_window,
     row2,
     rsk,
 )
 import fcperm.crowding
+from fcperm.checks import run_check
 from fcperm.cli import main
 from fcperm.weak_order import fc_covers, fc_elements
 from fcperm.patterns import iter_occurrences
 
-from conftest import minimality_conditions, wide_scan_is_uncrowded
+from conftest import (
+    brute_avoids_321, list_row_insertion, minimality_conditions, wide_scan_is_uncrowded,
+)
 
 
 P = Permutation.from_text
@@ -288,6 +293,44 @@ class TestAnalyzeTransition:
             analyze_transition(v, i)
             assert classify(w) is not None
         assert seen >= 1
+
+    def test_seeded_probe_past_s9(self):
+        assert _probe_transitions_past_s9() == 744
+
+    def test_the_probe_catches_a_column_drift_that_s9_misses(self, monkeypatch):
+        original = fcperm.crowding.rsk
+
+        def drifting(w):
+            result = original(w)
+            column = {v: c + (v >= 10) for v, c in result.trace.first_column.items()}
+            return dataclasses.replace(result, trace=BumpTrace(result.trace.paths, column))
+
+        monkeypatch.setattr(fcperm.crowding, "rsk", drifting)
+        result = run_check("thm-4.11", 9)
+        assert (result.passed, result.cases) == (True, 102)
+        with pytest.raises(InvariantViolation) as info:
+            _probe_transitions_past_s9()
+        assert str(info.value) == "1,2,3,4,8,5,6,9,10,7@7: run column drifts at 10"
+
+
+def _probe_transitions_past_s9() -> int:
+    """Theorem 4.11 on 20 seeded draws of ``minimal_crowded(n)`` for each
+    n = 10..24, beyond the exhaustive S_9: every lower cover v = w*s_d that
+    keeps d in the support and changes the insertion tableau goes through
+    ``analyze_transition``.  Returns how many transitions ran."""
+    rng = random.Random(411)
+    ran = 0
+    for n in range(10, 25):
+        for w in rng.sample(minimal_crowded(n), 20):
+            # crowded by the paper's definition, not by classify
+            assert not wide_scan_is_uncrowded(list_row_insertion(w.image)[0][1])
+            for d in sorted(w.descents()):
+                v = w.times(d)
+                if d in v.support() and rsk(v).p != rsk(w).p:
+                    assert brute_avoids_321(v.image)
+                    analyze_transition(v, d)
+                    ran += 1
+    return ran
 
 
 class TestMinimalCrowdedDirect:
