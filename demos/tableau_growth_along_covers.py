@@ -25,6 +25,6 @@ report = analyze_transition(v, 5)
 print(f"prefix max / suffix min around the swap: {report.prefix_max}, {report.suffix_min}")
 print(f"they straddle the swapped pair as a 3142 occurrence at positions {report.pattern_3142}")
 print(f"value moved into row 2: {report.moved_value}")
-print(f"window {list(report.interval)} now holds "
+print(f"window {[report.prefix_max, report.moved_value]} now holds "
       f"{report.chain_length + 3} second-row entries, one too many")
 print(f"witness window reported by classify: {list(classify(w).window)}")

@@ -32,7 +32,9 @@ from .weak_order import (
     DEFAULT_POSET_BOUND, fc_covers, fc_elements, knuth_neighbors, principal_ideal,
     require_degree_within, uncrowded_frontier,
 )
-from .words import all_reduced_words, canonical_reduced_word, reduced_word_counts
+from .words import (
+    BoundExceeded, all_reduced_words, canonical_reduced_word, reduced_word_counts,
+)
 
 # one verdict per case: None when it holds, else the counterexample
 Verdicts = Iterator[str | None]
@@ -672,6 +674,11 @@ def run_check(name: str, n: int | None = None) -> CheckResult:
         raise ValueError(f"unknown check {name!r}; known checks: {known}")
     default_n, sweep = CHECKS[name]
     n = default_n if n is None else n
+    if n > DEFAULT_POSET_BOUND:  # verify has no --bound to raise
+        raise BoundExceeded(
+            f"degree {n} exceeds bound {DEFAULT_POSET_BOUND};"
+            f" verify sweeps S_n only up to n = {DEFAULT_POSET_BOUND}"
+        )
     require_degree_within(n, DEFAULT_POSET_BOUND)
     cases, counterexample = 0, None
     try:

@@ -6,8 +6,8 @@ permutation inherits the adjective of the second row of its insertion
 tableau, and ``classify`` returns that row's overfull window, or None.
 Crowdedness is exactly the obstruction to sharing an insertion tableau
 with a boolean permutation, and it appears along weak-order covers
-in a completely controlled way; ``analyze_transition`` extracts the full
-witness data for one cover step and checks every step of that control.
+in a completely controlled way; ``analyze_transition`` checks every step
+of that control along one cover step and reports the witness it finds.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ from .rsk import rsk, row2
 class InvariantViolation(RuntimeError):
     """An internal deduction failed; the inputs are a counterexample to
     something this library believes is a theorem.  Please report them."""
-
-
-def _demand(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvariantViolation(message)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +111,8 @@ def minimal_crowded_subset(values) -> CrowdedWitness:
         ),
         None,
     )
-    _demand(found is not None, f"crowded set {sorted(members)} holds no standard window")
+    if found is None:
+        raise InvariantViolation(f"crowded set {sorted(members)} holds no standard window")
     x, y = found
     return CrowdedWitness(x, y, window=minimal_crowded_window(x, y))
 
@@ -140,125 +136,99 @@ def classify(w: Permutation) -> CrowdedWitness | None:
 
 @dataclass(frozen=True, slots=True)
 class TransitionReport:
-    """Everything extracted from one tableau-changing cover step v -> v*s_i.
+    """What one tableau-changing cover step v -> v*s_i shows.
 
-    ``prefix_max``/``suffix_min`` are the extremes around the swap,
-    ``pattern_3142`` the positions of the occurrence they force, the runs
-    are the increasing stretches adjacent to the swapped pair, and
-    ``column_chain``/``bumpers`` trace how the new second-row entry
-    ``moved_value`` is pushed down.  ``interval`` is the short integer
-    window that ends up overfull in the second row of P(v*s_i).
+    ``prefix_max``/``suffix_min`` are the extremes around the swap and
+    ``pattern_3142`` the positions of the occurrence they force.
+    ``moved_value`` is the entry that moves into the second row, and the
+    window [prefix_max, moved_value] then holds ``chain_length + 3``
+    second-row entries of P(v*s_i), one more than it may.
     """
 
     prefix_max: int
     suffix_min: int
     pattern_3142: tuple[int, int, int, int]
-    run_before: tuple[int, ...]
-    run_after: tuple[int, ...]
     moved_value: int
-    column_chain: tuple[int, ...]
-    bumpers: tuple[int, ...]
     chain_length: int
-    interval: tuple[int, int]
 
 
 def analyze_transition(v: Permutation, i: int) -> TransitionReport:
     """Witness data for a cover step that changes the insertion tableau
     without changing support.  Such a step always lands on a crowded
-    permutation, and every deduction on the way there is checked.
+    permutation, and every deduction on the way there is checked: a
+    broken one raises ``InvariantViolation`` with v, i and its reason.
 
     >>> report = analyze_transition(Permutation.from_text("41623785"), 5)
     >>> report.prefix_max, report.suffix_min, report.moved_value, report.chain_length
     (6, 5, 8, 0)
     """
-    if not is_fully_commutative(v):
-        raise ValueError(f"precondition failed: {v.to_text()} is not fully commutative")
-    if not 1 <= i <= v.n - 1:
-        raise ValueError(f"precondition failed: index {i} out of range 1..{v.n - 1}")
-    if v(i) > v(i + 1):
-        raise ValueError(f"precondition failed: {i} is not an ascent of {v.to_text()}")
+
+    def require(condition: bool, reason: str) -> None:
+        if not condition:
+            raise ValueError(f"precondition failed: {reason}")
+
+    def demand(condition: bool, reason: str) -> None:
+        if not condition:
+            raise InvariantViolation(f"{v.to_text()}@{i}: {reason}")
+
+    require(is_fully_commutative(v), f"{v.to_text()} is not fully commutative")
+    require(1 <= i <= v.n - 1, f"index {i} out of range 1..{v.n - 1}")
+    require(v(i) < v(i + 1), f"{i} is not an ascent of {v.to_text()}")
     w = v.times(i)
-    if not is_fully_commutative(w):
-        raise ValueError(
-            f"precondition failed: {w.to_text()} is not fully commutative"
-        )
-    if i not in v.support():
-        raise ValueError(
-            f"precondition failed: {i} is not in the support of {v.to_text()}"
-        )
+    require(is_fully_commutative(w), f"{w.to_text()} is not fully commutative")
+    require(i in v.support(), f"{i} is not in the support of {v.to_text()}")
     rv, rw = rsk(v), rsk(w)
-    if rv.p == rw.p:
-        raise ValueError(
-            f"precondition failed: the insertion tableau does not change at index {i}"
-        )
+    require(rv.p != rw.p, f"the insertion tableau does not change at index {i}")
 
     prefix_max, suffix_min = v.support_stats(i)
     pos = {val: p for p, val in enumerate(v.image, start=1)}
-    pos_max, pos_min = pos[prefix_max], pos[suffix_min]
 
     # the extremes straddle the swapped pair as a 3142 occurrence
-    _demand(
+    demand(
         v(i) < suffix_min < prefix_max < v(i + 1),
-        f"{v.to_text()}@{i}: expected v(i) < suffix_min < prefix_max < v(i+1)",
+        "expected v(i) < suffix_min < prefix_max < v(i+1)",
     )
-    pattern = (pos_max, i, i + 1, pos_min)
+    pattern = (pos[prefix_max], i, i + 1, pos[suffix_min])
 
     # the stretches next to the swap are increasing and squeezed by the extremes
-    run_before = tuple(v(p) for p in range(pos_max + 1, i))
-    run_after = tuple(v(p) for p in range(i + 2, pos_min))
-    _demand(len(run_before) >= 1, f"{v.to_text()}@{i}: run before the swap is empty")
-    _demand(len(run_after) >= 1, f"{v.to_text()}@{i}: run after the swap is empty")
-    chain = run_before + (v(i), suffix_min) + (prefix_max, v(i + 1)) + run_after
-    _demand(
-        all(a < b for a, b in zip(chain, chain[1:])),
-        f"{v.to_text()}@{i}: squeezed runs are not increasing",
-    )
+    run_before = tuple(v(p) for p in range(pos[prefix_max] + 1, i))
+    run_after = tuple(v(p) for p in range(i + 2, pos[suffix_min]))
+    demand(len(run_before) >= 1, "run before the swap is empty")
+    demand(len(run_after) >= 1, "run after the swap is empty")
+    chain = run_before + (v(i), suffix_min, prefix_max, v(i + 1)) + run_after
+    demand(all(a < b for a, b in zip(chain, chain[1:])), "squeezed runs are not increasing")
 
-    row1_v, row2_v = rv.p.row(1), set(rv.p.row(2))
-    row2_w = set(rw.p.row(2))
-    moved = set(row1_v) & row2_w
-    _demand(
-        len(moved) == 1,
-        f"{v.to_text()}@{i}: expected a unique value moving to row 2, got {sorted(moved)}",
-    )
+    row2_v, row2_w = set(rv.p.row(2)), set(rw.p.row(2))
+    moved = set(rv.p.row(1)) & row2_w
+    demand(len(moved) == 1, f"expected a unique value moving to row 2, got {sorted(moved)}")
     moved_value = moved.pop()
 
     bumped_by_v = rv.trace.row_bump_map()
     bumped_by_w = rw.trace.row_bump_map()
 
     # the prefix maximum is pushed down by the run before the swap, same in both
-    _demand(
+    demand(
         bumped_by_v.get(prefix_max) in set(run_before),
-        f"{v.to_text()}@{i}: prefix_max not bumped by the run before the swap",
+        "prefix_max not bumped by the run before the swap",
     )
-    _demand(
+    demand(
         bumped_by_w.get(prefix_max) == bumped_by_v.get(prefix_max),
-        f"{v.to_text()}@{i}: prefix_max bumped differently after the swap",
+        "prefix_max bumped differently after the swap",
     )
     # the suffix minimum pushes v(i+1) down on the unswapped side
-    _demand(
-        bumped_by_v.get(v(i + 1)) == suffix_min,
-        f"{v.to_text()}@{i}: v(i+1) is not bumped by suffix_min",
-    )
+    demand(bumped_by_v.get(v(i + 1)) == suffix_min, "v(i+1) is not bumped by suffix_min")
     # the moved value sits after the swap and never displaces anyone
-    _demand(
-        pos[moved_value] > i + 1,
-        f"{v.to_text()}@{i}: moved value appears before the swap",
-    )
-    _demand(
+    demand(pos[moved_value] > i + 1, "moved value appears before the swap")
+    demand(
         rv.trace.paths[pos[moved_value] - 1] == (moved_value,),
-        f"{v.to_text()}@{i}: moved value displaces something in P(v)",
+        "moved value displaces something in P(v)",
     )
 
     # chain of first-insertion columns starting at v(i+1)
-    col_v = rv.trace.first_column
-    col_w = rw.trace.first_column
+    col_v, col_w = rv.trace.first_column, rw.trace.first_column
     base = col_v[v(i + 1)]
     for offset, value in enumerate(run_after, start=1):
-        _demand(
-            col_v[value] == base + offset,
-            f"{v.to_text()}@{i}: run column drifts at {value}",
-        )
+        demand(col_v[value] == base + offset, f"run column drifts at {value}")
     first_in_column: dict[int, int] = {}
     for value in v.image:
         first_in_column.setdefault(col_v[value], value)
@@ -270,85 +240,53 @@ def analyze_transition(v: Permutation, i: int) -> TransitionReport:
             return run_after[k - 1]
         return first_in_column.get(base + k)
 
-    _demand(v(i + 1) in row2_v, f"{v.to_text()}@{i}: v(i+1) missed row 2 of P(v)")
+    demand(v(i + 1) in row2_v, "v(i+1) missed row 2 of P(v)")
     r = 0
-    while True:
-        nxt = chain_value(r + 1)
-        if nxt is None or nxt not in row2_v:
-            break
+    while chain_value(r + 1) in row2_v:
         r += 1
     tail = chain_value(r + 1)
-    _demand(
-        tail is not None,
-        f"{v.to_text()}@{i}: no value lands in column {base + r + 1} of P(v)",
-    )
+    demand(tail is not None, f"no value lands in column {base + r + 1} of P(v)")
     column_chain = tuple(chain_value(k) for k in range(r + 2))
 
     # the chain ends exactly at the moved value, one past the last row-2 link
-    _demand(
+    demand(
         tail == moved_value,
-        f"{v.to_text()}@{i}: chain ends at {tail}, not at the moved value {moved_value}",
+        f"chain ends at {tail}, not at the moved value {moved_value}",
     )
-    _demand(
+    demand(
         moved_value == column_chain[r] + 1,
-        f"{v.to_text()}@{i}: moved value is not adjacent to the last chain link",
+        "moved value is not adjacent to the last chain link",
     )
 
-    bumpers = [suffix_min]
-    for k in range(1, r + 1):
-        bumpers.append(bumped_by_v[column_chain[k]])
-    _demand(
-        all(a < b for a, b in zip(bumpers, bumpers[1:])),
-        f"{v.to_text()}@{i}: bumpers are not increasing",
-    )
-    _demand(
+    bumpers = [suffix_min] + [bumped_by_v[column_chain[k]] for k in range(1, r + 1)]
+    demand(all(a < b for a, b in zip(bumpers, bumpers[1:])), "bumpers are not increasing")
+    demand(
         all(pos[a] < pos[b] for a, b in zip(bumpers, bumpers[1:])),
-        f"{v.to_text()}@{i}: bumpers are not left to right",
+        "bumpers are not left to right",
     )
     # after the swap the suffix minimum pushes down the next chain link instead
-    _demand(
+    demand(
         bumped_by_w.get(column_chain[1]) == suffix_min,
-        f"{v.to_text()}@{i}: suffix_min does not bump the next link in P(w)",
+        "suffix_min does not bump the next link in P(w)",
     )
-    for k, t in enumerate(bumpers):
-        _demand(
-            col_w[t] == col_v[t],
-            f"{v.to_text()}@{i}: bumper {t} changes first column after the swap",
-        )
+    for t in bumpers:
+        demand(col_w[t] == col_v[t], f"bumper {t} changes first column after the swap")
 
     # the window [prefix_max, moved_value] is short but rich in row-2 entries
-    _demand(
-        column_chain[r] - prefix_max <= 2 * r + 1,
-        f"{v.to_text()}@{i}: window is too wide for the chain",
-    )
+    demand(column_chain[r] - prefix_max <= 2 * r + 1, "window is too wide for the chain")
     packed = {prefix_max, *column_chain[: r + 1]}
-    _demand(
+    demand(
         packed <= row2_v and len(packed) == r + 2,
-        f"{v.to_text()}@{i}: expected {r + 2} second-row entries in the window",
+        f"expected {r + 2} second-row entries in the window",
     )
-    interval = (prefix_max, moved_value)
-    inside_w = [z for z in sorted(row2_w) if prefix_max <= z <= moved_value]
-    _demand(
-        len(inside_w) >= r + 3,
-        f"{v.to_text()}@{i}: second row of P(w) is not overfull on {interval}",
+    inside_w = sum(prefix_max <= z <= moved_value for z in row2_w)
+    demand(
+        inside_w >= r + 3,
+        f"second row of P(w) is not overfull on {(prefix_max, moved_value)}",
     )
-    _demand(
-        classify(w) is not None,
-        f"{v.to_text()}@{i}: transition target is not crowded",
-    )
+    demand(classify(w) is not None, "transition target is not crowded")
 
-    return TransitionReport(
-        prefix_max=prefix_max,
-        suffix_min=suffix_min,
-        pattern_3142=pattern,
-        run_before=run_before,
-        run_after=run_after,
-        moved_value=moved_value,
-        column_chain=column_chain,
-        bumpers=tuple(bumpers),
-        chain_length=r,
-        interval=interval,
-    )
+    return TransitionReport(prefix_max, suffix_min, pattern, moved_value, r)
 
 
 _PATTERN_415263 = Permutation((4, 1, 5, 2, 6, 3))

@@ -604,7 +604,7 @@ class TestVerify:
     def test_degree_guard(self, capsys):
         # every check refuses a degree past the bound before it sweeps anything
         for n, check in (("11", "prop-2.2"), ("10", "cor-5.5"), ("10", "lemma-2.1")):
-            message = f"error: degree {n} exceeds bound 9; raise the bound to enumerate\n"
+            message = f"error: degree {n} exceeds bound 9; verify sweeps S_n only up to n = 9\n"
             assert run(capsys, "verify", n, check) == (2, "", message)
         message = "error: a permutation needs degree at least 1\n"
         assert run(capsys, "verify", "0", "thm-5.10") == (2, "", message)

@@ -261,13 +261,8 @@ class TestAnalyzeTransition:
         assert (report.prefix_max, report.suffix_min) == (6, 5)
         assert report.pattern_3142 == (3, 5, 6, 8)
         assert v(report.pattern_3142[0]) == 6
-        assert report.run_before == (2,)
-        assert report.run_after == (8,)
         assert report.moved_value == 8
         assert report.chain_length == 0
-        assert report.column_chain == (7, 8)
-        assert report.bumpers == (5,)
-        assert report.interval == (6, 8)
         inside = [z for z in row2(P("41627385")) if 6 <= z <= 8]
         assert len(inside) == report.chain_length + 3
 

@@ -46,8 +46,7 @@ VALUES = {
     "TransitionReport": (
         analyze_transition(Permutation.from_text("41623785"), 5),
         "TransitionReport(prefix_max=6, suffix_min=5, pattern_3142=(3, 5, 6, 8),"
-        " run_before=(2,), run_after=(8,), moved_value=8, column_chain=(7, 8), bumpers=(5,),"
-        " chain_length=0, interval=(6, 8))",
+        " moved_value=8, chain_length=0)",
     ),
     "CoreDecomposition": (
         boolean_core(Permutation.from_text("41627385")),
