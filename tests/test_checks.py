@@ -548,13 +548,11 @@ def _bump_map_drops_its_last_pair(monkeypatch):
     )
 
 
-def _nothing_is_crowded(monkeypatch):
-    monkeypatch.setattr(fcperm.crowding, "classify", lambda w: None)
-
-
 # group of analyze_transition's deductions -> (mutant, the InvariantViolation
 # message that thm-4.11 raises at S_6, where the first tableau-changing cover
-# that keeps the support appears; S_5 has none, so the check passes there)
+# that keeps the support appears; S_5 has none, so the check passes there).
+# The last group, the crowded target, is pinned by test_cli's
+# test_a_transition_that_lands_uncrowded_exits_three.
 DEDUCTION_BREAKING_MUTANTS = {
     "3142-occurrence": (
         _suffix_starts_one_position_early,
@@ -579,7 +577,6 @@ DEDUCTION_BREAKING_MUTANTS = {
         _rsk_rewrites_its_trace(column=lambda col: col + col % 2, module=fcperm.crowding),
         "4,1,2,5,6,3@3: run column drifts at 6",
     ),
-    "crowded-target": (_nothing_is_crowded, "4,1,2,5,6,3@3: transition target is not crowded"),
 }
 
 
