@@ -142,8 +142,9 @@ FILTERS = tuple(_MATCHES)
 # --bound when not given: the degree up to which the filter's output stays
 # small and fast (S_24 has 5,998 minimal crowded elements)
 _DEFAULT_BOUNDS = {"minimal-crowded": DEFAULT_MINIMAL_CROWDED_BOUND}
-# --count under crowded/uncrowded visits no element, only ballot sets
-# (about 1.6 s at n = 20, with interpreter start-up)
+# --count under crowded/uncrowded visits no element, only the uncrowded
+# ballot sets and their crowded children (about 0.8 s at n = 20, with
+# interpreter start-up)
 _CENSUS_BOUND = 20
 
 
@@ -161,7 +162,7 @@ def _cmd_enumerate(args) -> int:
         return 0
     matches = _MATCHES[args.filter](args.n, bound)
     if args.count:
-        # the fc view counts the leaves of its walk and builds no element
+        # the fc view counts from a table of counts and builds no element
         print(len(matches) if args.filter == "fc" else sum(1 for _ in matches))
         return 0
     for w in matches:

@@ -9,22 +9,24 @@ are left, and then stamping every completion of the prefix at once from a
 table.  It is a lazy view, like ``range``: the call checks the degree, the
 bound and the depth of the walk, and each pass over the view walks again,
 holding one prefix's completions at a time; indexing walks once and lists
-everything.  Its length adds up how many completions the table holds for
-each prefix, so counting builds no element.
+everything.  Its length is filled from a small table of counts, one per
+number of free values and number of them below the prefix's maximum, so
+counting walks no prefix and builds no element.
 Crowdedness depends on the second row of the insertion tableau alone:
 ``fc_crowding`` pairs each element with its verdict, deciding each
 distinct ``row2`` once, and ``crowding_census`` counts the crowded and
 uncrowded elements without visiting any, summing over the possible second
-rows instead.  ``fc_covers`` generates the subposet's covers by a local
-rule at each ascent, with no membership set and no 321 test, and
-``build_fc_poset`` is the elements plus those covers.  The elements are
-downward closed under covers (sorting an adjacent descent removes an
-inversion pair and cannot create a decreasing triple), so every lower
-cover of a fully commutative permutation is again one;
-``uncrowded_frontier`` relies on this to read the lower covers of each
-crowded element from ``descent_swaps``, without materializing the poset's
-edges.  ``minimal_crowded`` builds the same minimal crowded elements block
-by block instead, from the paper's characterization, with no walk at all.
+rows instead and counting every extension of a crowded one at once.
+``fc_covers`` generates the subposet's covers by a local rule at each
+ascent, with no membership set and no 321 test, and ``build_fc_poset`` is
+the elements plus those covers.  The elements are downward closed under
+covers (sorting an adjacent descent removes an inversion pair and cannot
+create a decreasing triple), so every lower cover of a fully commutative
+permutation is again one; ``uncrowded_frontier`` relies on this to read
+the lower covers of each crowded element from ``descent_swaps``, without
+materializing the poset's edges.  ``minimal_crowded`` builds the same
+minimal crowded elements block by block instead, from the paper's
+characterization, with no walk at all.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from math import comb
 from operator import itemgetter
 from typing import Iterator, NamedTuple
@@ -186,11 +188,17 @@ class fc_elements:
     that needs the elements twice takes a ``tuple``; each pass walks again.
     Indexing builds the whole list: ``view[key]`` is ``list(view)[key]``.
 
-    ``len(view)`` walks the prefixes to the same leaves and adds up the
-    sizes of their rows of the table, so it stamps no completion and
-    builds no ``Permutation``.  ``list`` and ``tuple`` call it for a length
-    hint, so they walk the prefixes twice; the second walk stamps nothing
-    and costs a small part of the pass.  Having both ``__len__`` and
+    ``len(view)`` walks nothing.  It counts the completions C(j, m) of j
+    free values, m of them below the maximum, by the same rule:
+    C(j, m) = C(j-1, m-1) when m > 0, plus the sum of C(j-1, i) over
+    i = m..j-1.  The row j = min(n, 5) is the lengths of the table's rows,
+    each row above is filled from the one below, and the length is
+    C(n, 0), in O(n²) additions with no completion stamped and no
+    ``Permutation`` built.  So ``list`` and ``tuple``, which call it for a
+    length hint, pay next to nothing for it.  ``len`` cannot return more
+    than ``sys.maxsize``, which the Catalan numbers pass at n = 36 on a
+    64-bit build; there it raises ``BoundExceeded``, and so do ``list`` and
+    ``tuple``, through the hint.  Having both ``__len__`` and
     ``__getitem__``, the view would let ``reversed`` list it once per
     element; nothing reverses it, and nothing should.
 
@@ -219,17 +227,20 @@ class fc_elements:
         return list(self)[key]
 
     def __len__(self) -> int:
-        return sum(len(stamps) for _, _, stamps in self._leaves())
-
-    def _leaves(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple]]:
-        """Each leaf of the walk, in order, as (prefix, free, stamps): a
-        prefix with min(n, 5) values left, those values sorted, and one
-        getter per completion."""
         n = self.n
         tail = min(n, _STAMPED_TAIL)
-        stamps = _stamps(tail)
-        for prefix, free, below in _prefixes((), tuple(range(1, n + 1)), 0, tail):
-            yield prefix, free, stamps[below]
+        # counts[m] is C(j, m), from the table's row j = tail upward
+        counts = [len(stamps) for stamps in _stamps(tail)]
+        for j in range(tail + 1, n + 1):
+            # new_max[m]: the sum of C(j-1, i) over i = m..j-1
+            new_max = [*accumulate(reversed(counts), initial=0)][::-1]
+            counts = [first + later for first, later in zip([0, *counts], new_max)]
+        if counts[0] > sys.maxsize:
+            raise BoundExceeded(
+                f"S_{n} has {counts[0]} fully commutative elements, more than"
+                f" len() can return (sys.maxsize = {sys.maxsize})"
+            )
+        return counts[0]
 
     def batches(self) -> Iterator[list[Permutation]]:
         """The elements in order, as one list per leaf of the walk: the
@@ -239,9 +250,12 @@ class fc_elements:
         so that perfbench's tracer, which wraps public functions
         and methods, times it under ``weak_order``.
         """
+        n = self.n
+        tail = min(n, _STAMPED_TAIL)
+        stamps = _stamps(tail)
         trusted_many = Permutation._trusted_many
-        for prefix, free, stamps in self._leaves():
-            yield trusted_many([prefix + stamp(free) for stamp in stamps])
+        for prefix, free, below in _prefixes((), tuple(range(1, n + 1)), 0, tail):
+            yield trusted_many([prefix + stamp(free) for stamp in stamps[below]])
 
 
 def crowding_census(n: int, bound: int = DEFAULT_POSET_BOUND) -> tuple[int, int]:
@@ -253,22 +267,40 @@ def crowding_census(n: int, bound: int = DEFAULT_POSET_BOUND) -> tuple[int, int]
     elements with a given P are one for each standard recording tableau of
     the same shape (n-k, k), which number C(n, k) - C(n, k-1).  Crowdedness
     reads the second row alone, so each ballot set is decided once and
-    weighted by that count, and no element is visited.  The degree and the
-    bound are checked as ``fc_elements`` checks them.
+    weighted by that count, and no element is visited.  The ballot sets
+    are grown one largest member at a time, and only uncrowded ones are
+    grown: every extension of a crowded set keeps its overfull window, so
+    the whole subtree below it is crowded, and its total weight is read
+    from a table made for the call, keyed by the set's size and the
+    smallest member it may add.  Each visited set is decided by
+    ``is_uncrowded_set``, looked up when the call runs.  The degree and
+    the bound are checked as ``fc_elements`` checks them.
 
     >>> crowding_census(6)
     (127, 5)
     """
     require_degree_within(n, bound)
-    weights = [comb(n, k) - comb(n, k - 1) if k else 1 for k in range(n // 2 + 1)]
+    half = n // 2
+    weights = [comb(n, k) - comb(n, k - 1) if k else 1 for k in range(half + 1)]
+    # subtree[k][low]: the weight of a ballot set of k members together with
+    # every ballot set that extends it by members from low up
+    subtree = [[0] * (n + 3) for _ in range(half + 1)]
+    for k in range(half, -1, -1):
+        row = subtree[k]
+        row[n + 1] = row[n + 2] = weights[k]
+        for low in range(n, 2 * k + 1, -1):
+            row[low] = row[low + 1] + subtree[k + 1][max(low + 1, 2 * k + 4)]
     counts = [0, 0]  # uncrowded, crowded
     pending: list[tuple[int, ...]] = [()]
     while pending:
         second = pending.pop()
         k = len(second)
-        counts[not is_uncrowded_set(second)] += weights[k]
         low = max(second[-1] + 1 if second else 0, 2 * k + 2)
-        pending.extend(second + (m,) for m in range(low, n + 1))
+        if is_uncrowded_set(second):
+            counts[0] += weights[k]
+            pending.extend(second + (m,) for m in range(low, n + 1))
+        else:  # every extension keeps the overfull window, so it is crowded too
+            counts[1] += subtree[k][low]
     return counts[0], counts[1]
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -418,6 +419,24 @@ class TestEnumerate:
     def test_fc_count_matches_the_prefix_walk(self, capsys, n):
         argv = ["enumerate", str(n), "--filter", "fc", "--bound", str(n), "--count"]
         assert run(capsys, *argv) == (0, f"{len(prefix_walk_fc(n))}\n", "")
+
+    def test_fc_count_stops_at_sys_maxsize(self, capsys):
+        # len() returns at most sys.maxsize, which the Catalan numbers pass
+        # first at n = 36 on a 64-bit build: C_35 is printed, C_36 refused
+        catalan = [comb(2 * n, n) // (n + 1) for n in range(100)]
+        first = next(n for n in range(1, 100) if catalan[n] > sys.maxsize)
+        if sys.maxsize == 2**63 - 1:
+            assert (first, catalan[first - 1]) == (36, 3116285494907301262)
+
+        def count(n):
+            return run(capsys, "enumerate", str(n), "--filter", "fc", "--bound", str(n), "--count")
+
+        assert count(first - 1) == (0, f"{catalan[first - 1]}\n", "")
+        message = (
+            f"error: S_{first} has {catalan[first]} fully commutative elements,"
+            f" more than len() can return (sys.maxsize = {sys.maxsize})\n"
+        )
+        assert count(first) == (2, "", message)
 
     def test_fc_count_builds_no_permutation(self, capsys, monkeypatch):
         calls = []

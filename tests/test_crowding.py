@@ -253,6 +253,61 @@ class TestUncrowdedIffCore:
             if is_boolean(w):
                 assert classify(w) is None
 
+    def test_seeded_probe_past_s9(self):
+        assert _probe_uncrowded_iff_core_past_s9() == (146, 154)
+
+    def test_the_probe_catches_a_witness_scan_that_s8_misses(self, monkeypatch):
+        # S_8's second rows hold at most four values, too few for x >= 3
+        original = fcperm.crowding.find_crowded_witness
+
+        def narrow(values):
+            witness = original(values)
+            return witness if witness is None or witness.x < 3 else None
+
+        monkeypatch.setattr(fcperm.crowding, "find_crowded_witness", narrow)
+        result = run_check("cor-4.12", 8)
+        assert (result.passed, result.cases) == (True, 1430)
+        with pytest.raises(AssertionError, match="classify"):
+            _probe_uncrowded_iff_core_past_s9()
+
+
+def _draw_fully_commutative(rng: random.Random, n: int) -> tuple[int, ...]:
+    """A 321-avoiding image of S_n, drawn entry by entry: the smallest free
+    value when it lies below the maximum so far, half the time, else a new
+    maximum, a geometric number of free values above the old one."""
+    image, free, high = [], list(range(1, n + 1)), 0
+    while free:
+        above = [v for v in free if v > high]
+        if free[0] < high and (not above or rng.random() < 0.5):
+            value = free[0]
+        else:
+            value = above[min(len(above) - 1, int(rng.expovariate(0.7)))]
+        image.append(value)
+        free.remove(value)
+        high = max(high, value)
+    return tuple(image)
+
+
+def _probe_uncrowded_iff_core_past_s9() -> tuple[int, int]:
+    """``cor-4.12`` on 300 seeded draws with n = 10..40, beyond the
+    exhaustive S_8: a drawn w is uncrowded, by a wide window scan of the
+    second row of P(w), exactly when plain-list row insertion gives w and
+    its boolean core the same P, and ``classify`` agrees with the scan.
+    Returns how many draws were (crowded, uncrowded)."""
+    rng = random.Random(412)
+    tally = [0, 0]
+    for _ in range(300):
+        image = _draw_fully_commutative(rng, rng.randint(10, 40))
+        assert brute_avoids_321(image), image
+        w = Permutation(image)
+        rows = list_row_insertion(image)[0]
+        uncrowded = wide_scan_is_uncrowded(rows[1] if len(rows) > 1 else ())
+        same = list_row_insertion(boolean_core(w).core.image)[0] == rows
+        assert uncrowded == same, f"core of {w.to_text()}"
+        assert (classify(w) is None) == uncrowded, f"classify {w.to_text()}"
+        tally[uncrowded] += 1
+    return tally[0], tally[1]
+
 
 class TestAnalyzeTransition:
     def test_worked_example(self):

@@ -283,7 +283,31 @@ class TestFcElementsView:
     def test_length_counts_the_prefix_walk(self, monkeypatch, n):
         walks = _count_walks(monkeypatch)
         assert len(fc_elements(n, bound=n)) == len(prefix_walk_fc(n))
-        assert walks == []  # the length is summed over the leaves, not iterated
+        assert walks == []  # the length is filled from a table of counts, not iterated
+
+    @pytest.mark.parametrize("n", range(12, 36))
+    def test_length_is_the_catalan_number(self, n):
+        # the n-th Catalan number, by its closed form
+        assert len(fc_elements(n, bound=n)) == comb(2 * n, n) // (n + 1)
+
+    def test_counting_walks_nothing(self, monkeypatch):
+        def refused(self):
+            raise AssertionError(f"walked S_{self.n}")
+
+        monkeypatch.setattr(fc_elements, "batches", refused)
+        monkeypatch.setattr(fc_elements, "__iter__", refused)
+        assert [len(fc_elements(n, bound=20)) for n in (1, 5, 6, 11, 20)] == [
+            1, 42, 132, 58786, 6564120420,
+        ]
+
+    def test_length_refuses_past_sys_maxsize(self):
+        # len() cannot return more than sys.maxsize, and list() and tuple()
+        # ask for the length first, so they are refused as well
+        n = next(n for n in range(1, 100) if comb(2 * n, n) // (n + 1) > sys.maxsize)
+        view = fc_elements(n, bound=n)
+        for count in (len, list):
+            with pytest.raises(BoundExceeded, match=f"sys.maxsize = {sys.maxsize}"):
+                count(view)
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_a_lost_stamp_shows_in_the_length_and_the_listing(self, monkeypatch, n):
@@ -331,9 +355,25 @@ class TestFcElementsView:
 
 
 class TestCrowdingCensus:
-    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("n", range(1, 21))
     def test_matches_the_dynamic_program(self, n):
-        assert crowding_census(n, bound=16) == crowding_census_by_dp(n)
+        assert crowding_census(n, bound=20) == crowding_census_by_dp(n)
+
+    def test_a_crowded_set_is_counted_with_its_extensions(self, monkeypatch):
+        # a crowded ballot set's extensions are counted from the weight
+        # table, not decided one by one: S_11 decides 410 of its 462
+        decided = []
+        original = weak_order.is_uncrowded_set
+
+        def counted(values):
+            decided.append(values)
+            return original(values)
+
+        monkeypatch.setattr(weak_order, "is_uncrowded_set", counted)
+        assert crowding_census(11, bound=11) == crowding_census_by_dp(11)
+        crowded = [values for values in decided if not original(values)]
+        assert len(decided) == len(set(decided)) == 410
+        assert all(original(values[:-1]) for values in crowded)
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_matches_the_walk(self, n):
