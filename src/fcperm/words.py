@@ -232,21 +232,31 @@ def all_reduced_words(
     return set(iter_reduced_words(w))
 
 
-_DIGIT_TEXT = {i: str(i) for i in range(10)}
+# byte i -> its digit for i = 0..9, and a comma for every other byte: a comma
+# never occurs in the digit form, so it marks a letter past 9
+_DIGIT_BYTES = b"0123456789".ljust(256, b",")
 
 
 def word_to_text(letters: Sequence[int]) -> str:
     """Digits run together when every letter is a single digit, else commas.
 
+    The letters are spelled as bytes and translated through a 256-entry
+    table, in one pass of C code for the whole word.
+
     >>> word_to_text((4, 2, 3, 2, 4, 1))
     '423241'
     >>> word_to_text((10, 2))
     '10,2'
+    >>> word_to_text((48,))  # the byte of "0" is a letter past 9
+    '48'
     """
     try:
-        return "".join(map(_DIGIT_TEXT.__getitem__, letters))
-    except KeyError:  # a letter past 9
+        text = bytes(letters).translate(_DIGIT_BYTES).decode()
+    except ValueError:  # a letter past 255, or a negative one: no byte
+        text = ","
+    if "," in text:  # a letter past 9
         return ",".join(map(str, letters))
+    return text
 
 
 def word_from_text(text: str) -> tuple[int, ...]:

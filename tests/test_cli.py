@@ -6,7 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
-from math import comb
+from math import ceil, comb
 from pathlib import Path
 
 import pytest
@@ -34,6 +34,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class _CountingStream(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
 
 
 # `analyze` output, exactly: minimal crowded, uncrowded, crowded but not
@@ -813,6 +823,37 @@ class TestOtherCommands:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 141
         assert b"Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["words", "654321", "--bound", "15"], 292_864),
+            (["enumerate", "9", "--filter", "fc"], 4_862),
+        ],
+    )
+    def test_listings_write_in_batches(self, monkeypatch, argv, lines):
+        # a print per line is a write call per line, and a system call each
+        # when stdout is unbuffered
+        stream = _CountingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(argv) == 0
+        assert stream.getvalue().count("\n") == lines
+        assert stream.writes == ceil(lines / fcperm.cli._BATCH_LINES)
+
+    @pytest.mark.parametrize(
+        "argv, expected, writes",
+        [
+            # no match at all: nothing is written, not even a newline
+            (["enumerate", "5", "--filter", "minimal-crowded"], "", 0),
+            # one match, the empty word: one empty line
+            (["words", "1"], "\n", 1),
+        ],
+    )
+    def test_short_listings_write_exactly_their_lines(self, monkeypatch, argv, expected, writes):
+        stream = _CountingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(argv) == 0
+        assert (stream.getvalue(), stream.writes) == (expected, writes)
 
     def test_words_deeper_than_the_recursion_limit(self, capsys):
         # 1101 stands before 1..1100: one reduced word, 1100 letters long

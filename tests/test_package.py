@@ -111,3 +111,25 @@ def test_no_memo_outlives_the_call():
                 outliving.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not outliving, outliving
     assert process_memos == set(PROCESS_MEMOS)
+
+
+def test_cli_prints_no_line_inside_a_loop():
+    # under PYTHONUNBUFFERED each print is a write call of its own, so a
+    # listing printed line by line makes one system call per line; listings
+    # go through cli._write_lines, which writes them in batches
+    tree = ast.parse((Path(fcperm.__file__).parent / "cli.py").read_text())
+    loops = (ast.For, ast.AsyncFor, ast.While)
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    looped = [
+        node
+        for loop in ast.walk(tree)
+        if isinstance(loop, loops + comprehensions)
+        for part in (loop.body if isinstance(loop, loops) else [loop])
+        for node in ast.walk(part)
+    ]
+    prints = [
+        f"cli.py:{node.lineno}"
+        for node in looped
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+    ]
+    assert not prints, prints

@@ -23,6 +23,8 @@ from fcperm import (
 )
 
 from fcperm.checks import _prop_2_2_verdicts, _prop_2_3_verdicts
+from fcperm.cli import main
+from fcperm.words import DEFAULT_WORD_BOUND
 
 from conftest import braid_closure_words, commutation_class, least_reduced_words
 from conftest import count_reduced_words as oracle_count_reduced_words
@@ -244,8 +246,35 @@ class TestText:
     @example((0,))
     @example((0, 9, 10))
     @example((123, 4))
+    # the edges of word_to_text's byte table: the byte of "0", the byte of
+    # "9" before a digit, the last byte, the first letter with no byte, and
+    # the first letter past 9, alone and after a digit
+    @example((48,))
+    @example((57, 1))
+    @example((255,))
+    @example((256,))
+    @example((10,))
+    @example((9, 10))
     def test_matches_the_generator_form(self, letters):
         assert word_to_text(letters) == _generator_word_to_text(letters)
+
+    def test_words_listing_matches_the_generator_form(self, capsys):
+        # every w of S_1..S_6, and the two n = 12 cases of the CLI's
+        # text-form test (every letter a digit, and a letter past 9); the
+        # elements of S_6 longer than the default bound are refused and
+        # list nothing
+        cases = [w for n in range(1, 7) for w in all_permutations(n)]
+        cases += map(
+            Permutation.from_text, ["1,2,3,4,5,6,7,10,9,8,11,12", "1,2,3,4,5,6,7,8,11,10,9,12"]
+        )
+        for w in cases:
+            code = main(["words", w.to_text()])
+            out = capsys.readouterr().out
+            if w.length() > DEFAULT_WORD_BOUND:
+                assert (code, out) == (2, ""), w
+            else:
+                expected = "".join(_generator_word_to_text(u) + "\n" for u in iter_reduced_words(w))
+                assert (code, out) == (0, expected), w
 
     def test_bad_tokens(self):
         with pytest.raises(ValueError):
