@@ -163,7 +163,7 @@ FILTERS = tuple(_MATCHES)
 # small and fast (S_24 has 5,998 minimal crowded elements)
 _DEFAULT_BOUNDS = {"minimal-crowded": DEFAULT_MINIMAL_CROWDED_BOUND}
 # --count under crowded/uncrowded visits no element, only the uncrowded
-# ballot sets and their crowded children (about 0.8 s at n = 20, with
+# ballot sets and their crowded children (about 0.25 s at n = 20, with
 # interpreter start-up)
 _CENSUS_BOUND = 20
 

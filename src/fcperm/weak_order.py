@@ -272,9 +272,19 @@ def crowding_census(n: int, bound: int = DEFAULT_POSET_BOUND) -> tuple[int, int]
     grown: every extension of a crowded set keeps its overfull window, so
     the whole subtree below it is crowded, and its total weight is read
     from a table made for the call, keyed by the set's size and the
-    smallest member it may add.  Each visited set is decided by
-    ``is_uncrowded_set``, looked up when the call runs.  The degree and
-    the bound are checked as ``fc_elements`` checks them.
+    smallest member it may add.
+
+    Each grown set carries its reach, the largest m_i - 2i over its
+    members m_0 < .. < m_{k-1} (-2 for the empty set).  A window of radius
+    x is overfull when it holds members m_i..m_j with j = i + x + 1 and
+    m_j - m_i <= 2x, that is m_j - 2j <= m_i - 2i - 2.  The set is
+    uncrowded, so a new largest member m_k can close such a window only as
+    its m_j: the child is crowded exactly when m_k <= reach + 2k - 2.  Only
+    those children are handed to ``is_uncrowded_set``, looked up when the
+    call runs, which decides every crowded verdict; a child it calls
+    uncrowded is grown.  Every child above the bound is uncrowded with no
+    call, and one that can take no further member is counted at once.
+    The degree and the bound are checked as ``fc_elements`` checks them.
 
     >>> crowding_census(6)
     (127, 5)
@@ -290,18 +300,26 @@ def crowding_census(n: int, bound: int = DEFAULT_POSET_BOUND) -> tuple[int, int]
         row[n + 1] = row[n + 2] = weights[k]
         for low in range(n, 2 * k + 1, -1):
             row[low] = row[low + 1] + subtree[k + 1][max(low + 1, 2 * k + 4)]
-    counts = [0, 0]  # uncrowded, crowded
-    pending: list[tuple[int, ...]] = [()]
+    uncrowded = crowded = 0
+    pending: list[tuple[tuple[int, ...], int]] = [((), -2)]  # uncrowded sets, with reach
     while pending:
-        second = pending.pop()
+        second, reach = pending.pop()
         k = len(second)
+        uncrowded += weights[k]
         low = max(second[-1] + 1 if second else 0, 2 * k + 2)
-        if is_uncrowded_set(second):
-            counts[0] += weights[k]
-            pending.extend(second + (m,) for m in range(low, n + 1))
-        else:  # every extension keeps the overfull window, so it is crowded too
-            counts[1] += subtree[k][low]
-    return counts[0], counts[1]
+        closing = reach + 2 * k - 2  # no larger child can close a window
+        for m in range(low, min(closing, n) + 1):
+            child = second + (m,)
+            if is_uncrowded_set(child):
+                pending.append((child, max(reach, m - 2 * k)))
+            else:  # every extension keeps the overfull window, so it is crowded too
+                crowded += subtree[k + 1][max(m + 1, 2 * k + 4)]
+        for m in range(max(low, closing + 1), n + 1):
+            if max(m + 1, 2 * k + 4) > n:
+                uncrowded += weights[k + 1]
+            else:
+                pending.append((second + (m,), max(reach, m - 2 * k)))
+    return uncrowded, crowded
 
 
 def fc_covers(n: int, bound: int = DEFAULT_POSET_BOUND) -> Iterator[CoverEdge]:

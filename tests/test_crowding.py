@@ -15,6 +15,7 @@ from fcperm import (
     CrowdedWitness,
     classify,
     find_crowded_witness,
+    is_fully_commutative,
     is_minimal_crowded_direct,
     is_uncrowded_set,
     minimal_crowded,
@@ -26,6 +27,7 @@ from fcperm import (
 import fcperm.crowding
 from fcperm.checks import run_check
 from fcperm.cli import main
+from fcperm.permutations import ascent_swaps, descent_swaps
 from fcperm.weak_order import fc_covers, fc_elements
 from fcperm.patterns import iter_occurrences
 
@@ -489,6 +491,28 @@ class TestMinimalCrowdedDirect:
                     assert report.descent_values_crowded, w
         assert holding == 19  # 1 + 2 + 6 + 10: the minimal crowded of S_6..S_9
 
+    def test_seeded_probe_past_s9(self):
+        assert _probe_minimal_crowded_past_s9() == (150, 450)
+
+    def test_the_probe_catches_a_test_without_window_patterns(self, monkeypatch):
+        # on these draws, dropping descent_form or descent_values_crowded
+        # from `minimal` still passes, as it does at S_7..S_9
+        original = is_minimal_crowded_direct
+
+        def without_window_patterns(w):
+            report = original(w)
+            minimal = (
+                report.descent_form
+                and report.descent_values_crowded
+                and report.fixed_outside
+                and report.pattern_consecutive
+            )
+            return dataclasses.replace(report, minimal=minimal)
+
+        monkeypatch.setitem(globals(), "is_minimal_crowded_direct", without_window_patterns)
+        with pytest.raises(AssertionError, match="4,1,5,2,6,3,8,7,9,10"):
+            _probe_minimal_crowded_past_s9()
+
     def test_matches_poset_oracle_s7(self):
         from fcperm.weak_order import build_fc_poset
 
@@ -501,6 +525,30 @@ class TestMinimalCrowdedDirect:
             by_poset = crowded[w] and not any(crowded[v] for v in down[w])
             assert by_poset == is_minimal_crowded_direct(w).minimal
 
+
+def _probe_minimal_crowded_past_s9() -> tuple[int, int]:
+    """Theorem 5.10 on 10 seeded draws of ``minimal_crowded(n)`` for each
+    n = 10..24, beyond the exhaustive S_8.  A drawn w is minimal crowded by
+    the definition: crowded, and no lower cover is.  The direct test must
+    agree.  Up to three of its fully commutative upper covers are crowded
+    (Lemma 5.1) with w as a crowded lower cover, so the direct test must
+    call each of them not minimal.  Returns how many (elements, upper
+    covers) were tested."""
+    rng = random.Random(413)
+    elements = covers = 0
+    for n in range(10, 25):
+        for w in rng.sample(minimal_crowded(n), 10):
+            assert classify(w) is not None, w
+            assert all(classify(Permutation(v)) is None for _, v in descent_swaps(w.image)), w
+            assert is_minimal_crowded_direct(w).minimal, w
+            elements += 1
+            upper = [Permutation(u) for _, u in ascent_swaps(w.image)]
+            upper = [u for u in upper if is_fully_commutative(u)]
+            for u in rng.sample(upper, min(3, len(upper))):
+                assert classify(u) is not None, u
+                assert not is_minimal_crowded_direct(u).minimal, u
+                covers += 1
+    return elements, covers
 
 def test_invariant_violation_is_distinct_error():
     assert issubclass(InvariantViolation, RuntimeError)

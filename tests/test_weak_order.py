@@ -19,6 +19,7 @@ from fcperm import (
     crowding_census,
     fc_covers,
     fc_elements,
+    find_crowded_witness,
     is_boolean,
     is_fully_commutative,
     is_minimal_crowded_direct,
@@ -361,7 +362,9 @@ class TestCrowdingCensus:
 
     def test_a_crowded_set_is_counted_with_its_extensions(self, monkeypatch):
         # a crowded ballot set's extensions are counted from the weight
-        # table, not decided one by one: S_11 decides 410 of its 462
+        # table, not decided one by one, and an uncrowded set's child is
+        # decided only when it can close an overfull window: S_11 decides
+        # 58 of its 462 sets
         decided = []
         original = weak_order.is_uncrowded_set
 
@@ -372,8 +375,37 @@ class TestCrowdingCensus:
         monkeypatch.setattr(weak_order, "is_uncrowded_set", counted)
         assert crowding_census(11, bound=11) == crowding_census_by_dp(11)
         crowded = [values for values in decided if not original(values)]
-        assert len(decided) == len(set(decided)) == 410
+        assert len(decided) == len(set(decided)) == 58
         assert all(original(values[:-1]) for values in crowded)
+
+    def test_decides_exactly_the_crowded_children(self, monkeypatch):
+        # a census that decides too few sets miscounts; one that decides an
+        # uncrowded child it could have grown shows only here
+        ballot_sets = [
+            members
+            for k in range(1, 9)
+            for members in combinations(range(1, 17), k)
+            if all(m >= 2 * i for i, m in enumerate(members, start=1))
+        ]
+        crowded_children = [
+            members
+            for members in ballot_sets
+            if find_crowded_witness(members) is not None
+            and find_crowded_witness(members[:-1]) is None
+        ]
+        decided = []
+        original = weak_order.is_uncrowded_set
+
+        def counted(values):
+            decided.append(values)
+            return original(values)
+
+        monkeypatch.setattr(weak_order, "is_uncrowded_set", counted)
+        for n in range(1, 17):
+            decided.clear()
+            crowding_census(n, bound=16)
+            expected = sorted(members for members in crowded_children if members[-1] <= n)
+            assert sorted(decided) == expected, n
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_matches_the_walk(self, n):
