@@ -300,7 +300,11 @@ def _cor_lis(n: int) -> Verdicts:
     """A value alone in its first-insertion column lies on every longest
     increasing subsequence.  Its column is also compared with the longest
     increasing run ending at it, so columns that are all off by the same
-    amount cannot pass."""
+    amount cannot pass.
+
+    Supports Lemma 2.12 (the column is the longest run ending at the
+    value), from which it follows, and Cor 3.5, whose "every longest run
+    uses the pair" it states for one value."""
     for w in all_permutations(n):
         trace = rsk(w).trace
         counts: dict[int, int] = {}
@@ -318,7 +322,11 @@ def _cor_lis(n: int) -> Verdicts:
 def _lemma_row2(n: int) -> Verdicts:
     """Second-row structure of two-row insertion: the bumped values appear
     left to right, bumpers are increasing and disjoint from them, and bumps
-    happen in second-row order."""
+    happen in second-row order.
+
+    Supports Lemma 2.11 (a bump moves a larger, earlier value), here for
+    the whole second row of a fully commutative element, and the bump
+    pairs that Lemmas 5.7 and 5.8 read."""
     for w in fc_elements(n):
         pairs = bump_pairs(w)
         zs = [z for _, z in pairs]
@@ -464,8 +472,9 @@ def _prop_2_14(n: int) -> Verdicts:
 
 def _lemma_5_1(n: int) -> Verdicts:
     """Uncrowded elements form an order ideal, crowded ones a filter."""
+    crowded = cache(lambda w: classify(w) is not None)  # each element ends many covers
     for v, w, _i in fc_covers(n):
-        if classify(v) is not None and classify(w) is None:
+        if crowded(v) and not crowded(w):
             yield f"{v.to_text()} -> {w.to_text()}"
         else:
             yield None
@@ -496,7 +505,10 @@ def _lemma_5_4(n: int) -> Verdicts:
 
 def _knuth_classes(n: int) -> Verdicts:
     """Connected components under Knuth relations are the insertion fibers:
-    each fiber lies in one component, and no two fibers share one."""
+    each fiber lies in one component, and no two fibers share one.
+
+    Supports Lemmas 5.2 and 5.4: this is Knuth's theorem, which makes a
+    descent that is a Knuth move keep the insertion tableau."""
     component: dict[Permutation, Permutation] = {}
     for w in all_permutations(n):
         if w in component:
@@ -524,7 +536,11 @@ def _knuth_classes(n: int) -> Verdicts:
 
 def _cor_left_q(n: int) -> Verdicts:
     """Along left-order covers of fully commutative elements, the second
-    rows of the recording tableaux grow."""
+    rows of the recording tableaux grow.
+
+    Supports Thm 3.4 (second rows grow along right covers), read through
+    Prop 2.9: Q(w) is P of the inverse, and a left cover of w is a right
+    cover of its inverse."""
     q_of = cache(lambda w: rsk(w).q)  # each upper end is also some v of the sweep
     for v in fc_elements(n):
         inverse, length = v.inverse(), v.length()
@@ -538,7 +554,11 @@ def _cor_left_q(n: int) -> Verdicts:
 
 def _downward_closure(n: int) -> Verdicts:
     """Sorting a descent of a fully commutative element stays fully
-    commutative."""
+    commutative.
+
+    Supports Lemma 5.1 and the poset of Section 5: the fully commutative
+    elements form an order ideal of the right weak order, as Prop 2.2 gives
+    (a reduced word with no braid factor has none in its prefixes)."""
     for w in fc_elements(n):
         for d in sorted(w.descents()):
             yield None if is_fully_commutative(w.times(d)) else f"{w.to_text()} at {d}"

@@ -16,7 +16,6 @@ from .permutations import Permutation
 from .words import (
     BoundExceeded,
     canonical_reduced_word,
-    evaluate_word,
     is_reduced,
     word_to_text,
 )
@@ -214,13 +213,23 @@ def boolean_core(w: Permutation) -> CoreDecomposition:
     """
     if not is_fully_commutative(w):
         raise ValueError(f"{w.to_text()} is not fully commutative")
-    n = w.n
     core_word: list[int] = []
     remainder_word: list[int] = []
+    # both words are multiplied out as they are read: their letters come
+    # from a reduced word of w, so each is in range 1..n-1
+    core_image = list(range(1, w.n + 1))
+    remainder_image = core_image[:]
+    seen = 0  # bit j set once the letter j is in the core word
     for j in canonical_reduced_word(w):
-        (remainder_word if j in core_word else core_word).append(j)
-    core = evaluate_word(core_word, n)
-    remainder = evaluate_word(remainder_word, n)
+        if seen >> j & 1:
+            remainder_word.append(j)
+            remainder_image[j - 1], remainder_image[j] = remainder_image[j], remainder_image[j - 1]
+        else:
+            seen |= 1 << j
+            core_word.append(j)
+            core_image[j - 1], core_image[j] = core_image[j], core_image[j - 1]
+    core = Permutation._trusted(tuple(core_image))
+    remainder = Permutation._trusted(tuple(remainder_image))
     if core.compose(remainder) != w:
         raise RuntimeError(f"core split failed for {w.to_text()}")
     if not is_boolean(core) or core.support() != w.support():

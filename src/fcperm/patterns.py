@@ -17,6 +17,12 @@ def iter_occurrences(w: Permutation, p: Permutation) -> Iterator[tuple[int, ...]
     """All occurrences of p in w, in lexicographic position order, each as
     its positions (1-based, strictly increasing).
 
+    The pattern letters are placed left to right.  A candidate for letter k
+    only has to lie between the values chosen for the earlier pattern
+    letters just below and just above p(k): those two already sit in the
+    right order against every other earlier letter.  The search keeps its
+    own stack of chosen positions.
+
     >>> w = Permutation.from_text("314592687")
     >>> next(iter_occurrences(w, Permutation.from_text("1423")))
     (1, 5, 7, 8)
@@ -26,27 +32,36 @@ def iter_occurrences(w: Permutation, p: Permutation) -> Iterator[tuple[int, ...]
     n, m = len(host), len(pat)
     if m > n:
         raise ValueError(f"pattern degree {m} exceeds host degree {n}")
-    chosen_pos: list[int] = []
-    chosen_val: list[int] = []
-
-    def extend(start: int) -> Iterator[tuple[int, ...]]:
-        k = len(chosen_pos)
-        if k == m:
-            yield tuple(chosen_pos)
-            return
-        # 0-based scan; keep enough room for the remaining pattern letters
-        for j in range(start, n - (m - k) + 1):
-            val = host[j]
-            if all(
-                (pat[t] < pat[k]) == (chosen_val[t] < val) for t in range(k)
-            ):
-                chosen_pos.append(j + 1)
-                chosen_val.append(val)
-                yield from extend(j + 1)
-                chosen_pos.pop()
-                chosen_val.pop()
-
-    yield from extend(0)
+    # for each pattern letter k, the earlier letters with the nearest value
+    # below and above it; m and m+1 stand for the bounds 0 and n+1
+    low, high = [], []
+    for k, v in enumerate(pat):
+        below = [t for t in range(k) if pat[t] < v]
+        above = [t for t in range(k) if pat[t] > v]
+        low.append(max(below, key=pat.__getitem__) if below else m)
+        high.append(min(above, key=pat.__getitem__) if above else m + 1)
+    chosen = [0] * (m + 2)  # the value chosen for each pattern letter
+    chosen[m + 1] = n + 1
+    positions = [0] * m  # 0-based
+    k = j = 0  # the letter being placed, and the next position to try
+    while True:
+        lo, hi = chosen[low[k]], chosen[high[k]]
+        last = n - m + k  # leave room for the letters after k
+        while j <= last and not lo < host[j] < hi:
+            j += 1
+        if j > last:  # letter k has no candidate left: back up
+            if k == 0:
+                return
+            k -= 1
+            j = positions[k] + 1
+            continue
+        positions[k] = j
+        chosen[k] = host[j]
+        j += 1
+        if k == m - 1:
+            yield tuple(q + 1 for q in positions)
+        else:
+            k += 1
 
 
 def is_fully_commutative(w: Permutation) -> bool:

@@ -8,9 +8,10 @@ to share permutations across threads or workers without coordination.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations, repeat
+from itertools import islice, permutations, repeat
 from typing import Iterator
 
 
@@ -127,11 +128,13 @@ class Permutation:
         >>> Permutation((4, 3, 2, 1)).length()
         6
         """
-        image = self.image
-        n = len(image)
-        return sum(
-            1 for i in range(n) for j in range(i + 1, n) if image[i] > image[j]
-        )
+        seen: list[int] = []  # the values so far, sorted
+        inversions = 0
+        for v in self.image:
+            k = bisect_right(seen, v)
+            inversions += len(seen) - k  # the earlier values above v
+            seen.insert(k, v)
+        return inversions
 
     def times(self, i: int) -> "Permutation":
         """Right product with the adjacent transposition swapping i and i+1.
@@ -229,12 +232,14 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic one-line order.
 
     ``itertools.permutations`` only rearranges 1..n, so its images are
-    wrapped without validation; a degree below 1 is refused as the
-    constructor refuses it.
+    wrapped without validation, a block at a time by ``_trusted_many``; a
+    degree below 1 is refused as the constructor refuses it.
     """
     if n < 1:
         raise ValueError("a permutation needs degree at least 1")
-    yield from map(Permutation._trusted, permutations(range(1, n + 1)))
+    images = permutations(range(1, n + 1))
+    while block := list(islice(images, 1024)):
+        yield from Permutation._trusted_many(block)
 
 
 def descent_swaps(image: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:

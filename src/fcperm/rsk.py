@@ -4,11 +4,15 @@ Insertion is ordinary unbounded RSK, so arbitrary permutations are handled
 correctly; the operations whose statements only make sense in the two-row
 world (``bump_pairs``) enforce full commutativity at their boundary.
 
-``rsk`` runs the insertion once per call and keeps only its own lists: the
-rows, the recording rows, each letter's first-row column and each letter's
-bumping route.  The insertion tableau, the recording tableau and the
-trace are each built from those lists when first read, and cached; every
-tableau read is still validated by the one ``Tableau`` constructor.
+``rsk`` runs the insertion once per call and keeps a compact record of it
+in four plain sequences: the letters, the rows of P, a (row-1 column,
+landing row) pair for each letter that bumped, and one flat list of the
+values displaced along every bumping route.  A letter that did not bump
+was appended to row 1, and needs no entry: a reader tells it apart as the
+insertion did, by comparing it with the last entry of row 1.  The
+insertion tableau, the recording tableau and the trace are each built from
+the record when first read, and cached; every tableau read is still
+validated by the one ``Tableau`` constructor.
 
 The trace records, for each inserted letter, its bumping route (the letter,
 then the value it displaced from each row in turn) and the first-row column
@@ -101,7 +105,7 @@ class RskResult:
     """The insertion tableau ``p``, the recording tableau ``q`` and the
     ``trace`` of one insertion.
 
-    ``rsk`` fills only ``_raw``, the insertion's lists; a field's slot stays
+    ``rsk`` fills only ``_raw``, the insertion's record; a field's slot stays
     empty until its first read, when ``__getattr__`` builds and caches it.
     A result built with all three fields, as ``dataclasses.replace`` builds
     one, needs no ``_raw``.
@@ -122,59 +126,123 @@ class RskResult:
         return value
 
 
-# field name -> builder from RskResult._raw, which is
-# (rows of P, rows of Q, the letters' bumping routes, first_column)
+# object.__new__, and the slot setters that a frozen instance's
+# ``__setattr__`` refuses: results and traces are filled through them
+_new = object.__new__
+_set_raw = RskResult.__dict__["_raw"].__set__
+_set_paths = BumpTrace.__dict__["paths"].__set__
+_set_first_column = BumpTrace.__dict__["first_column"].__set__
+
+
+def _recording_rows(raw) -> list[list[int]]:
+    """Q's rows: each step index goes to the row where its letter landed.
+
+    A letter above the last entry of row 1 was appended there, and has no
+    entry in the record; it is told apart here as the insertion told it
+    apart, by tracking the length and the last entry of row 1.
+    """
+    image, rows, bumps, _ = raw
+    qrows: list[list[int]] = [[] for _ in rows]
+    first = qrows[0]
+    top = last = k = 0  # the length and the last entry of row 1; the next pair
+    for step_index, value in enumerate(image, start=1):
+        if value > last:
+            first.append(step_index)
+            top += 1
+            last = value
+        else:
+            if bumps[k] == top - 1:
+                last = value
+            qrows[bumps[k + 1]].append(step_index)
+            k += 2
+    return qrows
+
+
+def _bump_trace(raw) -> BumpTrace:
+    """Each letter's route and row-1 column, with appended letters told
+    apart as in ``_recording_rows``; a letter that landed in row r (from 0)
+    displaced the next r values of the flat route list."""
+    image, _, bumps, routes = raw
+    paths = []
+    path = paths.append
+    first_column = {}
+    top = last = k = at = 0
+    for value in image:
+        if value > last:
+            top += 1
+            last = value
+            first_column[value] = top
+            path((value,))
+        else:
+            col = bumps[k]
+            row = bumps[k + 1]
+            k += 2
+            if col == top - 1:
+                last = value
+            first_column[value] = col + 1
+            path((value, *routes[at : at + row]))
+            at += row
+    trace = _new(BumpTrace)
+    _set_paths(trace, tuple(paths))
+    _set_first_column(trace, first_column)
+    return trace
+
+
+# field name -> builder from RskResult._raw, which is (the letters, the rows
+# of P, a row-1 column and a landing row, both from 0, for each letter that
+# bumped, and the values displaced along every route, in bump order)
 _BUILDERS = {
-    "p": lambda raw: Tableau(raw[0]),
-    "q": lambda raw: Tableau(raw[1]),
-    "trace": lambda raw: BumpTrace(tuple(map(tuple, raw[2])), raw[3]),
+    "p": lambda raw: Tableau(raw[1]),
+    "q": lambda raw: Tableau(_recording_rows(raw)),
+    "trace": _bump_trace,
 }
 
 
 def rsk(w: Permutation) -> RskResult:
     """Insertion tableau, recording tableau, and the full trace.
 
-    The insertion runs once, here, and records only plain lists; ``p``,
-    ``q`` and ``trace`` are built from them on first read, each tableau
-    through the validating ``Tableau`` constructor.
+    The insertion runs once, here, and keeps only its compact record (see
+    the module docstring); ``p``, ``q`` and ``trace`` are built from it on
+    first read, each tableau through the validating ``Tableau``
+    constructor.
 
     >>> rsk(Permutation.from_text("315264")).p.to_text()
     '1,2,4/3,5,6'
     >>> rsk(Permutation.from_text("41627385")).p.to_text()
     '1,2,3,5/4,6,7,8'
     """
+    image = w.image
     first: list[int] = []
     rows: list[list[int]] = [first]
-    qfirst: list[int] = []
-    qrows: list[list[int]] = [qfirst]
-    paths: list = []  # per letter: its bumping route
-    first_column: dict[int, int] = {}
-    for step_index, value in enumerate(w.image, start=1):
+    bumps: list[int] = []  # per bumping letter: its row-1 column, its landing row
+    routes: list[int] = []  # every displaced value, in bump order
+    last = 0  # the last entry of row 1
+    for value in image:
         # every letter lands in row 1; only a bumped one cascades further
-        col = bisect_right(first, value)
-        first_column[value] = col + 1
-        if col == len(first):
+        if value > last:
             first.append(value)
-            qfirst.append(step_index)
-            paths.append((value,))
+            last = value
             continue
+        col = bisect_right(first, value)
+        bumps.append(col)
         incoming, first[col] = first[col], value
-        path = [value, incoming]
+        if incoming == last:
+            last = value
+        routes.append(incoming)
         for r in range(1, len(rows)):
             row = rows[r]
             col = bisect_right(row, incoming)
             if col == len(row):
                 row.append(incoming)
-                qrows[r].append(step_index)
+                bumps.append(r)
                 break
             incoming, row[col] = row[col], incoming
-            path.append(incoming)
+            routes.append(incoming)
         else:  # fell off the bottom: a new row holds it
+            bumps.append(len(rows))
             rows.append([incoming])
-            qrows.append([step_index])
-        paths.append(path)
-    result = object.__new__(RskResult)
-    object.__setattr__(result, "_raw", (rows, qrows, paths, first_column))
+    result = _new(RskResult)
+    _set_raw(result, (image, rows, bumps, routes))
     return result
 
 

@@ -68,13 +68,32 @@ def is_reduced(letters: Sequence[int], n: int) -> bool:
 
 def canonical_reduced_word(w: Permutation) -> tuple[int, ...]:
     """The lexicographically least reduced word of w: the first word
-    ``iter_reduced_words`` yields, since it peels the lowest left descent
-    first.
+    ``iter_reduced_words`` yields, found greedily without a generator.
+
+    Every reduced word of w starts with a left descent d (d+1 stands left
+    of d), and the least one starts with the lowest, then continues with
+    the least word of s_d*w.  Swapping the values d and d+1 clears descent
+    d and can create only d-1 or d+1, so below d-1 there is still no
+    descent, and the scan for the next one resumes at d-1.
 
     >>> canonical_reduced_word(Permutation((3, 2, 1)))
     (1, 2, 1)
     """
-    return next(iter_reduced_words(w))
+    n = w.n
+    pos = [0] * (n + 1)  # pos[v]: the position of the value v
+    for p, v in enumerate(w.image):
+        pos[v] = p
+    word: list[int] = []
+    d = 1
+    while d < n:
+        if pos[d] > pos[d + 1]:
+            word.append(d)
+            pos[d], pos[d + 1] = pos[d + 1], pos[d]
+            if d > 1:
+                d -= 1
+        else:
+            d += 1
+    return tuple(word)
 
 
 def iter_reduced_words(w: Permutation) -> Iterator[tuple[int, ...]]:

@@ -29,18 +29,20 @@ def brute_has_pattern(host: tuple[int, ...], pattern: tuple[int, ...]) -> bool:
     return False
 
 
+def ranks(values) -> tuple[int, ...]:
+    """The pattern that distinct values form: each one's rank among them."""
+    order = sorted(values)
+    return tuple(order.index(v) + 1 for v in values)
+
+
 def brute_occurrences(host: tuple[int, ...], pattern: tuple[int, ...]):
     """Every occurrence of pattern in host, as 1-based positions, in
-    lexicographic order."""
-    m = len(pattern)
+    lexicographic order: each set of positions, from ``combinations``,
+    whose values rank as the pattern's do."""
     return [
         tuple(p + 1 for p in positions)
-        for positions in combinations(range(len(host)), m)
-        if all(
-            (pattern[a] < pattern[b]) == (host[positions[a]] < host[positions[b]])
-            for a in range(m)
-            for b in range(a + 1, m)
-        )
+        for positions in combinations(range(len(host)), len(pattern))
+        if ranks([host[p] for p in positions]) == tuple(pattern)
     ]
 
 

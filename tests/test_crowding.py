@@ -550,6 +550,64 @@ def _probe_minimal_crowded_past_s9() -> tuple[int, int]:
                 covers += 1
     return elements, covers
 
+
+class TestMinimalCrowdedComplete:
+    # the exhaustive checks compare minimal_crowded(n) with the frontier
+    # walk only up to n = 12
+    def test_seeded_probe_past_s9(self):
+        assert _probe_descents_to_minimal_crowded() == 27
+
+    def test_the_probe_catches_a_generator_that_repeats_an_offset(self, monkeypatch):
+        # each element placed at offset 8 or more is replaced by the same
+        # block one place to the left: the count is kept, and every element
+        # is still minimal crowded, but some are missing
+        original = minimal_crowded
+
+        def repeats_an_offset(n, bound=24):
+            out = []
+            for w in original(n, bound):
+                image = w.image
+                d = next(p for p, v in enumerate(image) if v != p + 1)  # 0-based start
+                if d >= 8:
+                    end = next(t for t in range(n, d, -1) if image[t - 1] != t)
+                    block = tuple(v - 1 for v in image[d:end])
+                    w = Permutation(tuple(range(1, d)) + block + (end,) + image[end:])
+                out.append(w)
+            return tuple(sorted(out, key=lambda w: w.image))
+
+        monkeypatch.setitem(globals(), "minimal_crowded", repeats_an_offset)
+        with pytest.raises(AssertionError, match="not generated"):
+            _probe_descents_to_minimal_crowded()
+
+
+def _probe_descents_to_minimal_crowded() -> int:
+    """The completeness of ``minimal_crowded(n)``, probed for n = 16, 20
+    and 24, beyond the exhaustive degrees: from each of 10 seeded crowded
+    draws per n, step to a random crowded lower cover until none is left.
+    The end is crowded with no crowded lower cover, which is the definition
+    of minimal crowded, so the generator must list it.  Crowdedness is the
+    wide window scan of the second row of plain-list row insertion.  Returns
+    how many distinct ends were reached."""
+
+    def crowded(image):
+        rows = list_row_insertion(image)[0]
+        return not wide_scan_is_uncrowded(rows[1] if len(rows) > 1 else ())
+
+    rng = random.Random(414)
+    ends = set()
+    for n in (16, 20, 24):
+        generated = {w.image for w in minimal_crowded(n)}
+        for _ in range(10):
+            while not crowded(image := _draw_fully_commutative(rng, n)):
+                pass
+            assert brute_avoids_321(image), image
+            while lower := [v for _, v in descent_swaps(image) if crowded(v)]:
+                image = rng.choice(lower)
+            assert image in generated, f"{Permutation(image).to_text()} not generated"
+            ends.add(image)
+    return len(ends)
+
+
 def test_invariant_violation_is_distinct_error():
     assert issubclass(InvariantViolation, RuntimeError)
     assert not issubclass(InvariantViolation, ValueError)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fcperm import (
@@ -38,6 +40,22 @@ class TestContainment:
     def test_pattern_longer_than_host(self):
         with pytest.raises(ValueError):
             next(iter_occurrences(Permutation((1, 2)), Permutation((1, 2, 3))))
+
+    def test_seeded_draws_match_the_rank_oracle(self):
+        # hosts of degree n <= 9, patterns of degree m <= 6; the interval
+        # test on two earlier values must give every occurrence, in order
+        rng = random.Random(415)
+        for _ in range(3000):
+            n = rng.randint(1, 9)
+            host = tuple(rng.sample(range(1, n + 1), n))
+            m = rng.randint(1, 6)
+            pattern = tuple(rng.sample(range(1, m + 1), m))
+            if m > n:
+                with pytest.raises(ValueError, match="exceeds host degree"):
+                    next(iter_occurrences(Permutation(host), Permutation(pattern)))
+                continue
+            found = list(iter_occurrences(Permutation(host), Permutation(pattern)))
+            assert found == brute_occurrences(host, pattern), (host, pattern)
 
     def test_lexicographically_least_exhaustive(self):
         # every occurrence, in lexicographic position order, so the first

@@ -21,7 +21,7 @@ from fcperm import (
 )
 from fcperm.checks import _lis_ending, _longest_increasing
 from fcperm.cli import main
-from fcperm.rsk import BumpTrace
+from fcperm.rsk import BumpTrace, RskResult
 
 from conftest import brute_lis_ending_at, list_row_insertion
 
@@ -256,6 +256,34 @@ class TestLazyResult:
         result = rsk(P("41627385"))
         assert result.p is result.p and result.trace is result.trace
         assert len(built) == 121
+
+
+class TestCompactRecord:
+    """rsk keeps a compact record of its insertion, and the fields read
+    from it still pass through the validating ``Tableau`` constructor."""
+
+    @staticmethod
+    def _from_record(record):
+        result = object.__new__(RskResult)
+        object.__setattr__(result, "_raw", record)
+        return result
+
+    def test_record_of_a_real_insertion(self):
+        # 3142: 3 and 4 are appended to row 1; 1 bumps 3 from column 0 and
+        # 2 bumps 4 from column 1, each landing in row 1 (rows from 0)
+        assert rsk(P("3142"))._raw == ((3, 1, 4, 2), [[1, 2], [3, 4]], [0, 1, 1, 1], [3, 4])
+
+    def test_rows_that_break_a_tableau_rule_are_refused_on_every_read(self):
+        # the letters 1, 2, 3 are all appended to row 1, so the recording
+        # rows are (1, 2, 3) and an empty second row; the recorded rows of P
+        # are not increasing
+        result = self._from_record(((1, 2, 3), [[2, 1], [3]], [], []))
+        for _ in range(2):  # a refused field is not cached
+            with pytest.raises(ValueError, match="not strictly increasing"):
+                result.p
+            with pytest.raises(ValueError, match="empty tableau row"):
+                result.q
+        assert result.trace.paths == ((1,), (2,), (3,))
 
 
 class TestLis:

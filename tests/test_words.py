@@ -137,6 +137,13 @@ class TestEnumeration:
                     assert canonical_reduced_word(w) == min(braid_closure_words(w))
 
 
+    def test_canonical_word_is_the_first_listed_word(self):
+        # the greedy scan and the peel must agree on the least word
+        for n in range(1, 8):
+            for w in all_permutations(n):
+                assert canonical_reduced_word(w) == next(iter_reduced_words(w)), w
+
+
 class TestCounting:
     def test_count_matches_enumeration(self):
         for w in all_permutations(5):
