@@ -22,9 +22,7 @@ from .crowding import (
     analyze_transition, classify, find_crowded_witness, is_minimal_crowded_direct,
     minimal_crowded_subset,
 )
-from .heaps import (
-    boolean_core, count_linear_extensions, heap_of, heap_of_reduced, labeled_linear_extensions,
-)
+from .heaps import boolean_core, heap_of, labeled_linear_extensions
 from .patterns import is_boolean, is_fully_commutative
 from .permutations import Permutation, all_permutations, descent_swaps
 from .rsk import bump_pairs, row2, rsk
@@ -32,9 +30,7 @@ from .weak_order import (
     DEFAULT_POSET_BOUND, fc_covers, fc_elements, knuth_neighbors, principal_ideal,
     require_degree_within, uncrowded_frontier,
 )
-from .words import (
-    BoundExceeded, all_reduced_words, canonical_reduced_word, reduced_word_counts,
-)
+from .words import BoundExceeded, all_reduced_words
 
 # one verdict per case: None when it holds, else the counterexample
 Verdicts = Iterator[str | None]
@@ -116,6 +112,44 @@ def _two_row_standard_tableaux(n: int) -> set[tuple[tuple[int, ...], ...]]:
     return out
 
 
+def _commutation_classes() -> Callable[[tuple[int, ...]], int]:
+    """A memo of h(w), the number of commutation classes of the reduced
+    words of w, keyed by image; each sweep makes its own.
+
+    The maximal elements of a heap of w carry pairwise commuting letters,
+    all of them right descents of w, and removing a set J of them leaves a
+    heap of w*w_J, where w_J is the product of the s_d for d in J.  By
+    Möbius inversion in the trace monoid (Cartier and Foata, *Problèmes
+    combinatoires de commutation et réarrangements*, 1969), h(id) = 1 and
+    h(w) is the sum of (-1)^(|J|+1) h(w*w_J) over the nonempty sets J of
+    pairwise non-adjacent right descents.  The descents of w are read
+    once, from ``descent_swaps``: the swaps of J leave every descent
+    d >= max(J) + 2 of w a descent of w*w_J, so each set grows upward
+    from them.  No heap, word or 321 test is read.
+
+    >>> classes = _commutation_classes()
+    >>> classes((3, 2, 1)), classes((2, 1, 4, 3)), classes((4, 3, 2, 1))
+    (2, 1, 8)
+    """
+
+    @cache
+    def classes(image: tuple[int, ...]) -> int:
+        descents = [d for d, _ in descent_swaps(image)]
+        total = 0
+        # (w*w_J, the least descent J may still take, the sign of J with one more)
+        pending = [(image, 1, 1)]
+        while pending:
+            lower, low, sign = pending.pop()
+            for d in descents:
+                if d >= low:
+                    smaller = lower[: d - 1] + (lower[d], lower[d - 1]) + lower[d + 1 :]
+                    total += sign * classes(smaller)
+                    pending.append((smaller, d + 2, -sign))
+        return total or 1  # only the identity has no descent, and one class
+
+    return classes
+
+
 # -- the checks --------------------------------------------------------------
 
 
@@ -155,13 +189,9 @@ def _prop_2_2_verdicts(n: int) -> Iterator[tuple[Permutation, bool, bool, bool]]
             for d, lower in descent_swaps(image)
         )
 
-    counts = reduced_word_counts(n)
+    classes = _commutation_classes()
     for w in all_permutations(n):
-        if w.image not in counts:
-            raise ValueError(f"{w.to_text()}: no reduced-word count")
-        class_size = count_linear_extensions(heap_of_reduced(canonical_reduced_word(w)))
-        single = class_size == counts[w.image]
-        yield w, is_fully_commutative(w), not has_braid(w.image, 0, 0), single
+        yield w, is_fully_commutative(w), not has_braid(w.image, 0, 0), classes(w.image) == 1
 
 
 def _prop_2_2(n: int) -> Verdicts:

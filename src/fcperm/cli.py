@@ -27,8 +27,8 @@ from .rsk import rsk
 from .weak_order import (
     DEFAULT_MINIMAL_CROWDED_BOUND,
     DEFAULT_POSET_BOUND,
-    build_fc_poset,
     crowding_census,
+    fc_covers,
     fc_crowding,
     fc_elements,
     minimal_crowded,
@@ -221,11 +221,16 @@ def _cmd_dot(args) -> int:
     if args.argument is None:
         raise ValueError("dot poset needs a degree argument")
     bound = DEFAULT_POSET_BOUND if args.bound is None else args.bound
-    poset = build_fc_poset(int(args.argument), bound=bound)
+    n = int(args.argument)
     if args.json:
-        print(json.dumps(poset.to_json_dict()))
+        poset = {
+            "n": n,
+            "nodes": [w.to_text() for w in fc_elements(n, bound=bound)],
+            "edges": [[v.to_text(), w.to_text(), i] for v, w, i in fc_covers(n, bound=bound)],
+        }
+        print(json.dumps(poset))
     else:
-        print(poset_to_dot(poset))
+        print(poset_to_dot(n, bound=bound))
     return 0
 
 

@@ -130,8 +130,8 @@ def labeled_linear_extensions(
 
     This set is the commutation class of the generating word; for a fully
     commutative permutation it is the full reduced-word set.  Extensions
-    grow as ``count_linear_extensions`` grows order ideals: an element can
-    come next once its whole lower set is placed.
+    grow order ideals, each held as a bitmask (bit x-1 for element x): an
+    element can come next once its whole lower set is placed.
 
     >>> sorted(labeled_linear_extensions(build_heap((2, 1, 3))))
     [(2, 1, 3), (2, 3, 1)]
@@ -153,36 +153,6 @@ def labeled_linear_extensions(
             if not ideal >> y & 1 and ideal & need == need:
                 pending.append((ideal | 1 << y, word + (heap.labels[y],)))
     return out
-
-
-def count_linear_extensions(heap: Heap) -> int:
-    """The number of linear extensions of the heap, listing none of them.
-
-    This is the size of the generating word's commutation class.  A dynamic
-    program over order ideals, each stored as a bitmask (bit x-1 for element
-    x): one size at a time, each ideal is stored once with the number of
-    orders in which it can be built, and grows by every element whose lower
-    set it already holds.  The memo lives for one call only.
-
-    >>> count_linear_extensions(build_heap((2, 1, 3)))
-    2
-    >>> count_linear_extensions(build_heap((1, 2, 1)))
-    1
-    >>> count_linear_extensions(Heap((), ()))
-    1
-    """
-    needs = [sum(1 << (x - 1) for x in below) for below in heap.below]
-    level = {0: 1}
-    for _ in range(heap.size):
-        bigger: dict[int, int] = {}
-        for ideal, ways in level.items():
-            for y, need in enumerate(needs):
-                if not ideal >> y & 1 and ideal & need == need:
-                    grown = ideal | 1 << y
-                    bigger[grown] = bigger.get(grown, 0) + ways
-        level = bigger
-    (ways,) = level.values()  # the whole heap
-    return ways
 
 
 @dataclass(frozen=True, slots=True)

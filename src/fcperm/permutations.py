@@ -253,15 +253,3 @@ def descent_swaps(image: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]
     for d in range(1, len(image)):
         if image[d - 1] > image[d]:
             yield d, image[: d - 1] + (image[d], image[d - 1]) + image[d + 1 :]
-
-
-def ascent_swaps(image: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """``(d, image of w*s_d)`` for each right ascent d of the image w, d
-    ascending: one step up the right weak order per ascent.
-
-    >>> list(ascent_swaps((3, 1, 2)))
-    [(2, (3, 2, 1))]
-    """
-    for d in range(1, len(image)):
-        if image[d - 1] < image[d]:
-            yield d, image[: d - 1] + (image[d], image[d - 1]) + image[d + 1 :]

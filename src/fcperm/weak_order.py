@@ -18,8 +18,8 @@ distinct ``row2`` once, and ``crowding_census`` counts the crowded and
 uncrowded elements without visiting any, summing over the possible second
 rows instead and counting every extension of a crowded one at once.
 ``fc_covers`` generates the subposet's covers by a local rule at each
-ascent, with no membership set and no 321 test, and ``build_fc_poset`` is
-the elements plus those covers.  The elements are downward closed under
+ascent, with no membership set and no 321 test, and ``poset_to_dot`` draws
+the elements and those covers.  The elements are downward closed under
 covers (sorting an adjacent descent removes an inversion pair and cannot
 create a decreasing triple), so every lower cover of a fully commutative
 permutation is again one; ``uncrowded_frontier`` relies on this to read
@@ -32,7 +32,6 @@ characterization, with no walk at all.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, product
 from math import comb
@@ -79,24 +78,6 @@ def principal_ideal(
                 seen.add(lower)
                 pending.append(lower)
     return set(Permutation._trusted_many(list(seen)))
-
-
-@dataclass(frozen=True, slots=True)
-class FcPoset:
-    """The fully commutative permutations of S_n under the right weak order."""
-
-    n: int
-    elements: tuple[Permutation, ...]
-    edges: tuple[CoverEdge, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "nodes": [w.to_text() for w in self.elements],
-            "edges": [
-                [e.lower.to_text(), e.upper.to_text(), e.index] for e in self.edges
-            ],
-        }
 
 
 def require_degree_within(n: int, bound: int) -> None:
@@ -344,16 +325,6 @@ def fc_covers(n: int, bound: int = DEFAULT_POSET_BOUND) -> Iterator[CoverEdge]:
             high = max(high, left)
 
 
-def build_fc_poset(n: int, bound: int = DEFAULT_POSET_BOUND) -> FcPoset:
-    """Materialize the fully commutative subposet with all cover edges.
-
-    >>> build_fc_poset(3).elements
-    (Permutation('123'), Permutation('132'), Permutation('213'), Permutation('231'), Permutation('312'))
-    """
-    elements = tuple(fc_elements(n, bound=bound))
-    return FcPoset(n, elements, tuple(fc_covers(n, bound=bound)))
-
-
 def fc_crowding(
     n: int, bound: int = DEFAULT_POSET_BOUND
 ) -> Iterator[tuple[Permutation, bool]]:
@@ -485,13 +456,17 @@ def knuth_neighbors(w: Permutation) -> list[Permutation]:
     return sorted(out, key=lambda v: v.image)
 
 
-def poset_to_dot(poset: FcPoset) -> str:
-    """Graphviz digraph of the subposet, nodes tinted by crowdedness.
+def poset_to_dot(n: int, bound: int = DEFAULT_POSET_BOUND) -> str:
+    """Graphviz digraph of the fully commutative subposet of S_n, its
+    nodes from ``fc_elements`` and its edges from ``fc_covers``, tinted by
+    crowdedness.  The degree and the bound are checked as ``fc_elements``
+    checks them.
 
     Crowded nodes are filled, minimal crowded ones get a heavy border.
     """
+    elements = fc_elements(n, bound=bound)
     lines = ["digraph fc_poset {", "  rankdir=BT;", "  node [style=filled];"]
-    for w in poset.elements:
+    for w in elements:
         name = w.to_text(compact=True)
         if classify(w) is None:
             color = "white"
@@ -503,8 +478,8 @@ def poset_to_dot(poset: FcPoset) -> str:
             color = "mistyrose"
             extra = ""
         lines.append(f'  "{name}" [fillcolor={color}{extra}];')
-    for e in poset.edges:
-        lo, hi = e.lower.to_text(compact=True), e.upper.to_text(compact=True)
-        lines.append(f'  "{lo}" -> "{hi}" [label="{e.index}"];')
+    for v, w, i in fc_covers(n, bound=bound):
+        lo, hi = v.to_text(compact=True), w.to_text(compact=True)
+        lines.append(f'  "{lo}" -> "{hi}" [label="{i}"];')
     lines.append("}")
     return "\n".join(lines)

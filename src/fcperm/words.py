@@ -7,16 +7,15 @@ means "swap positions 3,4, then 2,3, then 1,2" starting from the identity.
 Enumeration of a full reduced-word set grows explosively with length, so the
 enumerating operations take a ``bound`` argument and refuse (with
 ``BoundExceeded``) rather than silently truncate.  ``count_reduced_words``
-counts the set without listing it, and ``reduced_word_counts`` counts it for
-every element of S_n at once; the two step through the weak order by
-``descent_swaps`` and ``ascent_swaps`` of ``permutations``.
+counts the set without listing it, stepping down the weak order by
+``descent_swaps`` of ``permutations``.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .permutations import Permutation, _numbers_from_text, ascent_swaps, descent_swaps
+from .permutations import Permutation, _numbers_from_text, descent_swaps
 
 DEFAULT_WORD_BOUND = 12
 
@@ -195,35 +194,6 @@ def count_reduced_words(w: Permutation) -> int:
             (paths,) = level.values()  # the identity alone
             return paths
         level = below
-
-
-def reduced_word_counts(n: int) -> dict[tuple[int, ...], int]:
-    """The number of reduced words of every element of S_n, keyed by image.
-
-    Filled upward from the identity by Stanley's recursion
-    r(w) = sum of r(w*s_d) over the right descents d of w, one length level
-    at a time: each image passes its count to every image one ascent above
-    it, and so each image of the next level holds the sum over its lower
-    covers.  For a sweep over all of S_n this does once what
-    ``count_reduced_words`` would redo for the interval below every w.
-
-    >>> reduced_word_counts(3)[(3, 2, 1)]
-    2
-    >>> reduced_word_counts(6)[(6, 5, 4, 3, 2, 1)]  # staircase tableaux
-    292864
-    >>> len(reduced_word_counts(7))
-    5040
-    """
-    level = {tuple(range(1, n + 1)): 1}
-    counts = dict(level)
-    while level:
-        above: dict[tuple[int, ...], int] = {}
-        for image, paths in level.items():
-            for _, upper in ascent_swaps(image):
-                above[upper] = above.get(upper, 0) + paths
-        counts.update(above)
-        level = above
-    return counts
 
 
 def require_length_within(w: Permutation, bound: int) -> None:

@@ -666,20 +666,6 @@ class TestVerify:
         monkeypatch.setattr(fcperm.checks, "fc_covers", loose_fc_covers)
         assert run(capsys, "verify", "7", check) == (1, summary + "\n", "")
 
-    def test_missing_reduced_word_count_is_a_counterexample(self, capsys, monkeypatch):
-        # a count table that misses an element decides that element's case;
-        # no KeyError escapes main
-        original = fcperm.checks.reduced_word_counts
-
-        def without_the_longest(n):
-            table = original(n)
-            del table[tuple(range(n, 0, -1))]
-            return table
-
-        monkeypatch.setattr(fcperm.checks, "reduced_word_counts", without_the_longest)
-        summary = "prop-2.2 @ S_3: FAIL (6 cases) counterexample: 3,2,1: no reduced-word count"
-        assert run(capsys, "verify", "3", "prop-2.2") == (1, summary + "\n", "")
-
 
 class TestDot:
     def test_heap_golden(self, capsys):

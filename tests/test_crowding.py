@@ -27,7 +27,7 @@ from fcperm import (
 import fcperm.crowding
 from fcperm.checks import run_check
 from fcperm.cli import main
-from fcperm.permutations import ascent_swaps, descent_swaps
+from fcperm.permutations import descent_swaps
 from fcperm.weak_order import fc_covers, fc_elements
 from fcperm.patterns import iter_occurrences
 
@@ -514,14 +514,12 @@ class TestMinimalCrowdedDirect:
             _probe_minimal_crowded_past_s9()
 
     def test_matches_poset_oracle_s7(self):
-        from fcperm.weak_order import build_fc_poset
-
-        poset = build_fc_poset(7)
-        crowded = {w: classify(w) is not None for w in poset.elements}
-        down = {w: [] for w in poset.elements}
-        for v, w, _ in poset.edges:
+        elements = tuple(fc_elements(7))
+        crowded = {w: classify(w) is not None for w in elements}
+        down = {w: [] for w in elements}
+        for v, w, _ in fc_covers(7):
             down[w].append(v)
-        for w in poset.elements:
+        for w in elements:
             by_poset = crowded[w] and not any(crowded[v] for v in down[w])
             assert by_poset == is_minimal_crowded_direct(w).minimal
 
@@ -542,7 +540,7 @@ def _probe_minimal_crowded_past_s9() -> tuple[int, int]:
             assert all(classify(Permutation(v)) is None for _, v in descent_swaps(w.image)), w
             assert is_minimal_crowded_direct(w).minimal, w
             elements += 1
-            upper = [Permutation(u) for _, u in ascent_swaps(w.image)]
+            upper = [w.times(i) for i in range(1, n) if w(i) < w(i + 1)]
             upper = [u for u in upper if is_fully_commutative(u)]
             for u in rng.sample(upper, min(3, len(upper))):
                 assert classify(u) is not None, u
@@ -606,6 +604,42 @@ def _probe_descents_to_minimal_crowded() -> int:
             assert image in generated, f"{Permutation(image).to_text()} not generated"
             ends.add(image)
     return len(ends)
+
+
+class TestDownwardClosure:
+    # the exhaustive check stops at S_8, where every value is one digit
+    def test_seeded_probe_past_s9(self):
+        assert _probe_downward_closure_past_s9() == 1088
+
+    def test_the_probe_catches_descents_read_as_text(self, monkeypatch):
+        # entries compared as decimal text, so that "13" sorts below "7"
+        def textual_descents(w):
+            text = w.to_text().split(",")
+            return frozenset(d for d in range(1, w.n) if text[d - 1] > text[d])
+
+        monkeypatch.setattr(Permutation, "descents", textual_descents)
+        result = run_check("downward-closure")
+        assert (result.n, result.passed, result.cases) == (8, True, 3003)
+        with pytest.raises(AssertionError) as info:
+            _probe_downward_closure_past_s9()
+        assert str(info.value).startswith("3,5,7,13,17,18,1,2,4,6,8,9,10,11,12,14,15,16 at 3")
+
+
+def _probe_downward_closure_past_s9() -> int:
+    """``downward-closure`` on 200 seeded draws with n = 10..40, beyond the
+    exhaustive S_8: sorting each descent of a drawn 321-avoider, as
+    ``descents`` reports it, leaves a 321-avoider, both by a brute-force
+    scan of every triple.  Returns how many descents were sorted."""
+    rng = random.Random(416)
+    sorted_descents = 0
+    for _ in range(200):
+        image = _draw_fully_commutative(rng, rng.randint(10, 40))
+        assert brute_avoids_321(image), image
+        w = Permutation(image)
+        for d in sorted(w.descents()):
+            assert brute_avoids_321(w.times(d).image), f"{w.to_text()} at {d}"
+            sorted_descents += 1
+    return sorted_descents
 
 
 def test_invariant_violation_is_distinct_error():

@@ -9,7 +9,6 @@ from fcperm import (
     boolean_core,
     build_heap,
     canonical_reduced_word,
-    count_linear_extensions,
     heap_of,
     is_boolean,
     is_reduced,
@@ -134,16 +133,14 @@ def _reduced_prefix(letters):
 class TestCountLinearExtensions:
     def test_golden(self):
         heap = build_heap(word_from_text("87234561234"))
-        assert count_linear_extensions(heap) == 1485
+        assert len(labeled_linear_extensions(heap)) == 1485
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 6), max_size=14))
     def test_count_matches_listing_and_class(self, letters):
         word = _reduced_prefix(letters)
         heap = build_heap(word)
-        count = count_linear_extensions(heap)
-        assert count == len(labeled_linear_extensions(heap))
-        assert count == len(commutation_class(word))
+        assert len(labeled_linear_extensions(heap)) == len(commutation_class(word))
 
 
 class TestBooleanCore:

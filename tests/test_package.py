@@ -70,6 +70,42 @@ def test_modules_read_every_name_they_import():
     assert not unread, unread
 
 
+def _names_defined(statement) -> list[str]:
+    """The module-level names a top-level statement binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = getattr(statement, "targets", None) or [getattr(statement, "target", None)]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def _names_read(node) -> set[str]:
+    return {
+        child.id if isinstance(child, ast.Name) else child.attr
+        for child in ast.walk(node)
+        if isinstance(child, ast.Attribute)
+        or (isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load))
+    }
+
+
+def test_every_private_module_name_is_read():
+    # a deletion can leave a private helper behind with no reader; a helper
+    # read only inside its own definition, such as by recursion, has none
+    statements = [
+        (path.name, statement)
+        for path in sorted(Path(fcperm.__file__).parent.glob("*.py"))
+        for statement in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    reads = [_names_read(statement) for _, statement in statements]
+    unread = [
+        f"{module}:{statement.lineno} {name}"
+        for k, (module, statement) in enumerate(statements)
+        for name in _names_defined(statement)
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+        and not any(name in read for j, read in enumerate(reads) if j != k)
+    ]
+    assert not unread, unread
+
+
 # the memos that live as long as the process, each a table built from its
 # arguments alone; every other memo is made inside the call that reads it
 PROCESS_MEMOS = {

@@ -11,7 +11,7 @@ import pytest
 import fcperm
 import fcperm.checks
 from fcperm import (
-    Permutation, Tableau, analyze_transition, boolean_core, build_fc_poset, build_heap,
+    Permutation, Tableau, analyze_transition, boolean_core, build_heap,
     classify, is_minimal_crowded_direct, rsk, run_check,
 )
 from fcperm.cli import main
@@ -52,15 +52,6 @@ VALUES = {
         boolean_core(Permutation.from_text("41627385")),
         "CoreDecomposition(core=Permutation('41263785'), remainder=Permutation('12436578'),"
         " core_word=(3, 2, 1, 5, 4, 6, 7), remainder_word=(3, 5))",
-    ),
-    "FcPoset": (
-        build_fc_poset(3),
-        "FcPoset(n=3, elements=(Permutation('123'), Permutation('132'), Permutation('213'),"
-        " Permutation('231'), Permutation('312')),"
-        " edges=(CoverEdge(lower=Permutation('123'), upper=Permutation('213'), index=1),"
-        " CoverEdge(lower=Permutation('123'), upper=Permutation('132'), index=2),"
-        " CoverEdge(lower=Permutation('132'), upper=Permutation('312'), index=1),"
-        " CoverEdge(lower=Permutation('213'), upper=Permutation('231'), index=2)))",
     ),
 }
 # BumpTrace holds a dict, so it has no hash; RskResult's repr pins it

@@ -14,7 +14,6 @@ from fcperm import (
     BoundExceeded,
     Permutation,
     all_permutations,
-    build_fc_poset,
     classify,
     crowding_census,
     fc_covers,
@@ -141,37 +140,44 @@ class TestPrincipalIdeal:
             principal_ideal(Permutation((4, 3, 2, 1)), bound=3)
 
 
+def _poset_json(n, capsys):
+    """The JSON that ``dot poset n --json`` writes."""
+    assert cli.main(["dot", "poset", str(n), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestFcPoset:
-    def test_small_sizes(self):
-        assert len(build_fc_poset(3).elements) == 5
-        assert len(build_fc_poset(1).elements) == 1
-        assert len(build_fc_poset(5).elements) == 42
+    """The subposet as ``dot poset`` writes it: ``fc_elements`` as nodes and
+    ``fc_covers`` as edges."""
 
-    def test_elements_are_the_321_avoiders(self):
-        poset = build_fc_poset(6)
-        expected = {w for w in all_permutations(6) if brute_avoids_321(w.image)}
-        assert set(poset.elements) == expected
+    def test_small_sizes(self, capsys):
+        assert len(_poset_json(3, capsys)["nodes"]) == 5
+        assert len(_poset_json(1, capsys)["nodes"]) == 1
+        assert len(_poset_json(5, capsys)["nodes"]) == 42
 
-    def test_edge_count_against_pair_scan(self):
+    def test_elements_are_the_321_avoiders(self, capsys):
+        expected = {w.to_text() for w in all_permutations(6) if brute_avoids_321(w.image)}
+        assert set(_poset_json(6, capsys)["nodes"]) == expected
+
+    def test_edge_count_against_pair_scan(self, capsys):
         # the exact edge list, from every pair of S_n one swap apart
         for n in range(1, 8):
             expected = [
-                (v, v.times(i), i)
+                [v.to_text(), v.times(i).to_text(), i]
                 for v in all_permutations(n)
                 if is_fully_commutative(v)
                 for i in range(1, n)
                 if v.times(i).length() == v.length() + 1
                 and is_fully_commutative(v.times(i))
             ]
-            assert list(build_fc_poset(n).edges) == expected, n
+            assert _poset_json(n, capsys)["edges"] == expected, n
 
     def test_bound_guard(self):
         with pytest.raises(BoundExceeded):
-            build_fc_poset(10)
+            poset_to_dot(10)
 
-    def test_json_round_trip(self):
-        poset = build_fc_poset(4)
-        blob = poset.to_json_dict()
+    def test_json_round_trip(self, capsys):
+        blob = _poset_json(4, capsys)
         assert json.loads(json.dumps(blob)) == blob
         assert blob["n"] == 4 and len(blob["nodes"]) == 14
 
@@ -238,7 +244,7 @@ class TestFcElements:
             fc_crowding,
             crowding_census,
             uncrowded_frontier,
-            build_fc_poset,
+            poset_to_dot,
             minimal_crowded,
         ):
             with pytest.raises(ValueError, match="degree at least 1"):
@@ -437,18 +443,14 @@ class TestCrowdingCensus:
 
 
 def _frontier_from_poset_edges(n):
-    """The minimal crowded elements read off build_fc_poset's cover edges,
-    with verdicts from a wide window scan of the tableau's second row."""
-    poset = build_fc_poset(n)
-    crowded = {
-        w: not wide_scan_is_uncrowded(rsk(w).p.row(2)) for w in poset.elements
-    }
-    down = {w: [] for w in poset.elements}
-    for v, w, _ in poset.edges:
+    """The minimal crowded elements read off fc_covers' cover edges, with
+    verdicts from a wide window scan of the tableau's second row."""
+    elements = tuple(fc_elements(n))
+    crowded = {w: not wide_scan_is_uncrowded(rsk(w).p.row(2)) for w in elements}
+    down = {w: [] for w in elements}
+    for v, w, _ in fc_covers(n):
         down[w].append(v)
-    return tuple(
-        w for w in poset.elements if crowded[w] and not any(crowded[d] for d in down[w])
-    )
+    return tuple(w for w in elements if crowded[w] and not any(crowded[d] for d in down[w]))
 
 
 class TestFrontier:
@@ -539,11 +541,11 @@ class TestKnuth:
 
 class TestDot:
     def test_poset_dot(self):
-        dot = poset_to_dot(build_fc_poset(4))
+        dot = poset_to_dot(4)
         assert dot.startswith("digraph fc_poset {")
         assert dot.count("fillcolor") == 14
         assert "penwidth" not in dot  # no crowded elements at degree 4
 
     def test_minimal_crowded_highlighted(self):
-        dot = poset_to_dot(build_fc_poset(6))
+        dot = poset_to_dot(6)
         assert '"415263" [fillcolor=lightcoral penwidth=3];' in dot

@@ -17,12 +17,11 @@ from fcperm import (
     is_fully_commutative,
     is_reduced,
     iter_reduced_words,
-    reduced_word_counts,
     word_from_text,
     word_to_text,
 )
 
-from fcperm.checks import _prop_2_2_verdicts, _prop_2_3_verdicts
+from fcperm.checks import _commutation_classes, _prop_2_2_verdicts, _prop_2_3_verdicts
 from fcperm.cli import main
 from fcperm.words import DEFAULT_WORD_BOUND
 
@@ -153,13 +152,6 @@ class TestCounting:
         for w in all_permutations(6):
             assert count_reduced_words(w) == oracle_count_reduced_words(w)
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_count_table_matches_the_one_call_counts(self, n):
-        table = reduced_word_counts(n)
-        assert len(table) == len(list(all_permutations(n)))
-        for w in all_permutations(n):
-            assert table[w.image] == count_reduced_words(w) == oracle_count_reduced_words(w)
-
 
 def _brute_prop_2_2(w):
     """(fc, braid_free, single) from the full word list and one class."""
@@ -227,6 +219,17 @@ class TestCommutationClasses:
     def test_single_class_iff_fully_commutative(self):
         for w in all_permutations(5):
             assert (_class_count(w) == 1) == is_fully_commutative(w)
+
+    def test_class_table_matches_the_brute_force_count(self):
+        classes = _commutation_classes()
+        for w in all_permutations(5):
+            assert classes(w.image) == _class_count(w), w.to_text()
+
+    def test_class_table_counts_the_classes_of_the_longest_element(self):
+        # OEIS A006245; n = 8 (1232944) takes most of a second, so it is left out
+        classes = _commutation_classes()
+        longest = [classes(tuple(range(n, 0, -1))) for n in range(1, 8)]
+        assert longest == [1, 1, 2, 8, 62, 908, 24698]
 
 
 def _generator_word_to_text(letters):
