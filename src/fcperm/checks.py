@@ -704,11 +704,11 @@ CHECKS: dict[str, tuple[int, Callable[[int], Verdicts]]] = {
     "knuth-classes": (6, _knuth_classes),
     "cor-left-q": (6, _cor_left_q),
     "downward-closure": (8, _downward_closure),
-    "cor-5.5": (8, _cor_5_5),
-    "cor-5.6": (8, _cor_5_6),
-    "lemma-5.7": (8, _lemma_5_7),
+    "cor-5.5": (9, _cor_5_5),
+    "cor-5.6": (9, _cor_5_6),
+    "lemma-5.7": (9, _lemma_5_7),
     "lemma-5.8": (9, _lemma_5_8),
-    "cor-5.9": (8, _cor_5_9),
+    "cor-5.9": (9, _cor_5_9),
     "thm-5.10": (8, _thm_5_10),
 }
 

@@ -223,12 +223,9 @@ def _cmd_dot(args) -> int:
     bound = DEFAULT_POSET_BOUND if args.bound is None else args.bound
     n = int(args.argument)
     if args.json:
-        poset = {
-            "n": n,
-            "nodes": [w.to_text() for w in fc_elements(n, bound=bound)],
-            "edges": [[v.to_text(), w.to_text(), i] for v, w, i in fc_covers(n, bound=bound)],
-        }
-        print(json.dumps(poset))
+        names = {w.image: w.to_text() for w in fc_elements(n, bound=bound)}
+        edges = [[names[v.image], names[w.image], i] for v, w, i in fc_covers(n, bound=bound)]
+        print(json.dumps({"n": n, "nodes": [*names.values()], "edges": edges}))
     else:
         print(poset_to_dot(n, bound=bound))
     return 0

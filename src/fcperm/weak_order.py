@@ -7,11 +7,11 @@ are exactly the 321-avoiding ones, and ``fc_elements`` generates them
 directly, in lexicographic order, by extending prefixes until five values
 are left, and then stamping every completion of the prefix at once from a
 table.  It is a lazy view, like ``range``: the call checks the degree, the
-bound and the depth of the walk, and each pass over the view walks again,
-holding one prefix's completions at a time; indexing walks once and lists
-everything.  Its length is filled from a small table of counts, one per
-number of free values and number of them below the prefix's maximum, so
-counting walks no prefix and builds no element.
+bound and the size, and each pass over the view walks again, holding one
+prefix's completions at a time; indexing walks once and lists everything.
+Its length is filled from a small table of counts, one per number of free
+values and number of them below the prefix's maximum, so counting walks no
+prefix and builds no element.
 Crowdedness depends on the second row of the insertion tableau alone:
 ``fc_crowding`` pairs each element with its verdict, deciding each
 distinct ``row2`` once, and ``crowding_census`` counts the crowded and
@@ -46,8 +46,6 @@ from .words import BoundExceeded, require_length_within
 DEFAULT_POSET_BOUND = 9
 DEFAULT_IDEAL_LENGTH_BOUND = 24
 DEFAULT_MINIMAL_CROWDED_BOUND = 24
-# stack frames that fc_elements leaves to its callers below the recursion limit
-_WALK_HEADROOM = 100
 
 
 class CoverEdge(NamedTuple):
@@ -92,30 +90,36 @@ def require_degree_within(n: int, bound: int) -> None:
 
 
 def _prefixes(
-    prefix: tuple[int, ...], free: tuple[int, ...], below: int, left: int
+    free: tuple[int, ...], below: int, left: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Every 321-avoiding extension of ``prefix`` that leaves ``left`` values
-    free, as (prefix, free, below), in lexicographic order, by the rule
-    ``fc_elements`` states: ``free`` holds the values not yet placed,
-    sorted, and the first ``below`` of them lie under the prefix's maximum.
+    """Every 321-avoiding prefix that leaves ``left`` of the sorted values
+    ``free`` unplaced, as (prefix, free, below), in lexicographic order, by
+    the rule ``fc_elements`` states; the first ``below`` free values lie
+    under the prefix's maximum.  A stack holds the prefixes still to extend,
+    each one's children pushed last first, so that they pop in order.
     """
-    if len(free) == left:
-        yield prefix, free, below
-        return
-    if below:
-        yield from _prefixes(prefix + free[:1], free[1:], below - 1, left)
-    for i in range(below, len(free)):
-        yield from _prefixes(prefix + free[i : i + 1], free[:i] + free[i + 1 :], i, left)
+    stack = [((), free, below)]
+    while stack:
+        prefix, free, below = stack.pop()
+        if len(free) == left:
+            yield prefix, free, below
+            continue
+        stack.extend(
+            (prefix + free[i : i + 1], free[:i] + free[i + 1 :], i)
+            for i in range(len(free) - 1, below - 1, -1)
+        )
+        if below:
+            stack.append((prefix + free[:1], free[1:], below - 1))
 
 
 # how many free values fc_elements completes from a table instead of
-# walking.  The walk above the table makes one call per prefix of at most
-# n - 5 entries and stays n - 5 frames deep; each prefix is handed its free
-# values and their count below its maximum, so a leaf scans nothing and
-# costs one stamp per completion.  A larger tail leaves fewer leaves and
-# walks a little faster at n = 11, but its table, built once per process,
-# grows by the Catalan numbers: about 1.5 ms for 5 and 7 ms for 6, already
-# more than the whole walk at n = 9, which is what a one-off command pays.
+# walking.  The walk above the table visits each prefix of at most n - 5
+# entries once; each prefix is handed its free values and their count below
+# its maximum, so a leaf scans nothing and costs one stamp per completion.
+# A larger tail leaves fewer leaves and walks a little faster at n = 11, but
+# its table, built once per process, grows by the Catalan numbers: about
+# 1.5 ms for 5 and 7 ms for 6, already more than the whole walk at n = 9,
+# which is what a one-off command pays.
 _STAMPED_TAIL = 5
 
 
@@ -128,7 +132,7 @@ def _stamps(j: int) -> tuple[tuple[itemgetter, ...], ...]:
     return tuple(
         tuple(
             itemgetter(*t) if len(t) > 1 else itemgetter(slice(t[0], t[0] + 1))
-            for t, _, _ in _prefixes((), tuple(range(j)), m, 0)
+            for t, _, _ in _prefixes(tuple(range(j)), m, 0)
         )
         for m in range(j + 1)
     )
@@ -139,49 +143,23 @@ class fc_elements:
     as a lazy view that walks them each time it is iterated.
 
     A permutation avoids 321 exactly when its entries that are not
-    left-to-right maxima increase.  Built left to right, the next entry is
-    therefore either a new maximum or the smallest value still free: any
-    other value below the maximum would leave that smaller free value to
-    come later, below two larger entries.  Every prefix built this way
-    completes, so nothing is searched, and trying candidates in increasing
-    order yields lexicographic order.
+    left-to-right maxima increase.  So, built left to right, the next entry
+    is either the smallest free value or a new maximum.  With j values free
+    and m of them below the prefix's maximum, the next entry is the first
+    free value while m > 0, leaving m - 1 below, or the i-th for some
+    i >= m, leaving i below.  Every prefix completes, nothing is searched,
+    and trying candidates in increasing order yields lexicographic order.
+    Once min(n, 5) values are left, every completion of the prefix is
+    stamped at once from ``_stamps``, the same walk run on the indices.
 
-    How a prefix completes depends only on j, the number of free values,
-    and m, how many of them lie below its maximum.  The walk carries both
-    down, the free values as a sorted tuple: the next entry is the first
-    free value while m > 0, leaving m - 1 below the maximum, or the i-th
-    for some i >= m, a new maximum with i free values below it.  It extends
-    prefixes one entry per call until j = min(n, 5) values are left, and
-    then stamps every completion at once: one ``itemgetter`` per completion
-    that the same walk finds for the indices 0..j-1, applied to the free
-    values, with no call per position.  The getters are built once per
-    process, and each leaf's images become ``Permutation``s in one
-    ``Permutation._trusted_many`` call, with no Python-level call per
-    element.
-
-    Like ``range``, this is a class, and calling it only checks the
-    request: the degree and the bound, and the depth of the walk, which
-    recurses once per entry of the first n - 5, so a degree that leaves
-    fewer than ``_WALK_HEADROOM`` frames under ``sys.getrecursionlimit()``
-    is refused with a ``ValueError``.  Nothing is built until the view is
-    iterated, and then one leaf's elements are alive at a time, so
-    iterating over S_11's 58,786 elements holds a few dozen.  A reader
-    that needs the elements twice takes a ``tuple``; each pass walks again.
-    Indexing builds the whole list: ``view[key]`` is ``list(view)[key]``.
-
-    ``len(view)`` walks nothing.  It counts the completions C(j, m) of j
-    free values, m of them below the maximum, by the same rule:
-    C(j, m) = C(j-1, m-1) when m > 0, plus the sum of C(j-1, i) over
-    i = m..j-1.  The row j = min(n, 5) is the lengths of the table's rows,
-    each row above is filled from the one below, and the length is
-    C(n, 0), in O(n²) additions with no completion stamped and no
-    ``Permutation`` built.  So ``list`` and ``tuple``, which call it for a
-    length hint, pay next to nothing for it.  ``len`` cannot return more
-    than ``sys.maxsize``, which the Catalan numbers pass at n = 36 on a
-    64-bit build; there it raises ``BoundExceeded``, and so do ``list`` and
-    ``tuple``, through the hint.  Having both ``__len__`` and
-    ``__getitem__``, the view would let ``reversed`` list it once per
-    element; nothing reverses it, and nothing should.
+    Like ``range``, calling it only checks the request: the degree, the
+    bound and the size.  The count C(j, m) of completions follows the same
+    rule, C(j, m) = C(j-1, m-1) when m > 0, plus the sum of C(j-1, i) over
+    i = m..j-1, filled upward from the stamp table's row lengths; C(n, 0)
+    is the length, and a degree with more than ``sys.maxsize`` elements
+    (S_36 on a 64-bit build) is refused with ``BoundExceeded``.  Each pass
+    walks again, holding one leaf's elements at a time; indexing lists
+    everything.
 
     >>> [w.to_text(compact=True) for w in fc_elements(3)]
     ['123', '132', '213', '231', '312']
@@ -189,17 +167,25 @@ class fc_elements:
     4862
     """
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "_length")
 
     def __init__(self, n: int, bound: int = DEFAULT_POSET_BOUND) -> None:
         require_degree_within(n, bound)
-        limit = sys.getrecursionlimit()
-        if n + _WALK_HEADROOM > limit:
-            raise ValueError(
-                f"degree {n} is too deep for the recursive walk"
-                f" (recursion limit {limit})"
-            )
+        tail = min(n, _STAMPED_TAIL)
+        # counts[m] is C(j, m), from the table's row j = tail upward
+        counts = [len(stamps) for stamps in _stamps(tail)]
+        for j in range(tail + 1, n + 1):
+            # new_max[m]: the sum of C(j-1, i) over i = m..j-1
+            new_max = [*accumulate(reversed(counts), initial=0)][::-1]
+            counts = [first + later for first, later in zip([0, *counts], new_max)]
+            if counts[0] > sys.maxsize:  # C(j, 0) only grows with j
+                raise BoundExceeded(
+                    f"S_{n} has {'' if j == n else 'at least '}{counts[0]} fully"
+                    f" commutative elements, more than len() can return"
+                    f" (sys.maxsize = {sys.maxsize})"
+                )
         self.n = n
+        self._length = counts[0]
 
     def __iter__(self) -> Iterator[Permutation]:
         return chain.from_iterable(self.batches())
@@ -208,20 +194,7 @@ class fc_elements:
         return list(self)[key]
 
     def __len__(self) -> int:
-        n = self.n
-        tail = min(n, _STAMPED_TAIL)
-        # counts[m] is C(j, m), from the table's row j = tail upward
-        counts = [len(stamps) for stamps in _stamps(tail)]
-        for j in range(tail + 1, n + 1):
-            # new_max[m]: the sum of C(j-1, i) over i = m..j-1
-            new_max = [*accumulate(reversed(counts), initial=0)][::-1]
-            counts = [first + later for first, later in zip([0, *counts], new_max)]
-        if counts[0] > sys.maxsize:
-            raise BoundExceeded(
-                f"S_{n} has {counts[0]} fully commutative elements, more than"
-                f" len() can return (sys.maxsize = {sys.maxsize})"
-            )
-        return counts[0]
+        return self._length
 
     def batches(self) -> Iterator[list[Permutation]]:
         """The elements in order, as one list per leaf of the walk: the
@@ -235,7 +208,7 @@ class fc_elements:
         tail = min(n, _STAMPED_TAIL)
         stamps = _stamps(tail)
         trusted_many = Permutation._trusted_many
-        for prefix, free, below in _prefixes((), tuple(range(1, n + 1)), 0, tail):
+        for prefix, free, below in _prefixes(tuple(range(1, n + 1)), 0, tail):
             yield trusted_many([prefix + stamp(free) for stamp in stamps[below]])
 
 
@@ -464,10 +437,10 @@ def poset_to_dot(n: int, bound: int = DEFAULT_POSET_BOUND) -> str:
 
     Crowded nodes are filled, minimal crowded ones get a heavy border.
     """
-    elements = fc_elements(n, bound=bound)
+    names: dict[tuple[int, ...], str] = {}  # image -> the name its node line spells
     lines = ["digraph fc_poset {", "  rankdir=BT;", "  node [style=filled];"]
-    for w in elements:
-        name = w.to_text(compact=True)
+    for w in fc_elements(n, bound=bound):
+        name = names[w.image] = w.to_text(compact=True)
         if classify(w) is None:
             color = "white"
             extra = ""
@@ -479,7 +452,6 @@ def poset_to_dot(n: int, bound: int = DEFAULT_POSET_BOUND) -> str:
             extra = ""
         lines.append(f'  "{name}" [fillcolor={color}{extra}];')
     for v, w, i in fc_covers(n, bound=bound):
-        lo, hi = v.to_text(compact=True), w.to_text(compact=True)
-        lines.append(f'  "{lo}" -> "{hi}" [label="{i}"];')
+        lines.append(f'  "{names[v.image]}" -> "{names[w.image]}" [label="{i}"];')
     lines.append("}")
     return "\n".join(lines)

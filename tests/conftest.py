@@ -3,17 +3,28 @@
 Everything here recomputes facts by the most naive route available so the
 library implementations are checked against genuinely independent code.
 ``loose_fc_covers`` is the one deliberately wrong function here: a mutant
-of ``fc_covers`` shared by the kill matrix and a CLI test.
+of ``fc_covers`` shared by the kill matrix and a CLI test.  ``fcperm_env``
+is the environment for tests that run fcperm in a fresh interpreter.
 """
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
+import fcperm
 from fcperm import CoverEdge, Permutation, fc_elements
+
+
+def fcperm_env() -> dict[str, str]:
+    """This environment, with the tested fcperm first on PYTHONPATH."""
+    src = str(Path(fcperm.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def brute_has_pattern(host: tuple[int, ...], pattern: tuple[int, ...]) -> bool:

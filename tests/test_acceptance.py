@@ -96,11 +96,11 @@ FULL_SCOPES = [
     ("knuth-classes", 6, 76),
     ("cor-left-q", 6, 210),
     ("downward-closure", 8, 3003),
-    ("cor-5.5", 8, 6),
-    ("cor-5.6", 8, 6),
-    ("lemma-5.7", 8, 6),
+    ("cor-5.5", 9, 10),
+    ("cor-5.6", 9, 10),
+    ("lemma-5.7", 9, 10),
     ("lemma-5.8", 9, 6),
-    ("cor-5.9", 8, 6),
+    ("cor-5.9", 9, 10),
     ("lemma-2.11", 6, 2059),
 ]
 

@@ -86,10 +86,10 @@ def test_summary_mentions_counterexample_on_failure():
 # crowded elements: a library fault that loses some of them shows here even
 # when every remaining case still passes.
 DEFAULT_SCOPE_CASES = {
-    "cor-5.5": (8, 6),
-    "cor-5.6": (8, 6),
-    "lemma-5.7": (8, 6),
-    "cor-5.9": (8, 6),
+    "cor-5.5": (9, 10),
+    "cor-5.6": (9, 10),
+    "lemma-5.7": (9, 10),
+    "cor-5.9": (9, 10),
     "lemma-5.8": (9, 6),
 }
 

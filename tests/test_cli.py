@@ -1,13 +1,11 @@
 import importlib
 import io
 import json
-import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
 from math import ceil, comb
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,7 @@ from fcperm.weak_order import DEFAULT_POSET_BOUND
 from fcperm.words import evaluate_word, word_from_text
 
 from conftest import (
-    brute_avoids_321, brute_has_pattern, crowding_census_by_dp, loose_fc_covers,
+    brute_avoids_321, brute_has_pattern, crowding_census_by_dp, fcperm_env, loose_fc_covers,
     prefix_walk_fc, wide_scan_is_uncrowded,
 )
 
@@ -433,6 +431,7 @@ class TestEnumerate:
     def test_fc_count_stops_at_sys_maxsize(self, capsys):
         # len() returns at most sys.maxsize, which the Catalan numbers pass
         # first at n = 36 on a 64-bit build: C_35 is printed, C_36 refused
+        # at the call, and a larger degree at the same row of the count
         catalan = [comb(2 * n, n) // (n + 1) for n in range(100)]
         first = next(n for n in range(1, 100) if catalan[n] > sys.maxsize)
         if sys.maxsize == 2**63 - 1:
@@ -447,6 +446,8 @@ class TestEnumerate:
             f" more than len() can return (sys.maxsize = {sys.maxsize})\n"
         )
         assert count(first) == (2, "", message)
+        message = message.replace(f"S_{first} has", f"S_{first + 4} has at least")
+        assert count(first + 4) == (2, "", message)
 
     def test_fc_count_builds_no_permutation(self, capsys, monkeypatch):
         calls = []
@@ -505,11 +506,39 @@ class TestEnumerate:
         ids=["enumerate", "dot-poset"],
     )
     def test_a_walk_deeper_than_the_stack_is_refused(self, capsys, argv):
+        # the walk keeps its own stack, so a degree past the recursion limit
+        # is refused only for its size, by the count at the call
+        catalan = [comb(2 * n, n) // (n + 1) for n in range(100)]
+        first = next(n for n in range(1, 100) if catalan[n] > sys.maxsize)
         message = (
-            "error: degree 1100 is too deep for the recursive walk"
-            f" (recursion limit {sys.getrecursionlimit()})\n"
+            f"error: S_1100 has at least {catalan[first]} fully commutative elements,"
+            f" more than len() can return (sys.maxsize = {sys.maxsize})\n"
         )
         assert run(capsys, *argv) == (2, "", message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                ["enumerate", "40", "--filter", f, "--bound", "40"]
+                for f in ("fc", "boolean", "crowded", "uncrowded")
+            ),
+            ["enumerate", "36", "--filter", "boolean", "--bound", "36", "--count"],
+            ["dot", "poset", "40", "--bound", "40"],
+            ["enumerate", "1100", "--filter", "fc", "--bound", "2000"],
+            ["dot", "poset", "1100", "--bound", "2000"],
+        ],
+        ids="-".join,
+    )
+    def test_an_unlistable_request_is_refused_at_once(self, argv):
+        # in a fresh interpreter with a timeout, so that a request that slips
+        # past its guard fails here instead of hanging the whole run
+        done = subprocess.run(
+            [sys.executable, "-m", "fcperm.cli", *argv],
+            capture_output=True, text=True, env=fcperm_env(), timeout=30,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
     def test_all_streams_lexicographically(self, capsys):
         code, out, _ = run(capsys, "enumerate", "3", "--compact")
@@ -796,13 +825,11 @@ class TestOtherCommands:
         ],
     )
     def test_closed_pipe_exits_141_quietly(self, argv, first):
-        src = str(Path(fcperm.cli.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         with subprocess.Popen(
             [sys.executable, "-m", "fcperm.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": path},
+            env=fcperm_env(),
         ) as proc:
             assert proc.stdout.readline() == first
             proc.stdout.close()

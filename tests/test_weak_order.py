@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pickle
+import subprocess
 import sys
 import tracemalloc
 from itertools import combinations, permutations
@@ -34,6 +35,7 @@ from fcperm import (
 from conftest import (
     brute_avoids_321,
     crowding_census_by_dp,
+    fcperm_env,
     minimal_crowded_count,
     prefix_walk_fc,
     right_weak_leq,
@@ -275,9 +277,8 @@ class TestFcElementsView:
             fc_elements(10)
         with pytest.raises(ValueError, match="degree at least 1"):
             fc_elements(0)
-        limit = sys.getrecursionlimit()
-        with pytest.raises(ValueError, match=f"too deep .*recursion limit {limit}"):
-            fc_elements(limit, bound=limit)
+        with pytest.raises(BoundExceeded, match=f"sys.maxsize = {sys.maxsize}"):
+            fc_elements(1100, bound=2000)  # too many elements, and counted, not walked
         fc_elements(11, bound=11)  # accepted, and nothing walked yet
         assert batches == []
 
@@ -308,13 +309,40 @@ class TestFcElementsView:
         ]
 
     def test_length_refuses_past_sys_maxsize(self):
-        # len() cannot return more than sys.maxsize, and list() and tuple()
-        # ask for the length first, so they are refused as well
+        # len() cannot return more than sys.maxsize, so the call refuses a
+        # degree with more elements, and a larger one at the same row of the
+        # count, however large
         n = next(n for n in range(1, 100) if comb(2 * n, n) // (n + 1) > sys.maxsize)
-        view = fc_elements(n, bound=n)
-        for count in (len, list):
+        if sys.maxsize == 2**63 - 1:
+            assert (n, len(fc_elements(35, bound=35))) == (36, 3116285494907301262)
+        for degree in (n, n + 1, 10**6):
             with pytest.raises(BoundExceeded, match=f"sys.maxsize = {sys.maxsize}"):
-                count(view)
+                fc_elements(degree, bound=degree)
+
+    def test_the_walk_needs_no_recursion(self):
+        # _prefixes keeps its own stack, so listing S_11 takes no more stack
+        # than listing S_6, whose walk is one level deep, and a recursion
+        # limit of 60 is not refused
+        script = (
+            "import sys\n"
+            "from fcperm import fc_elements\n"
+            "def listed(n, limit):\n"
+            "    try:\n"
+            "        sys.setrecursionlimit(limit)\n"
+            "        return len([w.image for w in fc_elements(n, bound=n)])\n"
+            "    except RecursionError:\n"
+            "        return None\n"
+            "    finally:\n"
+            "        sys.setrecursionlimit(1000)\n"
+            "listed(6, 1000)  # builds the stamp table\n"
+            "low = next(limit for limit in range(2, 100) if listed(6, limit))\n"
+            "print(listed(11, low), listed(11, 60))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=fcperm_env(), timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "58786 58786\n", "")
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_a_lost_stamp_shows_in_the_length_and_the_listing(self, monkeypatch, n):
