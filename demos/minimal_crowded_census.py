@@ -3,7 +3,8 @@
 Crowded permutations form an upward-closed set in the fully commutative
 poset, so the minimal ones determine the whole crowded/uncrowded split.
 This script counts both up to degree 16 with no walk over S_n: the
-crowded count sums over the possible second rows of the insertion tableau
+uncrowded count sums over the possible second rows of the insertion
+tableau, the crowded count is the rest of the Catalan number
 (``crowding_census``), and the minimal ones are built block by block.  It
 then spells out the five-condition test on each minimal element of S_8.
 

@@ -9,14 +9,13 @@ are left, and then stamping every completion of the prefix at once from a
 table.  It is a lazy view, like ``range``: the call checks the degree, the
 bound and the size, and each pass over the view walks again, holding one
 prefix's completions at a time; indexing walks once and lists everything.
-Its length is filled from a small table of counts, one per number of free
-values and number of them below the prefix's maximum, so counting walks no
-prefix and builds no element.
+Its length is the Catalan number C_n, from the recurrence, so counting walks
+no prefix and builds no element.
 Crowdedness depends on the second row of the insertion tableau alone:
 ``fc_crowding`` pairs each element with its verdict, deciding each
-distinct ``row2`` once, and ``crowding_census`` counts the crowded and
-uncrowded elements without visiting any, summing over the possible second
-rows instead and counting every extension of a crowded one at once.
+distinct ``row2`` once, and ``crowding_census`` counts the uncrowded
+elements without visiting any, summing over the possible second rows
+instead; the crowded ones are the rest of the C_n.
 ``fc_covers`` generates the subposet's covers by a local rule at each
 ascent, with no membership set and no 321 test, and ``poset_to_dot`` draws
 the elements and those covers.  The elements are downward closed under
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import sys
 from functools import cache
-from itertools import accumulate, chain, product
+from itertools import chain, product
 from math import comb
 from operator import itemgetter
 from typing import Iterator, NamedTuple
@@ -153,13 +152,12 @@ class fc_elements:
     stamped at once from ``_stamps``, the same walk run on the indices.
 
     Like ``range``, calling it only checks the request: the degree, the
-    bound and the size.  The count C(j, m) of completions follows the same
-    rule, C(j, m) = C(j-1, m-1) when m > 0, plus the sum of C(j-1, i) over
-    i = m..j-1, filled upward from the stamp table's row lengths; C(n, 0)
-    is the length, and a degree with more than ``sys.maxsize`` elements
-    (S_36 on a 64-bit build) is refused with ``BoundExceeded``.  Each pass
-    walks again, holding one leaf's elements at a time; indexing lists
-    everything.
+    bound and the size.  The length is the Catalan number C_n (Billey,
+    Jockusch and Stanley, 1993), from C_j = C_{j-1} 2(2j-1)/(j+1), exact in
+    integers; a degree with more than ``sys.maxsize`` elements (S_36 on a
+    64-bit build) is refused with ``BoundExceeded`` at the first such j.
+    Each pass walks again, holding one leaf's elements at a time; indexing
+    lists everything.
 
     >>> [w.to_text(compact=True) for w in fc_elements(3)]
     ['123', '132', '213', '231', '312']
@@ -171,21 +169,17 @@ class fc_elements:
 
     def __init__(self, n: int, bound: int = DEFAULT_POSET_BOUND) -> None:
         require_degree_within(n, bound)
-        tail = min(n, _STAMPED_TAIL)
-        # counts[m] is C(j, m), from the table's row j = tail upward
-        counts = [len(stamps) for stamps in _stamps(tail)]
-        for j in range(tail + 1, n + 1):
-            # new_max[m]: the sum of C(j-1, i) over i = m..j-1
-            new_max = [*accumulate(reversed(counts), initial=0)][::-1]
-            counts = [first + later for first, later in zip([0, *counts], new_max)]
-            if counts[0] > sys.maxsize:  # C(j, 0) only grows with j
+        length = 1  # C_0
+        for j in range(1, n + 1):
+            length = length * 2 * (2 * j - 1) // (j + 1)  # C_j, exactly
+            if length > sys.maxsize:  # C_j only grows with j
                 raise BoundExceeded(
-                    f"S_{n} has {'' if j == n else 'at least '}{counts[0]} fully"
+                    f"S_{n} has {'' if j == n else 'at least '}{length} fully"
                     f" commutative elements, more than len() can return"
                     f" (sys.maxsize = {sys.maxsize})"
                 )
         self.n = n
-        self._length = counts[0]
+        self._length = length
 
     def __iter__(self) -> Iterator[Permutation]:
         return chain.from_iterable(self.batches())
@@ -220,13 +214,11 @@ def crowding_census(n: int, bound: int = DEFAULT_POSET_BOUND) -> tuple[int, int]
     ballot set: its i-th smallest member is at least 2i.  Through RSK, the
     elements with a given P are one for each standard recording tableau of
     the same shape (n-k, k), which number C(n, k) - C(n, k-1).  Crowdedness
-    reads the second row alone, so each ballot set is decided once and
-    weighted by that count, and no element is visited.  The ballot sets
-    are grown one largest member at a time, and only uncrowded ones are
-    grown: every extension of a crowded set keeps its overfull window, so
-    the whole subtree below it is crowded, and its total weight is read
-    from a table made for the call, keyed by the set's size and the
-    smallest member it may add.
+    reads the second row alone, so each uncrowded ballot set is weighted by
+    that count, and no element is visited.  The ballot sets are grown one
+    largest member at a time, and only uncrowded ones are grown: every
+    extension of a crowded set keeps its overfull window.  The crowded
+    count is C_n, the length of ``fc_elements(n)``, minus the uncrowded one.
 
     Each grown set carries its reach, the largest m_i - 2i over its
     members m_0 < .. < m_{k-1} (-2 for the empty set).  A window of radius
@@ -236,44 +228,26 @@ def crowding_census(n: int, bound: int = DEFAULT_POSET_BOUND) -> tuple[int, int]
     its m_j: the child is crowded exactly when m_k <= reach + 2k - 2.  Only
     those children are handed to ``is_uncrowded_set``, looked up when the
     call runs, which decides every crowded verdict; a child it calls
-    uncrowded is grown.  Every child above the bound is uncrowded with no
-    call, and one that can take no further member is counted at once.
-    The degree and the bound are checked as ``fc_elements`` checks them.
+    uncrowded is grown, as is every child above the bound, with no call.
+    The degree, the bound and the size are checked by ``fc_elements``.
 
     >>> crowding_census(6)
     (127, 5)
     """
-    require_degree_within(n, bound)
-    half = n // 2
-    weights = [comb(n, k) - comb(n, k - 1) if k else 1 for k in range(half + 1)]
-    # subtree[k][low]: the weight of a ballot set of k members together with
-    # every ballot set that extends it by members from low up
-    subtree = [[0] * (n + 3) for _ in range(half + 1)]
-    for k in range(half, -1, -1):
-        row = subtree[k]
-        row[n + 1] = row[n + 2] = weights[k]
-        for low in range(n, 2 * k + 1, -1):
-            row[low] = row[low + 1] + subtree[k + 1][max(low + 1, 2 * k + 4)]
-    uncrowded = crowded = 0
+    total = len(fc_elements(n, bound=bound))
+    weights = [comb(n, k) - comb(n, k - 1) if k else 1 for k in range(n // 2 + 1)]
+    uncrowded = 0
     pending: list[tuple[tuple[int, ...], int]] = [((), -2)]  # uncrowded sets, with reach
     while pending:
         second, reach = pending.pop()
         k = len(second)
         uncrowded += weights[k]
-        low = max(second[-1] + 1 if second else 0, 2 * k + 2)
         closing = reach + 2 * k - 2  # no larger child can close a window
-        for m in range(low, min(closing, n) + 1):
+        for m in range(max(second[-1] + 1 if second else 0, 2 * k + 2), n + 1):
             child = second + (m,)
-            if is_uncrowded_set(child):
+            if m > closing or is_uncrowded_set(child):
                 pending.append((child, max(reach, m - 2 * k)))
-            else:  # every extension keeps the overfull window, so it is crowded too
-                crowded += subtree[k + 1][max(m + 1, 2 * k + 4)]
-        for m in range(max(low, closing + 1), n + 1):
-            if max(m + 1, 2 * k + 4) > n:
-                uncrowded += weights[k + 1]
-            else:
-                pending.append((second + (m,), max(reach, m - 2 * k)))
-    return uncrowded, crowded
+    return uncrowded, total - uncrowded
 
 
 def fc_covers(n: int, bound: int = DEFAULT_POSET_BOUND) -> Iterator[CoverEdge]:

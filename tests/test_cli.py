@@ -465,6 +465,16 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "6", "--filter", "fc")
         assert (code, len(out.split()), calls) == (0, 132, [42, 42, 28, 14, 5, 1])
 
+    def test_all_count_builds_no_permutation(self, capsys, monkeypatch):
+        # S_n has n! elements, printed without building S_n, behind the same guard
+        def refused(n):
+            raise AssertionError(f"built S_{n}")
+
+        monkeypatch.setattr(fcperm.cli, "all_permutations", refused)
+        assert run(capsys, "enumerate", "10", "--bound", "10", "--count") == (0, "3628800\n", "")
+        message = "error: degree 10 exceeds bound 9; raise the bound to enumerate\n"
+        assert run(capsys, "enumerate", "10", "--count") == (2, "", message)
+
     def test_no_crowded_at_degree_three(self, capsys):
         code, out, _ = run(capsys, "enumerate", "3", "--filter", "crowded", "--count")
         assert code == 0 and out.strip() == "0"
@@ -523,7 +533,10 @@ class TestEnumerate:
                 ["enumerate", "40", "--filter", f, "--bound", "40"]
                 for f in ("fc", "boolean", "crowded", "uncrowded")
             ),
-            ["enumerate", "36", "--filter", "boolean", "--bound", "36", "--count"],
+            *(
+                ["enumerate", "36", "--filter", f, "--bound", "36", "--count"]
+                for f in ("boolean", "crowded", "uncrowded")
+            ),
             ["dot", "poset", "40", "--bound", "40"],
             ["enumerate", "1100", "--filter", "fc", "--bound", "2000"],
             ["dot", "poset", "1100", "--bound", "2000"],

@@ -36,3 +36,35 @@ def test_tableau_growth_demo_prints_the_transition(capsys):
         "window [6, 8] now holds 3 second-row entries, one too many\n"
         "witness window reported by classify: [6, 7, 8]\n"
     )
+
+
+def test_census_demo_prints_the_census(capsys):
+    runpy.run_path(str(DEMOS[0].with_name("minimal_crowded_census.py")), run_name="__main__")
+    all_true = (
+        "{'descent_form': True, 'descent_values_crowded': True, 'fixed_outside': True,"
+        " 'pattern_consecutive': True, 'window_patterns': True}"
+    )
+    assert capsys.readouterr().out == (
+        "S_3:    0 minimal crowded,          0 crowded,          5 fully commutative\n"
+        "S_4:    0 minimal crowded,          0 crowded,         14 fully commutative\n"
+        "S_5:    0 minimal crowded,          0 crowded,         42 fully commutative\n"
+        "S_6:    1 minimal crowded,          5 crowded,        132 fully commutative\n"
+        "S_7:    2 minimal crowded,         28 crowded,        429 fully commutative\n"
+        "S_8:    6 minimal crowded,        168 crowded,      1,430 fully commutative\n"
+        "S_9:   10 minimal crowded,        780 crowded,      4,862 fully commutative\n"
+        "S_10:  21 minimal crowded,      3,627 crowded,     16,796 fully commutative\n"
+        "S_11:  32 minimal crowded,     15,576 crowded,     58,786 fully commutative\n"
+        "S_12:  58 minimal crowded,     66,341 crowded,    208,012 fully commutative\n"
+        "S_13:  84 minimal crowded,    273,507 crowded,    742,900 fully commutative\n"
+        "S_14: 141 minimal crowded,  1,118,455 crowded,  2,674,440 fully commutative\n"
+        "S_15: 198 minimal crowded,  4,502,436 crowded,  9,694,845 fully commutative\n"
+        "S_16: 318 minimal crowded, 18,010,832 crowded, 35,357,670 fully commutative\n"
+        "\n"
+        "the minimal crowded elements of S_8, with their condition reports:\n"
+        f"  12637485  row2 = [6, 7, 8]  {all_true}\n"
+        f"  15263748  row2 = [5, 6, 7]  {all_true}\n"
+        f"  31627485  row2 = [3, 6, 7, 8]  {all_true}\n"
+        f"  41526378  row2 = [4, 5, 6]  {all_true}\n"
+        f"  41527386  row2 = [4, 5, 7, 8]  {all_true}\n"
+        f"  41627385  row2 = [4, 6, 7, 8]  {all_true}\n"
+    )

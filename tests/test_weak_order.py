@@ -291,7 +291,7 @@ class TestFcElementsView:
     def test_length_counts_the_prefix_walk(self, monkeypatch, n):
         walks = _count_walks(monkeypatch)
         assert len(fc_elements(n, bound=n)) == len(prefix_walk_fc(n))
-        assert walks == []  # the length is filled from a table of counts, not iterated
+        assert walks == []  # the length comes from the Catalan recurrence, not a pass
 
     @pytest.mark.parametrize("n", range(12, 36))
     def test_length_is_the_catalan_number(self, n):
@@ -345,9 +345,10 @@ class TestFcElementsView:
         assert (done.returncode, done.stdout, done.stderr) == (0, "58786 58786\n", "")
 
     @pytest.mark.parametrize("n", [5, 8])
-    def test_a_lost_stamp_shows_in_the_length_and_the_listing(self, monkeypatch, n):
-        # the count and the listing read the same table, so a completion
-        # missing from it is missing from both
+    def test_a_lost_stamp_shows_in_the_listing_not_the_length(self, monkeypatch, n):
+        # the listing reads the stamp table and the length the Catalan
+        # recurrence, so a completion missing from the table is missing from
+        # the listing alone
         original = weak_order._stamps
 
         def without_the_last_of_row_zero(j):
@@ -358,7 +359,7 @@ class TestFcElementsView:
         view = fc_elements(n, bound=n)
         walked = prefix_walk_fc(n)
         listed = [w.image for w in view]
-        assert len(view) == len(listed) < len(walked)
+        assert len(view) == len(walked) > len(listed)
         assert listed != walked and set(listed) < set(walked)
 
     def test_indexing_reads_the_listed_elements(self):
@@ -395,10 +396,10 @@ class TestCrowdingCensus:
         assert crowding_census(n, bound=20) == crowding_census_by_dp(n)
 
     def test_a_crowded_set_is_counted_with_its_extensions(self, monkeypatch):
-        # a crowded ballot set's extensions are counted from the weight
-        # table, not decided one by one, and an uncrowded set's child is
-        # decided only when it can close an overfull window: S_11 decides
-        # 58 of its 462 sets
+        # a crowded ballot set's extensions are neither grown nor decided,
+        # since the crowded count is C_n minus the uncrowded one, and an
+        # uncrowded set's child is decided only when it can close an
+        # overfull window: S_11 decides 58 of its 462 sets
         decided = []
         original = weak_order.is_uncrowded_set
 
@@ -460,6 +461,11 @@ class TestCrowdingCensus:
         uncrowded = sum(1 for members in ballot_sets if is_uncrowded_set(members))
         boolean = {rsk(w).p for w in fc_elements(n, bound=11) if is_boolean(w)}
         assert uncrowded == len(boolean)
+
+    def test_refuses_past_sys_maxsize(self):
+        # the census reads C_n from fc_elements, which refuses S_36 by size
+        with pytest.raises(BoundExceeded, match=f"sys.maxsize = {sys.maxsize}"):
+            crowding_census(36, bound=36)
 
     def test_halves_add_up_to_catalan(self):
         for n in range(1, 21):
