@@ -4,8 +4,8 @@ One binary, subcommands for single-permutation analysis, S_n enumeration
 with filters, the named verification checks, and DOT/JSON emitters.  Exit
 codes: 0 on success or a passing check, 1 when a check finds a
 counterexample, 2 for usage or parse errors, 3 for an internal error (a
-broken deduction inside the library), 141 when the reader closes stdout
-early.
+broken deduction inside the library, or any other unexpected exception),
+141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -373,11 +373,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # InvariantViolation and the library's self-checks: a deduction the
-        # library relies on failed, so the input is worth reporting
+    except Exception as exc:
+        # a broken deduction (InvariantViolation, a library self-check) or
+        # any other fault inside the library: exit 3, apart from a failed
+        # check, with the input that caused it
+        what = exc if isinstance(exc, RuntimeError) else f"{type(exc).__name__}: {exc}"
         given = " ".join(sys.argv[1:] if argv is None else argv)
-        print(f"internal error: {exc} (input: {given})", file=sys.stderr)
+        print(f"internal error: {what} (input: {given})", file=sys.stderr)
         return 3
 
 

@@ -5,14 +5,13 @@ correctly; the operations whose statements only make sense in the two-row
 world (``bump_pairs``) enforce full commutativity at their boundary.
 
 ``rsk`` runs the insertion once per call and keeps a compact record of it
-in four plain sequences: the letters, the rows of P, a (row-1 column,
-landing row) pair for each letter that bumped, and one flat list of the
-values displaced along every bumping route.  A letter that did not bump
-was appended to row 1, and needs no entry: a reader tells it apart as the
-insertion did, by comparing it with the last entry of row 1.  The
-insertion tableau, the recording tableau and the trace are each built from
-the record when first read, and cached; every tableau read is still
-validated by the one ``Tableau`` constructor.
+in five plain sequences: the letters, the rows of P, each letter's landing
+row (the row, from 0, that gained a cell: 0 when the letter was appended to
+row 1), the row-1 column (from 0) of each letter that bumped, and one flat
+list of the values displaced along every bumping route.  The insertion
+tableau, the recording tableau and the trace are each built from the
+record when first read, and cached; every tableau read is still validated
+by the one ``Tableau`` constructor.
 
 The trace records, for each inserted letter, its bumping route (the letter,
 then the value it displaced from each row in turn) and the first-row column
@@ -126,71 +125,43 @@ class RskResult:
         return value
 
 
-# object.__new__, and the slot setters that a frozen instance's
-# ``__setattr__`` refuses: results and traces are filled through them
+# object.__new__, and the slot setter that a frozen instance's
+# ``__setattr__`` refuses: a result is filled through it
 _new = object.__new__
 _set_raw = RskResult.__dict__["_raw"].__set__
-_set_paths = BumpTrace.__dict__["paths"].__set__
-_set_first_column = BumpTrace.__dict__["first_column"].__set__
 
 
 def _recording_rows(raw) -> list[list[int]]:
-    """Q's rows: each step index goes to the row where its letter landed.
-
-    A letter above the last entry of row 1 was appended there, and has no
-    entry in the record; it is told apart here as the insertion told it
-    apart, by tracking the length and the last entry of row 1.
-    """
-    image, rows, bumps, _ = raw
-    qrows: list[list[int]] = [[] for _ in rows]
-    first = qrows[0]
-    top = last = k = 0  # the length and the last entry of row 1; the next pair
-    for step_index, value in enumerate(image, start=1):
-        if value > last:
-            first.append(step_index)
-            top += 1
-            last = value
-        else:
-            if bumps[k] == top - 1:
-                last = value
-            qrows[bumps[k + 1]].append(step_index)
-            k += 2
+    """Q's rows: each step index goes to the row where its letter landed."""
+    qrows: list[list[int]] = [[] for _ in raw[1]]
+    for step_index, row in enumerate(raw[2], start=1):
+        qrows[row].append(step_index)
     return qrows
 
 
 def _bump_trace(raw) -> BumpTrace:
-    """Each letter's route and row-1 column, with appended letters told
-    apart as in ``_recording_rows``; a letter that landed in row r (from 0)
-    displaced the next r values of the flat route list."""
-    image, _, bumps, routes = raw
+    """Each letter's route and row-1 column: a letter that landed in row r
+    displaced the next r values of the flat route list, and an appended
+    letter took the next column at the end of row 1."""
+    image, _, landing, columns, routes = raw
     paths = []
-    path = paths.append
     first_column = {}
-    top = last = k = at = 0
-    for value in image:
-        if value > last:
-            top += 1
-            last = value
-            first_column[value] = top
-            path((value,))
-        else:
-            col = bumps[k]
-            row = bumps[k + 1]
-            k += 2
-            if col == top - 1:
-                last = value
-            first_column[value] = col + 1
-            path((value, *routes[at : at + row]))
+    top = k = at = 0  # the length of row 1; the next index into columns, routes
+    for value, row in zip(image, landing):
+        if row:
+            first_column[value] = columns[k] + 1
+            k += 1
+            paths.append((value, *routes[at : at + row]))
             at += row
-    trace = _new(BumpTrace)
-    _set_paths(trace, tuple(paths))
-    _set_first_column(trace, first_column)
-    return trace
+        else:
+            top += 1
+            first_column[value] = top
+            paths.append((value,))
+    return BumpTrace(tuple(paths), first_column)
 
 
-# field name -> builder from RskResult._raw, which is (the letters, the rows
-# of P, a row-1 column and a landing row, both from 0, for each letter that
-# bumped, and the values displaced along every route, in bump order)
+# field name -> builder from RskResult._raw, the record the module
+# docstring describes
 _BUILDERS = {
     "p": lambda raw: Tableau(raw[1]),
     "q": lambda raw: Tableau(_recording_rows(raw)),
@@ -214,17 +185,19 @@ def rsk(w: Permutation) -> RskResult:
     image = w.image
     first: list[int] = []
     rows: list[list[int]] = [first]
-    bumps: list[int] = []  # per bumping letter: its row-1 column, its landing row
+    landing: list[int] = []  # per letter: the row, from 0, that gained a cell
+    columns: list[int] = []  # per bumping letter: its row-1 column
     routes: list[int] = []  # every displaced value, in bump order
     last = 0  # the last entry of row 1
     for value in image:
         # every letter lands in row 1; only a bumped one cascades further
         if value > last:
             first.append(value)
+            landing.append(0)
             last = value
             continue
         col = bisect_right(first, value)
-        bumps.append(col)
+        columns.append(col)
         incoming, first[col] = first[col], value
         if incoming == last:
             last = value
@@ -234,15 +207,15 @@ def rsk(w: Permutation) -> RskResult:
             col = bisect_right(row, incoming)
             if col == len(row):
                 row.append(incoming)
-                bumps.append(r)
+                landing.append(r)
                 break
             incoming, row[col] = row[col], incoming
             routes.append(incoming)
         else:  # fell off the bottom: a new row holds it
-            bumps.append(len(rows))
+            landing.append(len(rows))
             rows.append([incoming])
     result = _new(RskResult)
-    _set_raw(result, (image, rows, bumps, routes))
+    _set_raw(result, (image, rows, landing, columns, routes))
     return result
 
 

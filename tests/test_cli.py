@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import io
 import json
@@ -19,6 +20,7 @@ import fcperm.weak_order
 from fcperm import Permutation, classify, fc_elements, rsk
 from fcperm.cli import FILTERS, main
 from fcperm.crowding import InvariantViolation
+from fcperm.rsk import BumpTrace
 from fcperm.weak_order import DEFAULT_POSET_BOUND
 from fcperm.words import evaluate_word, word_from_text
 
@@ -1017,6 +1019,25 @@ class TestInternalErrors:
         code, out, err = run(capsys, *argv)
         assert code == 3 and not out
         assert err.strip() == f"internal error: {error} (input: {' '.join(argv)})"
+
+    def test_an_unexpected_exception_exits_three(self, capsys, monkeypatch):
+        # a trace whose first_column lost its largest value makes lemma-2.12
+        # raise KeyError: a fault in the library, not a failed check
+        original = fcperm.checks.rsk
+
+        def short_columns(w):
+            result = original(w)
+            columns = dict(result.trace.first_column)
+            del columns[max(columns)]
+            trace = BumpTrace(result.trace.paths, columns)
+            return dataclasses.replace(result, trace=trace)
+
+        monkeypatch.setattr(fcperm.checks, "rsk", short_columns)
+        assert run(capsys, "verify", "5", "lemma-2.12") == (
+            3,
+            "",
+            "internal error: KeyError: 5 (input: verify 5 lemma-2.12)\n",
+        )
 
     def test_a_transition_that_lands_uncrowded_exits_three(self, capsys, monkeypatch):
         # the last deduction analyze_transition demands, which thm-4.11

@@ -269,15 +269,18 @@ class TestCompactRecord:
         return result
 
     def test_record_of_a_real_insertion(self):
-        # 3142: 3 and 4 are appended to row 1; 1 bumps 3 from column 0 and
-        # 2 bumps 4 from column 1, each landing in row 1 (rows from 0)
-        assert rsk(P("3142"))._raw == ((3, 1, 4, 2), [[1, 2], [3, 4]], [0, 1, 1, 1], [3, 4])
+        # 3142: 3 and 4 are appended to row 1 (landing row 0); 1 bumps 3 from
+        # column 0 and 2 bumps 4 from column 1, each landing in row 1 (rows
+        # and columns from 0)
+        assert rsk(P("3142"))._raw == (
+            (3, 1, 4, 2), [[1, 2], [3, 4]], [0, 1, 0, 1], [0, 1], [3, 4]
+        )
 
     def test_rows_that_break_a_tableau_rule_are_refused_on_every_read(self):
-        # the letters 1, 2, 3 are all appended to row 1, so the recording
-        # rows are (1, 2, 3) and an empty second row; the recorded rows of P
-        # are not increasing
-        result = self._from_record(((1, 2, 3), [[2, 1], [3]], [], []))
+        # the letters 1, 2, 3 are all appended to row 1 (landing row 0), so
+        # the recording rows are (1, 2, 3) and an empty second row; the
+        # recorded rows of P are not increasing
+        result = self._from_record(((1, 2, 3), [[2, 1], [3]], [0, 0, 0], [], []))
         for _ in range(2):  # a refused field is not cached
             with pytest.raises(ValueError, match="not strictly increasing"):
                 result.p
