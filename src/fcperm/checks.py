@@ -381,15 +381,16 @@ def _lemma_3_1(n: int) -> Verdicts:
     label test."""
     for w in fc_elements(n):
         heap = heap_of(w)
-        transitive = all(heap.below[x - 1] <= below for below in heap.below for x in below)
+        below = heap.below
+        transitive = all(below[x - 1] <= lower for lower in below for x in lower)
         for j in set(heap.labels):
             chain = heap.elements_with_label(j)
             for x, y in combinations(chain, 2):
-                lo, hi = (x, y) if heap.less(x, y) else (y, x)
+                lo, hi = (x, y) if x in below[y - 1] else (y, x)
                 between = {
                     heap.label(z)
                     for z in range(1, heap.size + 1)
-                    if heap.less(lo, z) and heap.less(z, hi)
+                    if lo in below[z - 1] and z in below[hi - 1]
                 }
                 if not {j - 1, j + 1} <= between:
                     yield f"{w.to_text()} label {j} pair {(lo, hi)}"

@@ -185,12 +185,17 @@ def _cmd_enumerate(args) -> int:
         require_degree_within(args.n, bound)  # the guard _all_within keeps
         print(factorial(args.n))
         return 0
-    matches = _MATCHES[args.filter](args.n, bound)
-    if args.count:
+    matches = _MATCHES[args.filter](args.n, bound)  # refuses here, before any walk
+    if not args.count:
+        _write_lines(w.to_text(compact=args.compact) for w in matches)
+    elif args.filter == "boolean":
+        older, newer = 0, 1  # Tenner: S_n has F_{2n-1} boolean elements (F_1 = F_2 = 1)
+        for _ in range(2 * args.n - 2):
+            older, newer = newer, older + newer
+        print(newer)
+    else:
         # the fc view counts by the Catalan recurrence and builds no element
         print(len(matches) if args.filter == "fc" else sum(1 for _ in matches))
-        return 0
-    _write_lines(w.to_text(compact=args.compact) for w in matches)
     return 0
 
 
@@ -226,7 +231,10 @@ def _cmd_dot(args) -> int:
     if args.argument is None:
         raise ValueError("dot poset needs a degree argument")
     bound = DEFAULT_POSET_BOUND if args.bound is None else args.bound
-    n = int(args.argument)
+    try:
+        n = int(args.argument)
+    except ValueError:
+        raise ValueError(f"dot poset degree {args.argument!r} is not an integer") from None
     if args.json:
         names = {w.image: w.to_text() for w in fc_elements(n, bound=bound)}
         edges = [[names[v.image], names[w.image], i] for v, w, i in fc_covers(n, bound=bound)]

@@ -2,9 +2,12 @@
 
 The heap of a reduced word ``u_1 .. u_l`` is the partial order on positions
 {1, .., l} generated by x < y whenever x comes earlier and |u_x - u_y| <= 1.
-Its labeled linear extensions are exactly the commutation class of the word,
-so for a fully commutative permutation the heap is a complete, word-free
-picture of the whole reduced-word set.
+Element y with label j covers the latest earlier j, unless a later j-1 or
+j+1 lies between the two; then it covers those neighbours instead, as any
+longer chain passes through such a letter.  The labeled linear extensions
+are exactly the commutation class of the word, so for a fully commutative
+permutation the heap is a complete, word-free picture of the whole
+reduced-word set.
 """
 
 from __future__ import annotations
@@ -25,30 +28,21 @@ DEFAULT_HEAP_BOUND = 14
 
 @dataclass(frozen=True, slots=True)
 class Heap:
-    """Labeled poset on the letter positions of a reduced word.
-
-    ``below[k]`` holds every element strictly under element k+1, so order
-    queries are set lookups.  ``covers`` is the transitive reduction, as
-    sorted (lower, upper) pairs, computed from the labels when read.
+    """Labeled poset on the letter positions of a reduced word, stored as
+    its covers, sorted (lower, upper) pairs; ``below`` is built when read.
     """
 
     labels: tuple[int, ...]
-    below: tuple[frozenset[int], ...]
+    covers: tuple[tuple[int, int], ...]
 
     @property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """x is covered by y exactly when x < y, |u_x - u_y| <= 1, and no
-        letter strictly between positions x and y is within 1 of both: any
-        longer chain from x to y would pass through such a letter.
-        """
-        letters = self.labels
-        return tuple(
-            (x, y)
-            for x, ux in enumerate(letters, start=1)
-            for y, uy in enumerate(letters[x:], start=x + 1)
-            if abs(ux - uy) <= 1
-            and not any(abs(uz - ux) <= 1 and abs(uz - uy) <= 1 for uz in letters[x : y - 1])
-        )
+    def below(self) -> tuple[frozenset[int], ...]:
+        """``below[k]``: every element under element k+1, built on each read
+        from the covers, which reach an element before they leave it."""
+        below: list[frozenset[int]] = [frozenset()] * self.size
+        for x, y in self.covers:
+            below[y - 1] |= below[x - 1] | {x}
+        return tuple(below)
 
     @property
     def size(self) -> int:
@@ -77,14 +71,11 @@ class Heap:
 def build_heap(letters: tuple[int, ...] | list[int]) -> Heap:
     """Heap of a reduced word.  Raises ValueError on a non-reduced word.
 
-    Only the order ``below`` is built here; ``covers`` is computed when
-    read.
-
     >>> h = build_heap((2, 1, 3))
-    >>> h.below
-    (frozenset(), frozenset({1}), frozenset({1}))
     >>> h.covers
     ((1, 2), (1, 3))
+    >>> h.below
+    (frozenset(), frozenset({1}), frozenset({1}))
     """
     letters = tuple(letters)
     if letters and not is_reduced(letters, max(letters) + 1):
@@ -97,19 +88,17 @@ def heap_of_reduced(letters: tuple[int, ...]) -> Heap:
     ``canonical_reduced_word``: ``build_heap`` without its ``is_reduced``
     test, for callers that never hold an unchecked word.
 
-    >>> heap_of_reduced((1, 2, 1)).below
-    (frozenset(), frozenset({1}), frozenset({1, 2}))
+    >>> heap_of_reduced((1, 2, 1)).covers
+    ((1, 2), (2, 3))
     """
-    size = len(letters)
-    below: list[frozenset[int]] = []
-    for y in range(1, size + 1):
-        acc: set[int] = set()
-        for x in range(1, y):
-            if abs(letters[x - 1] - letters[y - 1]) <= 1:
-                acc.add(x)
-                acc |= below[x - 1]
-        below.append(frozenset(acc))
-    return Heap(labels=letters, below=tuple(below))
+    latest: dict[int, int] = {}  # label -> its latest position so far
+    covers: list[tuple[int, int]] = []
+    for y, j in enumerate(letters, start=1):
+        same = latest.get(j, 0)
+        lower = [x for x in (latest.get(j - 1, 0), latest.get(j + 1, 0)) if x > same]
+        covers += ((x, y) for x in lower or [same] if x)
+        latest[j] = y
+    return Heap(labels=letters, covers=tuple(sorted(covers)))
 
 
 def heap_of(w: Permutation) -> Heap:
@@ -131,7 +120,7 @@ def labeled_linear_extensions(
     This set is the commutation class of the generating word; for a fully
     commutative permutation it is the full reduced-word set.  Extensions
     grow order ideals, each held as a bitmask (bit x-1 for element x): an
-    element can come next once its whole lower set is placed.
+    element can come next once its lower covers are placed.
 
     >>> sorted(labeled_linear_extensions(build_heap((2, 1, 3))))
     [(2, 1, 3), (2, 3, 1)]
@@ -140,7 +129,7 @@ def labeled_linear_extensions(
         raise BoundExceeded(
             f"heap size {heap.size} exceeds bound {bound}; raise the bound to enumerate"
         )
-    needs = [sum(1 << (x - 1) for x in below) for below in heap.below]
+    needs = [sum(1 << (x - 1) for x, z in heap.covers if z == y) for y in range(1, heap.size + 1)]
     whole = (1 << heap.size) - 1
     out: set[tuple[int, ...]] = set()
     pending: list[tuple[int, tuple[int, ...]]] = [(0, ())]  # (ideal, its word)

@@ -187,6 +187,40 @@ def braid_closure_words(w: Permutation) -> set[tuple[int, ...]]:
     return seen
 
 
+def heap_order(labels) -> tuple[frozenset[int], ...]:
+    """The lower set of each element of a word's heap, read from the labels
+    alone: the transitive closure of "x comes earlier and |u_x - u_y| <=
+    1", found by a downward search from each element.  Uses nothing from
+    fcperm, so it checks ``Heap.covers`` and ``Heap.below`` independently.
+    """
+    lower_sets = []
+    for y in range(1, len(labels) + 1):
+        seen: set[int] = set()
+        stack = [y]
+        while stack:
+            z = stack.pop()
+            for x in range(1, z):
+                if x not in seen and abs(labels[x - 1] - labels[z - 1]) <= 1:
+                    seen.add(x)
+                    stack.append(x)
+        lower_sets.append(frozenset(seen))
+    return tuple(lower_sets)
+
+
+def heap_covers(labels) -> tuple[tuple[int, int], ...]:
+    """The covers of ``heap_order``: x < y with nothing strictly between,
+    as sorted (lower, upper) pairs."""
+    order = heap_order(labels)
+    return tuple(
+        sorted(
+            (x, y)
+            for y, lower in enumerate(order, start=1)
+            for x in lower
+            if not any(x in order[z - 1] for z in lower)
+        )
+    )
+
+
 def commutation_moves(word: tuple[int, ...]):
     """Words obtained by one swap of adjacent letters that commute."""
     for k in range(len(word) - 1):

@@ -181,16 +181,16 @@ def _rsk_rewrites_its_trace(
 
 def _covers_without_the_between_test(monkeypatch):
     # every pair x < y with labels within one, whatever lies between them
-    def comparable(heap):
-        letters = heap.labels
-        return tuple(
+    def heap_of_reduced(letters):
+        comparable = tuple(
             (x, y)
             for x, ux in enumerate(letters, start=1)
             for y, uy in enumerate(letters[x:], start=x + 1)
             if abs(ux - uy) <= 1
         )
+        return fcperm.Heap(tuple(letters), comparable)
 
-    monkeypatch.setattr(fcperm.Heap, "covers", property(comparable))
+    monkeypatch.setattr(fcperm.heaps, "heap_of_reduced", heap_of_reduced)
 
 
 def _bump_map_reversed(monkeypatch):
@@ -215,27 +215,29 @@ def _reduced_words_lose_the_last(monkeypatch):
 
 
 def _heap_relates_equal_labels_only(monkeypatch):
-    # labels one apart no longer meet, so nothing lies between two equal ones
+    # labels one apart no longer meet, so nothing lies between two equal ones:
+    # each element covers the latest earlier one with its label, if any
     def heap_of_reduced(letters):
-        below = [
-            frozenset(x for x in range(1, y) if letters[x - 1] == u)
-            for y, u in enumerate(letters, start=1)
-        ]
-        return fcperm.Heap(tuple(letters), tuple(below))
+        latest, covers = {}, []
+        for y, u in enumerate(letters, start=1):
+            if u in latest:
+                covers.append((latest[u], y))
+            latest[u] = y
+        return fcperm.Heap(tuple(letters), tuple(sorted(covers)))
 
     monkeypatch.setattr(fcperm.heaps, "heap_of_reduced", heap_of_reduced)
 
 
 def _heap_keeps_direct_relations_only(monkeypatch):
     # x below y only when their labels are within one: no transitive closure
-    def heap_of_reduced(letters):
-        below = [
+    def direct(heap):
+        letters = heap.labels
+        return tuple(
             frozenset(x for x in range(1, y) if abs(letters[x - 1] - u) <= 1)
             for y, u in enumerate(letters, start=1)
-        ]
-        return fcperm.Heap(tuple(letters), tuple(below))
+        )
 
-    monkeypatch.setattr(fcperm.heaps, "heap_of_reduced", heap_of_reduced)
+    monkeypatch.setattr(fcperm.Heap, "below", property(direct))
 
 
 def _descents_lose_the_last(monkeypatch):

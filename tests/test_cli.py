@@ -636,12 +636,13 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "10", "--filter", "crowded", "--bound", "10", "--count")
         assert (code, out) == (0, "3147\n")
 
-    @pytest.mark.parametrize("which", ["crowded", "uncrowded"])
+    @pytest.mark.parametrize("which", ["crowded", "uncrowded", "boolean"])
     @pytest.mark.parametrize(
         "argv", [["-1"], ["0"], ["10", "--bound", "9"], ["12", "--bound", "11"]]
     )
     def test_count_refuses_as_the_listing_does(self, capsys, which, argv):
-        # counting reads second rows, listing walks the elements; the guards agree
+        # counting reads second rows or a formula, listing walks the elements;
+        # the guards agree
         listed = run(capsys, "enumerate", *argv, "--filter", which)
         counted = run(capsys, "enumerate", *argv, "--filter", which, "--count")
         assert counted == listed and listed[0] == 2 and listed[2].startswith("error: ")
@@ -661,6 +662,21 @@ class TestEnumerate:
                 capsys, "enumerate", str(n), "--filter", "boolean", "--bound", "11", "--count"
             )
             assert (code, out) == (0, f"{fibonacci[2 * n - 2]}\n"), n
+            if n <= 9:
+                # the count is a formula; the listing walks and tests each element
+                _, listed, _ = run(capsys, "enumerate", str(n), "--filter", "boolean")
+                assert len(listed.split()) == fibonacci[2 * n - 2], n
+
+    def test_boolean_count_walks_no_element(self, capsys, monkeypatch):
+        def refused(w):
+            raise AssertionError("the count tested an element")
+
+        monkeypatch.setattr(fcperm.cli, "is_boolean", refused)
+        assert run(capsys, "enumerate", "14", "--filter", "boolean", "--bound", "14", "--count") == (
+            0, "196418\n", ""
+        )
+        code, _, err = run(capsys, "enumerate", "4", "--filter", "boolean")
+        assert code == 3 and "the count tested an element" in err
 
 
 class TestVerify:
@@ -778,6 +794,11 @@ class TestDot:
     def test_poset_refuses_the_heap_word(self, capsys):
         message = "error: dot poset takes no --word; it applies to dot heap\n"
         assert run(capsys, "dot", "poset", "3", "--word", "121") == (2, "", message)
+
+    @pytest.mark.parametrize("degree", ["x", "4.5", ""])
+    def test_poset_names_a_degree_that_is_not_an_integer(self, capsys, degree):
+        message = f"error: dot poset degree {degree!r} is not an integer\n"
+        assert run(capsys, "dot", "poset", degree) == (2, "", message)
 
     def test_poset_bound_defaults_to_the_poset_bound(self, capsys):
         expected = run(capsys, "dot", "poset", "9", "--bound", str(DEFAULT_POSET_BOUND))

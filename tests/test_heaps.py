@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,22 +19,10 @@ from fcperm import (
 )
 from fcperm.weak_order import fc_elements
 
-from conftest import commutation_class
+from conftest import commutation_class, heap_covers, heap_order
 
 
 P = Permutation.from_text
-
-
-def _transitive_reduction(heap):
-    """Covers straight from the order: x < y with nothing strictly between."""
-    return tuple(
-        sorted(
-            (x, y)
-            for y in range(1, heap.size + 1)
-            for x in heap.below[y - 1]
-            if not any(x in heap.below[z - 1] for z in heap.below[y - 1])
-        )
-    )
 
 
 class TestBuildHeap:
@@ -60,16 +50,32 @@ class TestBuildHeap:
             build_heap((1, 2, 1, 2))  # braid-equivalent to a shorter word
 
     def test_local_covers_are_the_transitive_reduction(self):
-        for n in range(1, 8):
+        for n in range(1, 9):
             for w in fc_elements(n):
-                heap = build_heap(canonical_reduced_word(w))
-                assert heap.covers == _transitive_reduction(heap)
+                word = canonical_reduced_word(w)
+                heap = build_heap(word)
+                assert (heap.covers, heap.below) == (heap_covers(word), heap_order(word))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 6), max_size=14))
     def test_local_covers_on_arbitrary_reduced_words(self, letters):
-        heap = build_heap(_reduced_prefix(letters))
-        assert heap.covers == _transitive_reduction(heap)
+        word = _reduced_prefix(letters)
+        heap = build_heap(word)
+        assert (heap.covers, heap.below) == (heap_covers(word), heap_order(word))
+
+    def test_a_long_cycle_stores_only_its_covers(self):
+        # the cycle 2,3,..,4001,1 has a 4000-letter word with distinct
+        # letters, so its heap is a chain; lower sets held for every
+        # element would take about 330 MiB
+        tracemalloc.start()
+        try:
+            heap = heap_of(Permutation((*range(2, 4002), 1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(heap.covers) == 3999
+        assert heap.to_dot().count(" -> ") == 3999
+        assert peak < 16 * 2**20
 
     def test_identity_order_is_linear_extension(self):
         heap = build_heap(word_from_text("321546735"))

@@ -31,7 +31,7 @@ VALUES = {
     ),
     "Heap": (
         build_heap((2, 1, 3)),
-        "Heap(labels=(2, 1, 3), below=(frozenset(), frozenset({1}), frozenset({1})))",
+        "Heap(labels=(2, 1, 3), covers=((1, 2), (1, 3)))",
     ),
     "CrowdedWitness": (
         classify(Permutation.from_text("41627385")),
